@@ -177,7 +177,10 @@ def full_report(
     cor1 = internal_node_bound(rt.paths.r, q, w)
     thm3 = internal_node_bound(len(net.internal_nodes), q, w)
     lower = rate_margin_lower_bound(q, c_t, w)
-    assert lower <= thm1 <= thm2 <= thm3, "bound ordering violated"
+    if not lower <= thm1 <= thm2 <= thm3:
+        raise RuntimeError(
+            f"bound ordering violated: lower {lower}, thm1 {thm1}, thm2 {thm2}, thm3 {thm3}"
+        )
     return BoundReport(
         sink=t,
         q=q,

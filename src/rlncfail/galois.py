@@ -6,9 +6,10 @@ Elements are canonical integers in 0..q-1; for extension fields (m > 1) the
 integer packs the residue polynomial's coefficients in base p, i.e.
 value = sum(c_i * p**i) for the residue c_0 + c_1 x + ... + c_{m-1} x^{m-1}.
 
-Fields with q <= 256 precompute full add/sub/mul/neg/inverse tables (numpy
-arrays) which the simulation and enumeration engines index in bulk.  Larger
-fields compute on the fly.
+Every field multiplies and inverts through log/antilog tables of length
+O(q), built on first use, and adds digit-wise in base p; the same array
+methods serve scalar arithmetic and the bulk simulation and enumeration
+engines.
 
 Sampling is deterministic: `RandomStream` is a counter-based word stream, and
 `uniform_element` rejects from a power-of-two range so that every field
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
 
 MAX_ORDER = 1 << 16
-TABLE_LIMIT = 256
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -111,6 +111,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # --- polynomial helpers over F_p; coefficient tuples are low degree first ---
 
 def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
@@ -157,6 +171,13 @@ class FieldSpec:
 
     Use `make_field` rather than constructing directly; equal (p, m) always
     yields the identical field (same reduction polynomial, same tables).
+
+    Arithmetic runs through log/antilog tables over a generator g of the
+    multiplicative group, built on first use: `exp[i] = g^i` (uint16) and
+    `log[exp[i]] = i` (int32).  `log[0]` is a sentinel that lands every
+    product or quotient involving 0 in a zero tail of `exp`, so the array
+    methods `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks; they take ints
+    or integer arrays of canonical values and broadcast like numpy.
     """
 
     def __init__(self, p: int, m: int):
@@ -173,15 +194,6 @@ class FieldSpec:
         self.reduction_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, m) if m > 1 else None
         )
-        # Full lookup tables for small fields; the bulk engines index these.
-        self.add_table: np.ndarray | None = None
-        self.sub_table: np.ndarray | None = None
-        self.mul_table: np.ndarray | None = None
-        self.neg_table: np.ndarray | None = None
-        self.inv_table: np.ndarray | None = None
-        if q <= TABLE_LIMIT:
-            self._build_tables()
-        self._prime_inv: np.ndarray | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -194,6 +206,11 @@ class FieldSpec:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.reduction_poly))
+
+    def __reduce__(self):
+        # unpickle as the receiving process's cached field, so each worker
+        # builds the tables once rather than once per work block
+        return make_field, (self.p, self.m)
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -215,115 +232,112 @@ class FieldSpec:
             v = v * self.p + c
         return v
 
-    # -- table construction (q <= TABLE_LIMIT) ------------------------------
+    # -- log/antilog tables ------------------------------------------------
 
-    def _build_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        vals = np.arange(q, dtype=np.int64)
-        digs = np.empty((q, m), dtype=np.int64)
-        rest = vals.copy()
-        for j in range(m):
-            digs[:, j] = rest % p
-            rest //= p
+    def _poly_mul(self, a: int, b: int) -> int:
+        """Schoolbook product; only used while building the tables."""
+        conv = [0] * (2 * self.m - 1)
+        for i, x in enumerate(self._digits(a)):
+            for j, y in enumerate(self._digits(b)):
+                conv[i + j] += x * y
+        conv = [c % self.p for c in conv]
+        if self.m == 1:
+            return conv[0]
+        rem = _poly_mod(conv, self.reduction_poly, self.p)
+        return self._pack(rem + [0] * (self.m - len(rem)))
+
+    def _poly_pow(self, a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self._poly_mul(r, a)
+            a = self._poly_mul(a, a)
+            e >>= 1
+        return r
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        p, m, n = self.p, self.m, self.q - 1
+        # g generates the multiplicative group iff g^(n/r) != 1 for every prime r | n
+        factors = _prime_factors(n)
+        g = next(
+            g for g in range(1, self.q)
+            if all(self._poly_pow(g, n // r) != 1 for r in factors)
+        )
+        # value -> value * g for every value at once: g * x^j, row j, is
+        # the image of the j-th digit's unit
         powers = p ** np.arange(m, dtype=np.int64)
+        digits = np.arange(self.q, dtype=np.int64)[:, None] // powers % p
+        g_rows = np.array([self._digits(self._poly_mul(g, p**j)) for j in range(m)])
+        times_g = ((digits @ g_rows) % p @ powers).tolist()
+        cycle = [1]
+        for _ in range(n - 1):
+            cycle.append(times_g[cycle[-1]])
+        # powers of g twice over (log a + log b < 2n), then the zero tail
+        # that log[0] = 2n reaches from any offset up to 2n
+        exp = np.zeros(4 * n + 1, dtype=np.uint16)
+        exp[:n] = exp[n : 2 * n] = cycle
+        log = np.empty(self.q, dtype=np.int32)
+        log[exp[:n]] = np.arange(n)
+        log[0] = 2 * n
+        return exp, log
 
-        def pack(d: np.ndarray) -> np.ndarray:
-            return (d * powers).sum(axis=-1)
+    # -- array arithmetic on canonical integers ------------------------------
 
-        add = pack((digs[:, None, :] + digs[None, :, :]) % p).astype(np.int16)
-        neg = pack((-digs) % p).astype(np.int16)
-        sub = add[:, neg]
-        if m == 1:
-            mul = ((vals[:, None] * vals[None, :]) % p).astype(np.int16)
-        else:
-            poly = np.array(self.reduction_poly[:-1], dtype=np.int64)
-            # value -> value * x mod reduction polynomial
-            hi = digs[:, m - 1]
-            shifted = np.concatenate([np.zeros((q, 1), np.int64), digs[:, :-1]], axis=1)
-            xtimes = pack((shifted - hi[:, None] * poly[None, :]) % p)
-            # value -> value * s for each scalar s in F_p
-            smul = np.stack([pack((digs * s) % p) for s in range(p)])
-            mul = np.zeros((q, q), dtype=np.int64)
-            apow = vals.copy()  # a * x^j, packed, for all a
-            for j in range(m):
-                term = smul[digs[None, :, j], apow[:, None]]
-                mul = add[mul, term].astype(np.int64)
-                apow = xtimes[apow]
-            mul = mul.astype(np.int16)
-        inv = np.zeros(q, dtype=np.int16)
-        rows, cols = np.nonzero(mul == 1)
-        inv[rows] = cols
-        self.add_table, self.sub_table = add, sub
-        self.mul_table, self.neg_table, self.inv_table = mul, neg, inv
+    def vadd(self, a, b):
+        """a + b: digit-wise in base p (XOR for p = 2)."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out = np.add(a, b, dtype=np.int32)
+        if self.m == 1:
+            return out % p
+        for j in range(self.m):  # drop the carry out of each digit
+            pw = p**j
+            out -= (a // pw % p + b // pw % p >= p) * (pw * p)
+        return out
+
+    def vneg(self, a):
+        """-a = a * g^(n/2) for odd q; every element is its own negative for p = 2."""
+        if self.p == 2:
+            return a
+        exp, log = self._tables
+        return exp[log[a] + (self.q - 1) // 2]
+
+    def vsub(self, a, b):
+        return self.vadd(a, self.vneg(b))
+
+    def vmul(self, a, b):
+        exp, log = self._tables
+        return exp[log[a] + log[b]]
+
+    def vinv(self, a):
+        """Inverse of nonzero values (0 maps to 0)."""
+        exp, log = self._tables
+        return exp[(self.q - 1) - log[a]]
 
     # -- scalar arithmetic on canonical integers ----------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        if self.m == 1:
-            return (a + b) % self.p
-        return self._pack([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
+        return int(self.vadd(a, b))
 
     def sub(self, a: int, b: int) -> int:
-        if self.sub_table is not None:
-            return int(self.sub_table[a, b])
-        if self.m == 1:
-            return (a - b) % self.p
-        return self._pack([(x - y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
+        return int(self.vsub(a, b))
 
     def neg(self, a: int) -> int:
-        if self.neg_table is not None:
-            return int(self.neg_table[a])
-        if self.m == 1:
-            return (-a) % self.p
-        return self._pack([(-x) % self.p for x in self._digits(a)])
+        return int(self.vneg(a))
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        if self.m == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        conv = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        rem = _poly_mod([c % self.p for c in conv], self.reduction_poly, self.p)
-        rem += [0] * (self.m - len(rem))
-        return self._pack(rem)
+        return int(self.vmul(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return int(self.vinv(a))
 
     def pow(self, a: int, e: int) -> int:
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
-
-    def prime_inverse_table(self) -> np.ndarray:
-        """Inverse lookup for prime fields of any supported size (lazy)."""
-        if self.m != 1:
-            raise ValueError("prime_inverse_table is only defined for prime fields")
-        if self._prime_inv is None:
-            p = self.p
-            inv = np.zeros(p, dtype=np.int64)
-            for a in range(1, p):
-                inv[a] = pow(a, p - 2, p)
-            self._prime_inv = inv
-        return self._prime_inv
+        exp, log = self._tables
+        return int(exp[int(log[a]) * e % (self.q - 1)]) if a else int(e == 0)
 
     # -- element layer -------------------------------------------------------
 

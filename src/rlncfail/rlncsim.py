@@ -10,16 +10,15 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 * `exact_failure` - exhaustive enumeration of all q^N coefficient
   assignments (N = number of adjacent channel pairs), as an exact rational.
 
-Both run on a vectorized numpy engine for prime fields of any supported
-order and extension fields up to order 256, and fall back to the scalar
-reference path otherwise.  The scalar and vectorized paths consume the same
-random words in the same order, so they are interchangeable bit-for-bit.
+Both run one vectorized numpy engine over the field's log/antilog tables,
+for every supported field.  `propagate` and `rank_over_field` are the same
+engine at a batch size of 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +29,9 @@ from .galois import (
     FieldElement,
     FieldSpec,
     RandomStream,
-    TABLE_LIMIT,
     rejection_params,
     stream_keys_array,
     uniform_element,
-    uniform_int,
     words_at,
 )
 from .netmodel import Network, imaginary_inputs, input_channel_ids, topological_order
@@ -175,9 +172,9 @@ def propagate(net: Network, w: int, assign: CoefficientAssignment) -> KernelStat
         if el.field != field:
             raise ValueError("assignment mixes elements of different fields")
         coeffs.append(el.value)
-    kern = _scalar_kernels(program, field, coeffs)
+    kern = _batch_kernels(program, field, np.array([coeffs], dtype=np.int64))
     kernels = {
-        cid: tuple(FieldElement(v, field) for v in vec) for cid, vec in kern.items()
+        cid: tuple(FieldElement(int(v), field) for v in vec[0]) for cid, vec in kern.items()
     }
     return KernelState(field=field, rate=w, kernels=kernels)
 
@@ -210,56 +207,8 @@ def rank_over_field(matrix) -> int:
                 raise ValueError("matrix mixes elements of different fields")
     if field is None or ncols == 0:
         return 0
-    return _rank_ints([[el.value for el in r] for r in rows], field)
-
-
-def _rank_ints(rows: list[list[int]], field: FieldSpec) -> int:
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
-        for i in range(rank + 1, nrows):
-            f = m[i][col]
-            if f:
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _scalar_kernels(program: _Program, field: FieldSpec, coeffs: list[int]):
-    w = program.rate
-    kern: dict[str, list[int]] = {}
-    for i, d in enumerate(program.imaginary):
-        row = [0] * w
-        row[i] = 1
-        kern[d] = row
-    add, mul = field.add, field.mul
-    for cid, ins in program.channels:
-        vec = [0] * w
-        for d, si in ins:
-            k = coeffs[si]
-            if k:
-                fd = kern[d]
-                vec = [add(v, mul(k, x)) for v, x in zip(vec, fd)]
-        kern[cid] = vec
-    return kern
-
-
-def _scalar_sink_rank(program: _Program, field: FieldSpec, kern, t: str) -> int:
-    cols = program.sink_inputs[t]
-    if not cols:
-        return 0
-    rows = [[kern[c][i] for c in cols] for i in range(program.rate)]
-    return _rank_ints(rows, field)
+    values = np.array([[el.value for el in r] for r in rows], dtype=np.int64)
+    return int(_batch_rank(values[None], field)[0])
 
 
 def simulate_once(
@@ -276,66 +225,12 @@ def simulate_once(
 
 # --- vectorized engine ----------------------------------------------------------
 
-class _PrimeOps:
-    """Vector arithmetic mod p on int64 arrays (p <= 2^16, so products fit)."""
-
-    def __init__(self, field: FieldSpec):
-        self.p = field.p
-        self._field = field
-        self._inv: np.ndarray | None = None
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if self._inv is None:
-            self._inv = self._field.prime_inverse_table()
-        return self._inv[a]
-
-
-class _TableOps:
-    """Vector arithmetic through the precomputed q x q lookup tables."""
-
-    def __init__(self, field: FieldSpec):
-        self.add_t = field.add_table
-        self.sub_t = field.sub_table
-        self.mul_t = field.mul_table
-        self.inv_t = field.inv_table
-
-    def add(self, a, b):
-        return self.add_t[a, b]
-
-    def sub(self, a, b):
-        return self.sub_t[a, b]
-
-    def mul(self, a, b):
-        return self.mul_t[a, b]
-
-    def inv(self, a):
-        return self.inv_t[a]
-
-
-def _vec_ops(field: FieldSpec):
-    """Vector ops for this field, or None when only the scalar path applies."""
-    if field.m == 1:
-        return _PrimeOps(field)
-    if field.q <= TABLE_LIMIT:
-        return _TableOps(field)
-    return None
-
-
-def _batch_rank(mats: np.ndarray, ops) -> np.ndarray:
+def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Ranks of a (B, w, c) batch of matrices by batched elimination."""
     B, w, c = mats.shape
     if B == 0:
         return np.zeros(0, dtype=np.int64)
-    M = mats.astype(np.int64, copy=True)
+    M = mats.astype(np.int32)
     piv = np.zeros(B, dtype=np.int64)
     rows = np.arange(w)
     for col in range(c):
@@ -353,40 +248,43 @@ def _batch_rank(mats: np.ndarray, ops) -> np.ndarray:
         tmp = M[sel, r0, :].copy()
         M[sel, r0, :] = M[sel, r1, :]
         M[sel, r1, :] = tmp
-        pv = M[sel, r0, col]
-        pinv = np.asarray(ops.inv(pv), dtype=np.int64)
-        M[sel, r0, :] = ops.mul(M[sel, r0, :], pinv[:, None])
-        pivrow = np.zeros((B, c), dtype=np.int64)
+        pinv = field.vinv(M[sel, r0, col])
+        M[sel, r0, :] = field.vmul(M[sel, r0, :], pinv[:, None])
+        pivrow = np.zeros((B, c), dtype=np.int32)
         pivrow[sel] = M[sel, r0, :]
         f = M[:, :, col]
         below = (rows[None, :] > piv[:, None]) & (f != 0) & has[:, None]
         if below.any():
-            delta = ops.mul(f[:, :, None], pivrow[:, None, :])
-            M = np.where(below[:, :, None], ops.sub(M, delta), M).astype(np.int64)
+            delta = field.vmul(f[:, :, None], pivrow[:, None, :])
+            M = np.where(below[:, :, None], field.vsub(M, delta), M)
         piv = piv + has.astype(np.int64)
     return piv
 
 
-def _batch_failure_flags(program: _Program, field: FieldSpec, coeffs: np.ndarray, t: str, ops) -> np.ndarray:
-    """Boolean failure flag per row of the (B, N) coefficient matrix."""
+def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    """Global kernel of every channel, a (B, w) array per channel id, for
+    each row of the (B, N) coefficient matrix."""
     B = coeffs.shape[0]
     w = program.rate
-    kern: dict[str, np.ndarray] = {}
-    for i, d in enumerate(program.imaginary):
-        row = np.zeros(w, dtype=np.int64)
-        row[i] = 1
-        kern[d] = np.broadcast_to(row, (B, w))
+    eye = np.eye(w, dtype=np.uint16)
+    kern = {d: np.broadcast_to(eye[i], (B, w)) for i, d in enumerate(program.imaginary)}
     for cid, ins in program.channels:
         acc = None
         for d, si in ins:
-            term = ops.mul(coeffs[:, si][:, None], kern[d])
-            acc = term if acc is None else ops.add(acc, term)
-        kern[cid] = acc if acc is not None else np.zeros((B, w), dtype=np.int64)
+            term = field.vmul(coeffs[:, si][:, None], kern[d])
+            acc = term if acc is None else field.vadd(acc, term)
+        kern[cid] = acc if acc is not None else np.zeros((B, w), dtype=np.uint16)
+    return kern
+
+
+def _batch_failure_flags(program: _Program, field: FieldSpec, coeffs: np.ndarray, t: str) -> np.ndarray:
+    """Boolean failure flag per row of the (B, N) coefficient matrix."""
     cols = program.sink_inputs[t]
     if not cols:
-        return np.ones(B, dtype=bool)
-    F = np.stack([kern[c] for c in cols], axis=2).astype(np.int64)
-    return _batch_rank(F, ops) < w
+        return np.ones(coeffs.shape[0], dtype=bool)
+    kern = _batch_kernels(program, field, coeffs)
+    F = np.stack([kern[c] for c in cols], axis=2)
+    return _batch_rank(F, field) < program.rate
 
 
 def _mc_block_failures(
@@ -395,17 +293,7 @@ def _mc_block_failures(
     """Failure count over trials [start, start+count); a pure function of its
     arguments, which is what makes worker scheduling irrelevant."""
     program = _compile(net, w)
-    ops = _vec_ops(field)
     q = field.q
-    if ops is None:
-        fails = 0
-        for i in range(start, start + count):
-            rng = RandomStream(seed, stream=i)
-            coeffs = [uniform_int(q, rng) for _ in program.slots]
-            kern = _scalar_kernels(program, field, coeffs)
-            if _scalar_sink_rank(program, field, kern, t) < w:
-                fails += 1
-        return fails
     trials = np.arange(start, start + count, dtype=np.int64)
     keys = stream_keys_array(seed, trials)
     counters = np.zeros(count, dtype=np.uint64)
@@ -423,7 +311,7 @@ def _mc_block_failures(
             ok = cand < limit_u
             coeffs[pending[ok], j] = (cand[ok] % q_u).astype(np.int64)
             pending = pending[~ok]
-    return int(_batch_failure_flags(program, field, coeffs, t, ops).sum())
+    return int(_batch_failure_flags(program, field, coeffs, t).sum())
 
 
 def _mc_block_star(args) -> int:
@@ -471,7 +359,7 @@ def estimate_failure(
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
-    worker count.
+    worker count.  At most min(workers, blocks, CPU count) processes start.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -481,7 +369,8 @@ def estimate_failure(
         (net, w, field, t, seed, start, min(_BLOCK, trials - start))
         for start in range(0, trials, _BLOCK)
     ]
-    if workers <= 1 or len(blocks) == 1:
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         counts = [_mc_block_star(b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -530,23 +419,16 @@ def exact_failure(
     total = q**n
     if total > budget or total > _HARD_ENUMERATION_CAP:
         raise EnumerationBudgetError(n, total, min(budget, _HARD_ENUMERATION_CAP))
-    ops = _vec_ops(field)
     failures = 0
-    if ops is not None and n > 0:
-        places = [q ** (n - 1 - j) for j in range(n)]
-        batch = 1 << 16
-        for start in range(0, total, batch):
-            cnt = min(batch, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            coeffs = np.empty((cnt, n), dtype=np.int64)
-            for j, place in enumerate(places):
-                coeffs[:, j] = (idx // place) % q
-            failures += int(_batch_failure_flags(program, field, coeffs, t, ops).sum())
-    else:
-        for combo in itertools.product(range(q), repeat=n):
-            kern = _scalar_kernels(program, field, list(combo))
-            if _scalar_sink_rank(program, field, kern, t) < w:
-                failures += 1
+    places = [q ** (n - 1 - j) for j in range(n)]
+    batch = 1 << 16
+    for start in range(0, total, batch):
+        cnt = min(batch, total - start)
+        idx = np.arange(start, start + cnt, dtype=np.int64)
+        coeffs = np.empty((cnt, n), dtype=np.int64)
+        for j, place in enumerate(places):
+            coeffs[:, j] = (idx // place) % q
+        failures += int(_batch_failure_flags(program, field, coeffs, t).sum())
     frac = Fraction(failures, total)
     return ExactProbability(
         numerator=frac.numerator,

@@ -8,9 +8,11 @@ library code paths it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from rlncfail.netmodel import Network
+from rlncfail.galois import FieldSpec, RandomStream, uniform_int
+from rlncfail.netmodel import Network, input_channel_ids, topological_order
+from rlncfail.rlncsim import coefficient_slots
 
 
 def reaches(net: Network, t: str, removed: frozenset[str] = frozenset()) -> bool:
@@ -126,3 +128,105 @@ def corpus_network(seed: int, w: int, density: float):
     from rlncfail.netmodel import random_dag
 
     return random_dag(seed % 7, w, density, seed=seed)
+
+
+class NaiveField:
+    """GF(p^m) from the field's reduction polynomial alone: base-p digit
+    lists, schoolbook multiply and mod, inverse by search.  No tables and no
+    generator, so it shares nothing with the library's log/antilog engine."""
+
+    def __init__(self, field: FieldSpec):
+        self.p, self.m, self.q = field.p, field.m, field.q
+        self.poly = field.reduction_poly  # monic, low degree first; None when m = 1
+
+    def digits(self, v: int) -> list[int]:
+        return [v // self.p**i % self.p for i in range(self.m)]
+
+    def pack(self, digits: list[int]) -> int:
+        return sum(c % self.p * self.p**i for i, c in enumerate(digits))
+
+    def add(self, a: int, b: int) -> int:
+        return self.pack([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def sub(self, a: int, b: int) -> int:
+        return self.pack([x - y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def mul(self, a: int, b: int) -> int:
+        m = self.m
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                conv[i + j] += x * y
+        for i in range(2 * m - 2, m - 1, -1):  # cancel x^i with x^(i-m) * poly
+            c = conv[i] % self.p
+            for j, r in enumerate(self.poly):
+                conv[i - m + j] -= c * r
+        return self.pack(conv[:m])
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 has no inverse")
+        return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+
+def naive_rank(rows: list[list[int]], field: NaiveField) -> int:
+    """Rank by fraction-free Gaussian elimination: row_i <- piv * row_i -
+    f * pivot_row is invertible for any pivot != 0, so no inverse is needed."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [
+                    field.sub(field.mul(top[col], x), field.mul(f, y))
+                    for x, y in zip(rows[i], top)
+                ]
+        rank += 1
+    return rank
+
+
+def naive_failure_test(net: Network, w: int, field: FieldSpec, t: str):
+    """(N, failed): failed(coeffs) propagates the kernels node by node with
+    coeffs[i] at canonical slot i and reports rank(F_t) < w."""
+    F = NaiveField(field)
+    slots = [(s.in_id, s.out_id) for s in coefficient_slots(net, w)]
+    order = topological_order(net)
+    cols = sorted(c.id for c in net.in_channels(t))
+
+    def failed(coeffs) -> bool:
+        k = dict(zip(slots, coeffs))
+        sources = input_channel_ids(net, net.source, w)
+        kern = {d: [int(i == j) for j in range(w)] for i, d in enumerate(sources)}
+        for node in order:
+            ins = input_channel_ids(net, node, w)
+            for c in net.out_channels(node):
+                vec = [0] * w
+                for d in ins:
+                    vec = [F.add(v, F.mul(k[(d, c.id)], x)) for v, x in zip(vec, kern[d])]
+                kern[c.id] = vec
+        return naive_rank([[kern[c][i] for c in cols] for i in range(w)], F) < w
+
+    return len(slots), failed
+
+
+def naive_mc_failures(net: Network, w: int, field: FieldSpec, t: str, trials: int, seed: int) -> int:
+    """Monte Carlo failure count, one trial at a time: trial i draws its
+    coefficients from RandomStream(seed, stream=i) in slot order."""
+    n, failed = naive_failure_test(net, w, field, t)
+    fails = 0
+    for i in range(trials):
+        rng = RandomStream(seed, stream=i)
+        fails += failed([uniform_int(field.q, rng) for _ in range(n)])
+    return fails
+
+
+def naive_enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
+    """Failing assignments among all q^N, by itertools.product."""
+    n, failed = naive_failure_test(net, w, field, t)
+    return sum(failed(combo) for combo in product(range(field.q), repeat=n))

@@ -165,6 +165,14 @@ class TestFullReport:
             assert 0 <= rep.lower <= rep.thm1 <= rep.thm2 <= rep.thm3 <= 1
             assert rep.cor1 <= rep.thm2
 
+    def test_bound_ordering_violation_raises(self, monkeypatch):
+        # thm2 forced to 0 falls below thm1; the check must survive python -O
+        import rlncfail.bounds as bounds
+
+        monkeypatch.setattr(bounds, "internal_node_bound", lambda r, q, w: Fraction(0))
+        with pytest.raises(RuntimeError, match="bound ordering violated"):
+            full_report(butterfly(), "t1", 2, make_field(2))
+
     def test_heuristic_mode_flagged(self):
         rep = full_report(butterfly(), "t1", 2, make_field(2), rt_mode="heuristic")
         assert not rep.r_min_exact

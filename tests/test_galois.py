@@ -1,11 +1,14 @@
 """Field construction, arithmetic axioms, and uniform sampling."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import NaiveField
 from rlncfail.galois import (
     FieldSpec,
     RandomStream,
@@ -44,8 +47,16 @@ class TestMakeField:
         a = FieldSpec(2, 3)
         b = FieldSpec(2, 3)
         assert a.reduction_poly == b.reduction_poly
-        assert (a.mul_table == b.mul_table).all()
-        assert (a.add_table == b.add_table).all()
+        pairs = [(x, y) for x in range(a.q) for y in range(a.q)]
+        assert [a.mul(x, y) for x, y in pairs] == [b.mul(x, y) for x, y in pairs]
+        assert [a.add(x, y) for x, y in pairs] == [b.add(x, y) for x, y in pairs]
+
+    def test_pickles_to_the_cached_field(self):
+        f = make_field(3, 10)
+        f.mul(2, 3)  # tables built; they are not shipped
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert pickle.loads(pickle.dumps(FieldSpec(2, 3))) is make_field(2, 3)
+        assert len(pickle.dumps(f)) < 200
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -137,6 +148,38 @@ class TestArithmetic:
         for a in range(1, f.q):
             assert f.pow(a, f.q - 1) == 1
             assert f.inv(f.inv(a)) == a
+
+
+class TestAgainstNaiveOracle:
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27, 256, 729, 1024, 59049, 65521, 65536])
+    def test_ops_match_schoolbook_arithmetic(self, q):
+        f = make_field_of_order(q)
+        naive = NaiveField(f)
+        rng = RandomStream(q)
+        values = sorted({0, 1, q - 1} | {uniform_int(q, rng) for _ in range(9)})
+        for a in values:
+            for b in values:
+                assert f.add(a, b) == naive.add(a, b), (a, b)
+                assert f.sub(a, b) == naive.sub(a, b), (a, b)
+                assert f.mul(a, b) == naive.mul(a, b), (a, b)
+            assert f.neg(a) == naive.sub(0, a)
+            if a:
+                assert naive.mul(a, f.inv(a)) == 1
+                if q <= 1024:
+                    assert f.inv(a) == naive.inv(a)
+
+    @pytest.mark.parametrize("q", [9, 243, 65521])
+    def test_array_ops_match_scalar_ops(self, q):
+        f = make_field_of_order(q)
+        rng = RandomStream(7)
+        # uint16 is the engine's own element dtype, where a + b would wrap
+        a = np.array([uniform_int(q, rng) for _ in range(64)] + [0, 1, q - 1, 0], np.uint16)
+        b = np.array([uniform_int(q, rng) for _ in range(64)] + [0, q - 1, 1, q - 1], np.uint16)
+        for vec, scalar in [(f.vadd, f.add), (f.vsub, f.sub), (f.vmul, f.mul)]:
+            assert list(vec(a, b)) == [scalar(int(x), int(y)) for x, y in zip(a, b)]
+        nz = a[a != 0]
+        assert list(f.vinv(nz)) == [f.inv(int(x)) for x in nz]
+        assert list(f.vneg(a)) == [f.neg(int(x)) for x in a]
 
 
 class TestSampling:

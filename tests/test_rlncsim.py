@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 import rlncfail.rlncsim as rlncsim
-from oracles import butterfly_failure_law, corpus_network, corpus_params, plait_failure_law
+from oracles import (
+    NaiveField,
+    butterfly_failure_law,
+    corpus_network,
+    corpus_params,
+    naive_enumerated_failures,
+    naive_mc_failures,
+    naive_rank,
+    plait_failure_law,
+)
 from rlncfail.galois import (
     FieldElement,
     RandomStream,
@@ -166,7 +175,7 @@ class TestRank:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_batch_rank_matches_scalar(self, q):
         field = make_field_of_order(q)
-        ops = rlncsim._vec_ops(field)
+        naive = NaiveField(field)
         rng = RandomStream(q)
         for rows, cols in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 5), (4, 4)]:
             mats = np.array(
@@ -176,16 +185,15 @@ class TestRank:
                 ],
                 dtype=np.int64,
             )
-            got = rlncsim._batch_rank(mats, ops)
+            got = rlncsim._batch_rank(mats, field)
             for b in range(40):
-                expect = rlncsim._rank_ints([list(r) for r in mats[b]], field)
+                expect = naive_rank(mats[b].tolist(), naive)
                 assert got[b] == expect
 
     def test_batch_rank_zero_and_identity(self):
         f3 = make_field(3)
-        ops = rlncsim._vec_ops(f3)
         mats = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)])
-        assert list(rlncsim._batch_rank(mats, ops)) == [0, 3]
+        assert list(rlncsim._batch_rank(mats, f3)) == [0, 3]
 
 
 class TestDecodingMatrix:
@@ -255,13 +263,50 @@ class TestEstimate:
         )
         assert est.failures == direct
 
-    def test_scalar_engine_matches_vector(self, monkeypatch):
+    def test_scalar_engine_matches_vector(self):
         f2 = make_field(2)
         net = butterfly()
         fast = estimate_failure(net, 2, f2, "t1", 500, seed=9)
-        monkeypatch.setattr(rlncsim, "_vec_ops", lambda field: None)
-        slow = estimate_failure(net, 2, f2, "t1", 500, seed=9)
-        assert fast == slow
+        assert fast.failures == naive_mc_failures(net, 2, f2, "t1", 500, seed=9)
+
+    @pytest.mark.parametrize("p,m", [(2, 10), (3, 5)])
+    def test_extension_field_matches_per_trial_oracle(self, p, m):
+        field = make_field(p, m)
+        net = butterfly()
+        est = estimate_failure(net, 2, field, "t1", 300, seed=4)
+        assert est.failures == naive_mc_failures(net, 2, field, "t1", 300, seed=4)
+
+    def test_gf1024_failures_pinned(self):
+        assert estimate_failure(butterfly(), 2, make_field(2, 10), "t1", 2000, seed=1).failures == 7
+
+    def test_workers_clamped_to_blocks_and_cpus(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
+        f2 = make_field(2)
+        trials = 2 * rlncsim._BLOCK + 1  # three blocks
+        est = estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6)
+        assert started == [3]
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 2)
+        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
+        assert started == [3, 2]
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
+        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
+        assert started == [3, 2]
 
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
@@ -339,16 +384,14 @@ class TestExact:
         with pytest.raises(EnumerationBudgetError):
             exact_failure(butterfly(), 2, make_field(2), "t1", budget=100)
 
-    def test_scalar_engine_matches_vector(self, monkeypatch):
+    def test_scalar_engine_matches_vector(self):
         f3 = make_field(3)
         net = plait(2, 1)
         fast = exact_failure(net, 2, f3, "t")
-        monkeypatch.setattr(rlncsim, "_vec_ops", lambda field: None)
-        slow = exact_failure(net, 2, f3, "t")
-        assert fast == slow
+        assert fast.failures == naive_enumerated_failures(net, 2, f3, "t")
 
     def test_large_extension_field_scalar_path(self):
-        # q = 512 has no tables; the scalar fallback must still be exact
+        # q = 512, an extension field above 256, must still be exact
         f512 = make_field(2, 9)
         res = exact_failure(plait(1, 0), 1, f512, "t")
         assert res.fraction == Fraction(1, 512)
