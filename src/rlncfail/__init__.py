@@ -16,13 +16,10 @@ from .bounds import (
     subspace_completion_success,
 )
 from .flowpaths import (
-    CutSequence,
     InfeasibleRateError,
     MinInternalResult,
     PathSet,
-    cut_sequence,
     disjoint_paths,
-    linear_extensions,
     min_cut,
     min_internal_paths,
 )

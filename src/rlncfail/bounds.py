@@ -5,7 +5,9 @@ that n fresh uniform vectors complete a fixed complementary subspace to full
 dimension.  From it:
 
 * cut-profile upper bound   1 - prod_k phi(q, w - out_k)   over the cut steps
-  of a chosen path set ("thm1" in reports);
+  of a chosen path set ("thm1" in reports); w - out_k is the number of paths
+  through the k-th node, so this is 1 - phi(q, w) prod_v phi(q, m_v) over the
+  path set's internal nodes v, whatever order they are advanced in;
 * staged upper bound        1 - phi(q, w)^(n+1)            with n = r, the
   internal nodes on the chosen path set ("thm2"), n = R_t, the minimum over
   all path sets ("cor1"), or n = |J|, all internal nodes ("thm3");
@@ -20,15 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flowpaths import (
-    CutSequence,
-    PathSet,
-    cut_sequence,
-    disjoint_paths,
-    linear_extensions,
-    min_cut,
-    min_internal_paths,
-)
+from .flowpaths import cut_out_profile, disjoint_paths, min_cut, min_internal_paths
 from .galois import FieldSpec
 from .netmodel import Network
 
@@ -110,7 +104,6 @@ class BoundReport:
     r_min_exact: bool
     j_count: int
     cut_out_sizes: tuple[int, ...]
-    order_mode: str
     thm1: Fraction
     thm2: Fraction
     cor1: Fraction
@@ -146,32 +139,19 @@ def full_report(
     w: int,
     field: FieldSpec,
     rt_mode: str = "exact",
-    order: str = "canonical",
     rt_budget: int = 10**6,
 ) -> BoundReport:
     """All bounds for sink t at rate w over the given field.
 
-    The cut profile comes from the deterministic disjoint path set.  With
-    order="minimize" the profile bound is minimized over every admissible
-    ordering of the path set's internal nodes (only for <= 8 of them; larger
-    path sets silently keep the canonical order, reflected in order_mode).
-    Raises InfeasibleRateError via the path search when w exceeds C_t.
+    The cut profile comes from the deterministic disjoint path set, listed
+    in its canonical (topological) node order.  Raises InfeasibleRateError
+    via the path search when w exceeds C_t.
     """
-    if order not in ("canonical", "minimize"):
-        raise ValueError(f"order must be 'canonical' or 'minimize', got {order!r}")
     c_t = min_cut(net, t)
-    ps: PathSet = disjoint_paths(net, t, w)  # raises when w > C_t
-    cs: CutSequence = cut_sequence(net, ps)
+    ps = disjoint_paths(net, t, w)  # raises when w > C_t
+    profile = cut_out_profile(net, ps)
     q = field.q
-    thm1 = cut_profile_bound(cs.out_sizes, q, w)
-    order_mode = "canonical"
-    if order == "minimize" and ps.r <= 8:
-        for ext in linear_extensions(net, ps):
-            cand = cut_profile_bound(cut_sequence(net, ps, ext).out_sizes, q, w)
-            if cand < thm1:
-                thm1 = cand
-                cs = cut_sequence(net, ps, ext)
-        order_mode = "minimize"
+    thm1 = cut_profile_bound(profile, q, w)
     rt = min_internal_paths(net, t, w, mode=rt_mode, budget=rt_budget)
     thm2 = internal_node_bound(ps.r, q, w)
     cor1 = internal_node_bound(rt.paths.r, q, w)
@@ -191,8 +171,7 @@ def full_report(
         r_min=rt.paths.r,
         r_min_exact=rt.exact,
         j_count=len(net.internal_nodes),
-        cut_out_sizes=cs.out_sizes,
-        order_mode=order_mode,
+        cut_out_sizes=profile,
         thm1=thm1,
         thm2=thm2,
         cor1=cor1,

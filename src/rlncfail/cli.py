@@ -42,6 +42,15 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# generator name -> (netmodel builder looked up at call time, its parameters
+# in call order with their types)
+_GENERATORS = {
+    "plait": ("plait", (("w", int), ("r", int))),
+    "butterfly": ("butterfly", ()),
+    "random": ("random_dag", (("internal", int), ("w", int), ("density", float), ("seed", int))),
+}
+
+
 def parse_gen_spec(spec: str) -> Network:
     """Inline generator spec: plait:w=2,r=3 | butterfly | random:internal=5,w=2,density=0.4,seed=7"""
     name, _, rest = spec.partition(":")
@@ -52,25 +61,19 @@ def parse_gen_spec(spec: str) -> Network:
             if not sep:
                 raise UsageError(f"bad generator parameter {part!r} in {spec!r}")
             kv[k] = v
+    if name not in _GENERATORS:
+        raise UsageError(f"unknown generator {name!r} (expected plait, butterfly, or random)")
+    build, params = _GENERATORS[name]
+    missing = [k for k, _ in params if k not in kv]
+    if missing:
+        raise UsageError(f"generator {name!r} is missing parameter {missing[0]!r}")
+    unknown = sorted(set(kv) - {k for k, _ in params})
+    if unknown:
+        raise UsageError(f"generator {name!r} got unknown parameters {unknown}")
     try:
-        if name == "plait":
-            return netmodel.plait(int(kv.pop("w")), int(kv.pop("r")))
-        if name == "butterfly":
-            if kv:
-                raise UsageError(f"butterfly takes no parameters, got {sorted(kv)}")
-            return netmodel.butterfly()
-        if name == "random":
-            return netmodel.random_dag(
-                int(kv.pop("internal")),
-                int(kv.pop("w")),
-                float(kv.pop("density")),
-                int(kv.pop("seed")),
-            )
-    except KeyError as exc:
-        raise UsageError(f"generator {name!r} is missing parameter {exc}") from None
+        return getattr(netmodel, build)(*(conv(kv[k]) for k, conv in params))
     except ValueError as exc:
         raise UsageError(f"bad generator spec {spec!r}: {exc}") from None
-    raise UsageError(f"unknown generator {name!r} (expected plait, butterfly, or random)")
 
 
 def _load_network(args) -> tuple[Network, str]:
@@ -149,7 +152,7 @@ def _cmd_bounds(args) -> int:
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, args.rate)
     field = _field(args)
-    report = bnd.full_report(net, sink, w, field, rt_mode=args.rt, order=args.order)
+    report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
     if fmt == "json":
         doc = _report_header(name, sink, field.q, w)
         doc.update({k: v for k, v in report.as_dict().items() if k not in doc})
@@ -160,7 +163,8 @@ def _cmd_bounds(args) -> int:
     print(f"sink: {sink}")
     print(f"q: {report.q}  w: {report.w}  C_t: {report.c_t}  delta_t: {report.delta_t}")
     print(f"r: {report.r}  R_t: {report.r_min} ({rt_tag})  J: {report.j_count}")
-    print(f"cut out-profile: {list(report.cut_out_sizes)}  order: {report.order_mode}")
+    # the profile lists the path set's internal nodes in topological order
+    print(f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical")
     print("bounds:")
     for label, value in (
         ("lower", report.lower),
@@ -274,7 +278,7 @@ def _cmd_sweep(args) -> int:
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for field in fields:
-        report = bnd.full_report(net, sink, w, field, rt_mode=args.rt, order=args.order)
+        report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
         row = {
             "network": name,
             "sink": sink,
@@ -334,8 +338,6 @@ def _add_common(parser: argparse.ArgumentParser, fields: bool = False) -> None:
     )
     parser.add_argument("--rt", choices=("exact", "heuristic"), default="exact",
                         help="search mode for the minimal path-node count R_t")
-    parser.add_argument("--order", choices=("canonical", "minimize"), default="canonical",
-                        help="internal-node order for the cut-profile bound")
 
 
 def build_parser() -> argparse.ArgumentParser:

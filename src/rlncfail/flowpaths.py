@@ -3,8 +3,9 @@
 Everything the failure bounds need from graph theory: the min-cut capacity
 between source and a sink, sets of channel-disjoint paths (max-flow plus a
 deterministic decomposition), a search for the path set using the fewest
-distinct internal nodes, and the node-by-node cut advancement along a chosen
-path set.
+distinct internal nodes, and the out-part sizes of the cut advanced node by
+node along a chosen path set, which are path counts: at internal node v the
+cut channels entering v are exactly the m_v path channels whose head is v.
 
 All functions are pure with respect to their immutable inputs, and every
 tie is broken by smallest channel id so repeated runs give identical output.
@@ -12,9 +13,10 @@ tie is broken by smallest channel id so repeated runs give identical output.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .netmodel import Network, imaginary_inputs, topological_order
+from .netmodel import Network, topological_order
 
 
 class InfeasibleRateError(ValueError):
@@ -53,28 +55,6 @@ class PathSet:
 
 
 @dataclass(frozen=True)
-class CutSequence:
-    """Cuts CUT_0..CUT_{r+1} for a path set, with per-step in/out partitions.
-
-    cuts[0] is the imaginary input set, cuts[k+1] is cuts[k] with the
-    channels entering the k-th processed node advanced to their successors
-    on their paths.  in_parts[k]/out_parts[k] partition cuts[k] by membership
-    in In(node k); both have length r+1 (steps k = 0..r, node 0 = source).
-    """
-
-    sink: str
-    rate: int
-    node_order: tuple[str, ...]
-    cuts: tuple[frozenset[str], ...]
-    in_parts: tuple[frozenset[str], ...]
-    out_parts: tuple[frozenset[str], ...]
-
-    @property
-    def out_sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.out_parts)
-
-
-@dataclass(frozen=True)
 class MinInternalResult:
     """Result of the minimal-internal-node search; exact=False marks a
     heuristic (upper-bound) answer after a budget fallback."""
@@ -83,8 +63,14 @@ class MinInternalResult:
     exact: bool
 
 
-def _max_flow(net: Network, t: str, limit: int | None = None) -> tuple[int, set[str]]:
-    """Unit-capacity max-flow from the source to t via augmenting paths.
+def _max_flow(
+    net: Network,
+    t: str,
+    limit: int | None = None,
+    removed: set[str] | frozenset[str] = frozenset(),
+) -> tuple[int, set[str]]:
+    """Unit-capacity max-flow from the source to t via augmenting paths,
+    in the network without the removed channels.
 
     Returns (value, flow channel ids).  Augmentation explores forward unused
     channels before used reverse channels, each in channel-id order, so the
@@ -107,7 +93,7 @@ def _max_flow(net: Network, t: str, limit: int | None = None) -> tuple[int, set[
                 break
             moves: list[tuple[str, str, bool]] = []
             for c in net.out_channels(node):
-                if c.id not in used and c.head not in visited:
+                if c.id not in used and c.id not in removed and c.head not in visited:
                     moves.append((c.id, c.head, True))
             for c in net.in_channels(node):
                 if c.id in used and c.tail not in visited:
@@ -301,12 +287,7 @@ def min_internal_paths(
         if len(nodes) >= best["r"]:
             return
         # feasibility: the untouched graph must still carry the missing flow
-        residual = Network(
-            net.nodes,
-            [c for c in net.channels if c.id not in used],
-            rate_hint=net.rate_hint,
-        )
-        value, _ = _max_flow(residual, t, limit=w - len(done))
+        value, _ = _max_flow(net, t, limit=w - len(done), removed=used)
         if value < w - len(done):
             return
         extend(used, nodes, done, [], s, last_first)
@@ -322,99 +303,15 @@ def min_internal_paths(
     return MinInternalResult(ps, exact=exact)
 
 
-# --- cut sequences ------------------------------------------------------------
+# --- cut profile ---------------------------------------------------------------
 
-def cut_sequence(net: Network, ps: PathSet, node_order: tuple[str, ...] | None = None) -> CutSequence:
-    """Advance the per-path cut through the path set's internal nodes.
+def cut_out_profile(net: Network, ps: PathSet) -> tuple[int, ...]:
+    """Out-part sizes |CUT^out_k|, k = 0..r, of the cut advanced along ps.
 
-    node_order overrides the canonical (topological) order of the internal
-    nodes; it must be a linear extension of the path precedence or the
-    advancement would stall, which is reported as a ValueError.
+    Every cut channel enters the source, so out_0 = 0; at internal node v
+    the entering cut channels are the path channels with head v, so
+    out_v = w - m_v with m_v the number of paths through v.  Listed in the
+    path set's node order; any admissible order gives the same multiset.
     """
-    w = ps.rate
-    imag = imaginary_inputs(w).ids
-    order = tuple(ps.internal_nodes) if node_order is None else tuple(node_order)
-    if sorted(order) != sorted(ps.internal_nodes):
-        raise ValueError("node_order must be a permutation of the path set's internal nodes")
-
-    # chain check + successor lookup
-    succ: dict[str, str | None] = {}
-    for i, path in enumerate(ps.paths):
-        node = net.source
-        for j, cid in enumerate(path):
-            c = net.channel(cid)
-            if c.tail != node:
-                raise ValueError(f"path {i} breaks its chain at channel {cid}")
-            succ[cid] = path[j + 1] if j + 1 < len(path) else None
-            node = c.head
-        if node != ps.sink:
-            raise ValueError(f"path {i} does not end at sink {ps.sink}")
-        succ[imag[i]] = path[0]
-
-    def head(cid: str) -> str:
-        return net.source if cid in imag else net.channel(cid).head
-
-    current = list(imag[:w])
-    cuts = [frozenset(current)]
-    in_parts: list[frozenset[str]] = []
-    out_parts: list[frozenset[str]] = []
-    for node in (net.source,) + order:
-        entering = frozenset(cid for cid in current if head(cid) == node)
-        in_parts.append(entering)
-        out_parts.append(frozenset(current) - entering)
-        if not entering:
-            raise ValueError(f"node order stalls at {node}: no cut channel enters it")
-        for i, cid in enumerate(current):
-            if cid in entering:
-                nxt = succ[cid]
-                if nxt is None:
-                    raise ValueError(f"channel {cid} has no successor to advance to")
-                current[i] = nxt
-        cuts.append(frozenset(current))
-    last = frozenset(p[-1] for p in ps.paths)
-    if cuts[-1] != last:
-        raise ValueError("cut advancement did not terminate on the final channels")
-    return CutSequence(
-        sink=ps.sink,
-        rate=w,
-        node_order=(net.source,) + order,
-        cuts=tuple(cuts),
-        in_parts=tuple(in_parts),
-        out_parts=tuple(out_parts),
-    )
-
-
-def linear_extensions(net: Network, ps: PathSet, limit_nodes: int = 8):
-    """All orderings of the path set's internal nodes consistent with network
-    reachability.  Guarded to small node counts; yields tuples."""
-    nodes = list(ps.internal_nodes)
-    if len(nodes) > limit_nodes:
-        raise ValueError(
-            f"linear extension enumeration is limited to {limit_nodes} internal nodes"
-        )
-    # reachability among the path-internal nodes, via the whole network
-    reach: dict[str, set[str]] = {}
-    order = topological_order(net)
-    succs = {n: {c.head for c in net.out_channels(n)} for n in net.nodes}
-    for n in reversed(order):
-        acc = set(succs[n])
-        for m in succs[n]:
-            acc |= reach.get(m, set())
-        reach[n] = acc
-    before: dict[str, set[str]] = {
-        v: {u for u in nodes if u != v and v in reach[u]} for v in nodes
-    }
-
-    def backtrack(placed: list[str], left: set[str]):
-        if not left:
-            yield tuple(placed)
-            return
-        for v in sorted(left):
-            if before[v] <= set(placed):
-                placed.append(v)
-                left.remove(v)
-                yield from backtrack(placed, left)
-                left.add(v)
-                placed.pop()
-
-    yield from backtrack([], set(nodes))
+    through = Counter(net.channel(cid).head for cid in ps.channel_ids)
+    return (0,) + tuple(ps.rate - through[v] for v in ps.internal_nodes)

@@ -25,6 +25,7 @@ SINK = "sink"
 _ROLES = (SOURCE, INTERNAL, SINK)
 
 _IMAGINARY_ID = re.compile(r"^d[0-9]+$")
+_RATE = re.compile(r"[1-9][0-9]*")
 
 
 class NetworkFormatError(ValueError):
@@ -339,8 +340,8 @@ def network_from_text(text: str) -> Network:
                 )
             raw_channels.append((lineno, parts[1], parts[2], parts[3]))
         elif kind == "rate":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise NetworkFormatError(f"line {lineno}: expected 'rate <w>'")
+            if len(parts) != 2 or not _RATE.fullmatch(parts[1]):
+                raise NetworkFormatError(f"line {lineno}: expected 'rate <w>' with w >= 1")
             rate_hint = int(parts[1])
         else:
             raise NetworkFormatError(f"line {lineno}: unknown directive {kind!r}")

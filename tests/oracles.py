@@ -7,11 +7,13 @@ library code paths it checks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from rlncfail.flowpaths import PathSet
 from rlncfail.galois import FieldSpec, RandomStream, uniform_int
-from rlncfail.netmodel import Network, input_channel_ids, topological_order
+from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids, topological_order
 from rlncfail.rlncsim import coefficient_slots
 
 
@@ -79,6 +81,107 @@ def exhaustive_min_internal(net: Network, t: str, w: int) -> int:
             best = len(nodes)
     assert best is not None, "no channel-disjoint path set exists"
     return best
+
+
+@dataclass(frozen=True)
+class CutSequence:
+    """Cuts CUT_0..CUT_{r+1} for a path set, with per-step in/out partitions.
+
+    cuts[0] is the imaginary input set, cuts[k+1] is cuts[k] with the
+    channels entering the k-th processed node advanced to their successors
+    on their paths.  in_parts[k]/out_parts[k] partition cuts[k] by membership
+    in In(node k); both have length r+1 (steps k = 0..r, node 0 = source).
+    """
+
+    cuts: tuple[frozenset[str], ...]
+    in_parts: tuple[frozenset[str], ...]
+    out_parts: tuple[frozenset[str], ...]
+
+    @property
+    def out_sizes(self) -> tuple[int, ...]:
+        return tuple(len(p) for p in self.out_parts)
+
+
+def cut_sequence(net: Network, ps: PathSet, node_order: tuple[str, ...] | None = None) -> CutSequence:
+    """Advance the per-path cut through the path set's internal nodes, one
+    node at a time, as the paper constructs it.
+
+    node_order overrides the canonical (topological) order of the internal
+    nodes; it must be a linear extension of the path precedence or the
+    advancement stalls, which is reported as a ValueError, as is a path that
+    does not chain from the source to the sink.
+    """
+    w = ps.rate
+    imag = imaginary_inputs(w).ids
+    order = tuple(ps.internal_nodes) if node_order is None else tuple(node_order)
+    if sorted(order) != sorted(ps.internal_nodes):
+        raise ValueError("node_order must be a permutation of the path set's internal nodes")
+
+    succ: dict[str, str | None] = {}
+    for i, path in enumerate(ps.paths):
+        node = net.source
+        for j, cid in enumerate(path):
+            c = net.channel(cid)
+            if c.tail != node:
+                raise ValueError(f"path {i} breaks its chain at channel {cid}")
+            succ[cid] = path[j + 1] if j + 1 < len(path) else None
+            node = c.head
+        if node != ps.sink:
+            raise ValueError(f"path {i} does not end at sink {ps.sink}")
+        succ[imag[i]] = path[0]
+
+    def head(cid: str) -> str:
+        return net.source if cid in imag else net.channel(cid).head
+
+    current = list(imag)
+    cuts = [frozenset(current)]
+    in_parts: list[frozenset[str]] = []
+    out_parts: list[frozenset[str]] = []
+    for node in (net.source,) + order:
+        entering = frozenset(cid for cid in current if head(cid) == node)
+        if not entering:
+            raise ValueError(f"node order stalls at {node}: no cut channel enters it")
+        in_parts.append(entering)
+        out_parts.append(frozenset(current) - entering)
+        for i, cid in enumerate(current):
+            if cid in entering:
+                nxt = succ[cid]
+                if nxt is None:
+                    raise ValueError(f"channel {cid} has no successor to advance to")
+                current[i] = nxt
+        cuts.append(frozenset(current))
+    if cuts[-1] != frozenset(p[-1] for p in ps.paths):
+        raise ValueError("cut advancement did not terminate on the final channels")
+    return CutSequence(tuple(cuts), tuple(in_parts), tuple(out_parts))
+
+
+def linear_extensions(net: Network, ps: PathSet, limit_nodes: int = 8):
+    """Every ordering of the path set's internal nodes consistent with
+    network reachability, by backtracking.  Limited to small node counts."""
+    nodes = list(ps.internal_nodes)
+    if len(nodes) > limit_nodes:
+        raise ValueError(
+            f"linear extension enumeration is limited to {limit_nodes} internal nodes"
+        )
+    reach: dict[str, set[str]] = {}
+    for n in reversed(topological_order(net)):
+        heads = {c.head for c in net.out_channels(n)}
+        reach[n] = heads.union(*(reach[m] for m in heads))
+    before = {v: {u for u in nodes if v in reach[u]} for v in nodes}
+
+    def backtrack(placed: list[str], left: set[str]):
+        if not left:
+            yield tuple(placed)
+            return
+        for v in sorted(left):
+            if before[v] <= set(placed):
+                placed.append(v)
+                left.remove(v)
+                yield from backtrack(placed, left)
+                left.add(v)
+                placed.pop()
+
+    yield from backtrack([], set(nodes))
 
 
 def plait_failure_law(q: int, w: int, r: int) -> Fraction:

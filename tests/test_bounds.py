@@ -142,18 +142,6 @@ class TestFullReport:
         assert rep.thm1 == rep.thm2 == rep.cor1 == rep.thm3 == Fraction(55, 64)
         assert rep.thm3 == plait_failure_law(2, 2, 1)
 
-    def test_minimize_order_matches_canonical(self):
-        # the cut-profile bound is invariant across admissible node orders
-        canon = full_report(butterfly(), "t1", 2, make_field(2), order="canonical")
-        mini = full_report(butterfly(), "t1", 2, make_field(2), order="minimize")
-        assert mini.thm1 == canon.thm1
-        assert mini.order_mode == "minimize"
-
-    def test_minimize_falls_back_above_eight_nodes(self):
-        rep = full_report(plait(1, 9), "t", 1, make_field(2), order="minimize")
-        assert rep.order_mode == "canonical"
-        assert rep.thm1 == internal_node_bound(9, 2, 1)
-
     def test_infeasible_rate(self):
         with pytest.raises(InfeasibleRateError):
             full_report(butterfly(), "t1", 3, make_field(2))

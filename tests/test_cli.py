@@ -4,6 +4,9 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from oracles import butterfly_failure_law
 from rlncfail.cli import SWEEP_COLUMNS, main, parse_gen_spec
@@ -60,12 +63,44 @@ class TestGenSpec:
         assert parse_gen_spec("plait:w=2,r=3") == plait(2, 3)
 
     def test_bad_specs(self, capsys):
-        for spec in ("plait:w=2", "unknown", "plait:w=two,r=1", "butterfly:x=1"):
-            code, _, err = run_cli(capsys, "bounds", "--gen", spec, "--field", "2")
+        for spec in (
+            "plait:w=2", "unknown", "plait:w=two,r=1", "butterfly:x=1",
+            "plait:w=2,r=3,typo=9", "random:internal=5,w=2,density=0.4,seed=7,extra=1",
+        ):
+            code, out, err = run_cli(capsys, "bounds", "--gen", spec, "--field", "2")
             assert code == 2, spec
+            assert out == "" and err.startswith("error: "), spec
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
 
 
 class TestBounds:
+    @pytest.mark.parametrize("argv,golden", [
+        (("--gen", "butterfly", "--sink", "t1", "--field", "4"), "bounds-butterfly-t1-q4.txt"),
+        (("--gen", "butterfly", "--sink", "t1", "--field", "4", "--format", "json"),
+         "bounds-butterfly-t1-q4.json"),
+        (("--gen", DAG20, "--field", "2"), "bounds-dag20-q2.txt"),
+        (("--gen", DAG20, "--field", "2", "--format", "json"), "bounds-dag20-q2.json"),
+    ])
+    def test_golden_stdout(self, capsys, argv, golden):
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_order_option_removed(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--gen", "butterfly", "--sink", "t1",
+                               "--field", "2", "--order", "minimize")
+        assert code == 2 and out == ""
+
+    def test_rate_zero_file_rejected_with_line(self, capsys, tmp_path):
+        path = tmp_path / "n.net"
+        path.write_text("node s source\nnode t sink\nchannel e1 s t\nrate 0\n")
+        code, _, err = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
+        assert code == 2
+        assert "line 4" in err and "rate hint" not in err
+
     def test_butterfly_text(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "2"

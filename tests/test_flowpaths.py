@@ -1,4 +1,6 @@
-"""Flows, disjoint path sets, minimal-internal-node search, cut sequences."""
+"""Flows, disjoint path sets, minimal-internal-node search, cut profiles."""
+
+from collections import Counter
 
 import pytest
 
@@ -6,14 +8,15 @@ from oracles import (
     brute_force_min_cut,
     corpus_network,
     corpus_params,
+    cut_sequence,
     exhaustive_min_internal,
+    linear_extensions,
     reaches,
 )
 from rlncfail.flowpaths import (
     InfeasibleRateError,
-    cut_sequence,
+    cut_out_profile,
     disjoint_paths,
-    linear_extensions,
     min_cut,
     min_internal_paths,
 )
@@ -137,6 +140,24 @@ class TestMinInternalPaths:
         with pytest.raises(InfeasibleRateError):
             min_internal_paths(plait(1, 1), "t", 2)
 
+    # the search takes exactly 16 steps on the butterfly; the feasibility
+    # pruning saves one of them
+    @pytest.mark.parametrize(
+        "budget,exact", [(1, False), (10, False), (15, False), (16, True), (100, True)]
+    )
+    def test_butterfly_pinned_at_budget(self, budget, exact):
+        res = min_internal_paths(butterfly(), "t1", 2, budget=budget)
+        assert res.paths.paths == (("e1", "e6"), ("e2", "e4", "e5", "e7"))
+        assert res.exact is exact
+
+    @pytest.mark.parametrize("budget", [1, 10, 100])
+    def test_dag20_pinned_at_budget(self, budget):
+        res = min_internal_paths(random_dag(20, 5, 0.4, seed=2), "t", 5, budget=budget)
+        assert res.paths.paths == (
+            ("e000", "e018"), ("e001", "e025"), ("e002", "e034"), ("e006", "e064"), ("e008", "e076"),
+        )
+        assert not res.exact
+
 
 class TestCutSequence:
     def test_plait_cuts(self):
@@ -204,6 +225,22 @@ class TestCutSequence:
         ps = disjoint_paths(net, "t1", 2)
         with pytest.raises(ValueError):
             cut_sequence(net, ps, node_order=("b2", "b1", "u2", "u1"))
+
+
+class TestCutOutProfile:
+    def test_matches_cut_advancement(self):
+        cases = [(butterfly(), "t1", 2), (butterfly(), "t2", 2)] + [
+            (corpus_network(seed, w, density), "t", w)
+            for seed, w, q, density in corpus_params()
+        ]
+        for net, t, w in cases:
+            ps = disjoint_paths(net, t, w)
+            profile = cut_out_profile(net, ps)
+            assert profile == cut_sequence(net, ps).out_sizes
+            if ps.r <= 6:
+                for ext in linear_extensions(net, ps):
+                    ext_sizes = cut_sequence(net, ps, ext).out_sizes
+                    assert Counter(ext_sizes) == Counter(profile)
 
 
 class TestLinearExtensions:

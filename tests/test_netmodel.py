@@ -206,6 +206,16 @@ class TestFileFormat:
         net = plait(2, 1)
         assert network_from_text(network_to_text(net)).rate_hint == 2
 
+    @pytest.mark.parametrize("value", ["0", "00", "01", "-1", "+2", "\u00b2", "\u0663", "2.0", "x"])
+    def test_rate_must_be_positive_ascii_integer(self, value):
+        text = f"node s source\nnode t sink\nchannel e1 s t\nrate {value}\n"
+        with pytest.raises(NetworkFormatError, match="line 4"):
+            network_from_text(text)
+
+    def test_rate_multi_digit(self):
+        text = "node s source\nnode t sink\nchannel e1 s t\nrate 10\n"
+        assert network_from_text(text).rate_hint == 10
+
     @settings(max_examples=25, deadline=None)
     @given(w=st.integers(1, 4), r=st.integers(0, 4))
     def test_round_trip_property(self, w, r):
