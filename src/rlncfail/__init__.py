@@ -1,8 +1,8 @@
 """Failure probability of random linear network coding at a sink node.
 
-Exact rational upper/lower bounds from cut sequences of channel-disjoint
-path sets, validated against exhaustive enumeration and Monte Carlo
-simulation over finite fields.
+Exact rational upper/lower bounds from channel-disjoint path sets,
+validated against exhaustive enumeration and Monte Carlo simulation over
+finite fields.
 """
 
 from .bounds import (
@@ -24,13 +24,11 @@ from .flowpaths import (
     min_internal_paths,
 )
 from .galois import (
-    FieldElement,
     FieldSpec,
     RandomStream,
     make_field,
     make_field_of_order,
     parse_prime_power,
-    uniform_element,
 )
 from .netmodel import (
     Channel,
@@ -51,21 +49,14 @@ from .netmodel import (
     write_network,
 )
 from .rlncsim import (
-    CoefficientAssignment,
     CoefficientSlot,
     EnumerationBudgetError,
     ExactProbability,
     FailureEstimate,
-    KernelState,
     coefficient_count,
     coefficient_slots,
-    decoding_matrix,
     estimate_failure,
     exact_failure,
-    propagate,
-    rank_over_field,
-    simulate_once,
-    uniform_assignment,
     wilson_interval,
 )
 

@@ -42,12 +42,17 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# generator name -> (netmodel builder looked up at call time, its parameters
-# in call order with their types)
+# generator name -> (netmodel builder looked up at call time, `gen` help
+# text, its parameters in call order with their types); both the inline
+# --gen spec and the `gen` subcommand read this table
 _GENERATORS = {
-    "plait": ("plait", (("w", int), ("r", int))),
-    "butterfly": ("butterfly", ()),
-    "random": ("random_dag", (("internal", int), ("w", int), ("density", float), ("seed", int))),
+    "plait": ("plait", "chain with w parallel channels per stage", (("w", int), ("r", int))),
+    "butterfly": ("butterfly", "the standard two-sink butterfly", ()),
+    "random": (
+        "random_dag",
+        "seeded random DAG with min-cut >= w",
+        (("internal", int), ("w", int), ("density", float), ("seed", int)),
+    ),
 }
 
 
@@ -63,7 +68,7 @@ def parse_gen_spec(spec: str) -> Network:
             kv[k] = v
     if name not in _GENERATORS:
         raise UsageError(f"unknown generator {name!r} (expected plait, butterfly, or random)")
-    build, params = _GENERATORS[name]
+    build, _, params = _GENERATORS[name]
     missing = [k for k, _ in params if k not in kv]
     if missing:
         raise UsageError(f"generator {name!r} is missing parameter {missing[0]!r}")
@@ -94,14 +99,21 @@ def _resolve_sink(net: Network, sink: str | None) -> str:
     raise UsageError(f"network has sinks {sorted(net.sinks)}; choose one with --sink")
 
 
-def _resolve_rate(net: Network, rate: int | None) -> int:
+def _resolve_rate(net: Network, sink: str, rate: int | None) -> int:
+    """--rate, else the file's hint; never above the sink's min-cut, which
+    also bounds every per-rate allocation downstream."""
     if rate is not None:
         if rate < 1:
             raise UsageError("--rate must be >= 1")
-        return rate
-    if net.rate_hint:
-        return net.rate_hint
-    raise UsageError("network carries no rate hint; set --rate")
+        w = rate
+    elif net.rate_hint:
+        w = net.rate_hint
+    else:
+        raise UsageError("network carries no rate hint; set --rate")
+    c_t = min_cut(net, sink)
+    if w > c_t:
+        raise InfeasibleRateError(w, c_t, sink)
+    return w
 
 
 def _field(args):
@@ -111,21 +123,11 @@ def _field(args):
         raise UsageError(str(exc)) from None
 
 
-def _check_format(args, allowed=("text", "json")) -> str:
-    if args.format not in allowed:
-        raise UsageError(f"--format must be one of {allowed} for this command")
-    return args.format
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "plait":
-        net = netmodel.plait(args.w, args.r)
-    elif args.kind == "butterfly":
-        net = netmodel.butterfly()
-    else:
-        net = netmodel.random_dag(args.internal, args.w, args.density, args.seed)
+    build, _, params = _GENERATORS[args.kind]
+    net = getattr(netmodel, build)(*(getattr(args, k) for k, _ in params))
     text = netmodel.network_to_text(net)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -147,13 +149,12 @@ def _report_header(name: str, sink: str, q: int, w: int) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    fmt = _check_format(args)
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, args.rate)
+    w = _resolve_rate(net, sink, args.rate)
     field = _field(args)
     report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
-    if fmt == "json":
+    if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
         doc.update({k: v for k, v in report.as_dict().items() if k not in doc})
         print(json.dumps(doc, indent=2))
@@ -178,19 +179,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    fmt = _check_format(args)
     if args.seed is None:
         raise UsageError("simulate requires an explicit --seed")
     if args.trials is None or args.trials < 1:
         raise UsageError("simulate requires --trials >= 1")
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, args.rate)
+    w = _resolve_rate(net, sink, args.rate)
     field = _field(args)
     est = rlncsim.estimate_failure(
         net, w, field, sink, args.trials, args.seed, workers=args.workers
     )
-    if fmt == "json":
+    if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
         doc["estimate"] = {
             "trials": est.trials,
@@ -213,13 +213,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    fmt = _check_format(args)
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, args.rate)
+    w = _resolve_rate(net, sink, args.rate)
     field = _field(args)
     result = rlncsim.exact_failure(net, w, field, sink, budget=args.budget)
-    if fmt == "json":
+    if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
         doc["exact"] = {
             "num": str(result.numerator),
@@ -251,8 +250,6 @@ SWEEP_COLUMNS = [
 
 
 def _cmd_sweep(args) -> int:
-    if args.format not in ("csv",):
-        raise UsageError("sweep always emits CSV; drop --format or pass --format csv")
     if not args.fields:
         raise UsageError("sweep requires --fields Q1,Q2,...")
     if args.trials is not None and args.seed is None:
@@ -271,7 +268,7 @@ def _cmd_sweep(args) -> int:
             raise UsageError(str(exc)) from None
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, args.rate)
+    w = _resolve_rate(net, sink, args.rate)
     slots = rlncsim.coefficient_count(net, w)
 
     out = io.StringIO()
@@ -320,24 +317,40 @@ def _cmd_sweep(args) -> int:
 
 # --- parser --------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, fields: bool = False) -> None:
-    parser.add_argument("--network", help="network file to read")
-    parser.add_argument("--gen", help="inline generator spec, e.g. plait:w=2,r=3")
-    parser.add_argument("--sink", help="sink node id (default: the only sink)")
-    parser.add_argument("--rate", type=int, help="information rate w (default: file hint)")
-    if fields:
-        parser.add_argument("--fields", help="comma-separated field orders to sweep")
-    else:
-        parser.add_argument("--field", type=int, required=True, help="field order q (prime power)")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trial count")
-    parser.add_argument("--seed", type=int, help="master seed for all randomness")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
-    parser.add_argument(
-        "--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+# every option a subcommand can take; each subcommand below names the ones it reads
+_OPTIONS = {
+    "--network": dict(help="network file to read"),
+    "--gen": dict(help="inline generator spec, e.g. plait:w=2,r=3"),
+    "--sink": dict(help="sink node id (default: the only sink)"),
+    "--rate": dict(type=int, help="information rate w (default: file hint)"),
+    "--field": dict(type=int, required=True, help="field order q (prime power)"),
+    "--fields": dict(help="comma-separated field orders to sweep"),
+    "--trials": dict(type=int, help="Monte Carlo trial count"),
+    "--seed": dict(type=int, help="master seed for all randomness"),
+    "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
+    "--budget": dict(
+        type=int, default=DEFAULT_ENUMERATION_BUDGET,
         help="max q^N assignments for exact enumeration",
-    )
-    parser.add_argument("--rt", choices=("exact", "heuristic"), default="exact",
-                        help="search mode for the minimal path-node count R_t")
+    ),
+    "--rt": dict(
+        choices=("exact", "heuristic"), default="exact",
+        help="search mode for the minimal path-node count R_t",
+    ),
+}
+# every subcommand accepts --workers; only simulate and sweep start worker processes
+_COMMON = ("--network", "--gen", "--sink", "--rate", "--workers")
+
+# name, help, handler, options beyond _COMMON, --format choices (first is the default)
+_SUBCOMMANDS = (
+    ("bounds", "compute the bound report", _cmd_bounds,
+     ("--field", "--rt"), ("text", "json")),
+    ("simulate", "Monte Carlo failure estimate", _cmd_simulate,
+     ("--field", "--trials", "--seed"), ("text", "json")),
+    ("exact", "exhaustive exact failure probability", _cmd_exact,
+     ("--field", "--budget"), ("text", "json")),
+    ("sweep", "bounds/exact/estimate across field orders (CSV)", _cmd_sweep,
+     ("--fields", "--trials", "--seed", "--budget", "--rt"), ("csv",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,38 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a network file")
     gen_sub = gen.add_subparsers(dest="kind", required=True)
-    g_plait = gen_sub.add_parser("plait", help="chain with w parallel channels per stage")
-    g_plait.add_argument("--w", type=int, required=True)
-    g_plait.add_argument("--r", type=int, required=True)
-    gen_sub.add_parser("butterfly", help="the standard two-sink butterfly")
-    g_rand = gen_sub.add_parser("random", help="seeded random DAG with min-cut >= w")
-    g_rand.add_argument("--internal", type=int, required=True)
-    g_rand.add_argument("--w", type=int, required=True)
-    g_rand.add_argument("--density", type=float, required=True)
-    g_rand.add_argument("--seed", type=int, required=True)
-    for sp in gen_sub.choices.values():
+    for kind, (_, help_text, params) in _GENERATORS.items():
+        sp = gen_sub.add_parser(kind, help=help_text)
+        for k, conv in params:
+            sp.add_argument(f"--{k}", type=conv, required=True)
         sp.add_argument("--out", help="write the network file here instead of stdout")
         sp.set_defaults(func=_cmd_gen)
 
-    b = sub.add_parser("bounds", help="compute the bound report")
-    _add_common(b)
-    b.set_defaults(func=_cmd_bounds)
-
-    sim = sub.add_parser("simulate", help="Monte Carlo failure estimate")
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_simulate)
-
-    ex = sub.add_parser("exact", help="exhaustive exact failure probability")
-    _add_common(ex)
-    ex.set_defaults(func=_cmd_exact)
-
-    sw = sub.add_parser("sweep", help="bounds/exact/estimate across field orders (CSV)")
-    _add_common(sw, fields=True)
-    sw.set_defaults(func=_cmd_sweep)
-
-    for sp in (b, sim, ex):
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sw.add_argument("--format", choices=("text", "json", "csv"), default="csv")
+    for name, help_text, func, options, formats in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for opt in _COMMON + options:
+            sp.add_argument(opt, **_OPTIONS[opt])
+        sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -12,16 +12,14 @@ methods serve scalar arithmetic and the bulk simulation and enumeration
 engines.
 
 Sampling is deterministic: `RandomStream` is a counter-based word stream, and
-`uniform_element` rejects from a power-of-two range so that every field
-element has probability exactly 1/q regardless of q.
+`uniform_int` rejects from a power-of-two range so that every field element
+has probability exactly 1/q regardless of q.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -339,65 +337,6 @@ class FieldSpec:
         exp, log = self._tables
         return int(exp[int(log[a]) * e % (self.q - 1)]) if a else int(e == 0)
 
-    # -- element layer -------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        if not 0 <= value < self.q:
-            raise ValueError(f"value {value} outside 0..{self.q - 1}")
-        return FieldElement(value, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Value in a specific field.  Elements of distinct fields never mix."""
-
-    value: int
-    field: FieldSpec
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError(f"cannot mix elements of {self.field!r} and {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, self.field.inv(other.value)), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.field!r}"
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:
@@ -445,7 +384,3 @@ def uniform_int(q: int, rng: RandomStream) -> int:
         if cand < limit:
             return cand % q
 
-
-def uniform_element(field: FieldSpec, rng: RandomStream) -> FieldElement:
-    """Uniformly random field element; every value has probability exactly 1/q."""
-    return FieldElement(uniform_int(field.q, rng), field)

@@ -11,8 +11,8 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
   assignments (N = number of adjacent channel pairs), as an exact rational.
 
 Both run one vectorized numpy engine over the field's log/antilog tables,
-for every supported field.  `propagate` and `rank_over_field` are the same
-engine at a batch size of 1.
+for every supported field: `_batch_kernels` propagates a (B, N) block of
+coefficient rows and `_batch_rank` ranks the decoding matrix of each row.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .galois import (
-    FieldElement,
-    FieldSpec,
-    RandomStream,
-    rejection_params,
-    stream_keys_array,
-    uniform_element,
-    words_at,
-)
+from .galois import FieldSpec, rejection_params, stream_keys_array, words_at
 from .netmodel import Network, imaginary_inputs, input_channel_ids, topological_order
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -118,109 +110,6 @@ def coefficient_slots(net: Network, w: int) -> tuple[CoefficientSlot, ...]:
 
 def coefficient_count(net: Network, w: int) -> int:
     return len(coefficient_slots(net, w))
-
-
-# --- public assignment / kernel layer ------------------------------------------
-
-@dataclass(frozen=True)
-class CoefficientAssignment:
-    """Local coefficients k[d, e] for every adjacent channel pair."""
-
-    field: FieldSpec
-    coeffs: dict[tuple[str, str], FieldElement]
-
-
-def uniform_assignment(
-    net: Network, w: int, field: FieldSpec, rng: RandomStream
-) -> CoefficientAssignment:
-    """Fresh assignment with every coefficient independent and uniform.
-
-    Draws happen in the canonical slot order, so a given stream always
-    produces the same assignment.
-    """
-    coeffs = {}
-    for slot in _compile(net, w).slots:
-        coeffs[(slot.in_id, slot.out_id)] = uniform_element(field, rng)
-    return CoefficientAssignment(field=field, coeffs=coeffs)
-
-
-@dataclass(frozen=True)
-class KernelState:
-    """Global encoding kernels: channel id -> length-w vector over the field.
-    Imaginary input d_i carries the i-th standard basis vector."""
-
-    field: FieldSpec
-    rate: int
-    kernels: dict[str, tuple[FieldElement, ...]]
-
-
-def propagate(net: Network, w: int, assign: CoefficientAssignment) -> KernelState:
-    """Compute every channel's global kernel from the local coefficients.
-
-    Channels are processed in topological order; each kernel is the
-    coefficient-weighted sum of the kernels entering its tail node.
-    """
-    field = assign.field
-    program = _compile(net, w)
-    coeffs: list[int] = []
-    for slot in program.slots:
-        el = assign.coeffs.get((slot.in_id, slot.out_id))
-        if el is None:
-            raise ValueError(
-                f"incomplete assignment: missing coefficient ({slot.in_id}, {slot.out_id})"
-            )
-        if el.field != field:
-            raise ValueError("assignment mixes elements of different fields")
-        coeffs.append(el.value)
-    kern = _batch_kernels(program, field, np.array([coeffs], dtype=np.int64))
-    kernels = {
-        cid: tuple(FieldElement(int(v), field) for v in vec[0]) for cid, vec in kern.items()
-    }
-    return KernelState(field=field, rate=w, kernels=kernels)
-
-
-def decoding_matrix(ks: KernelState, net: Network, t: str):
-    """w x |In(t)| matrix whose columns are the kernels of t's in-channels,
-    ordered by channel id.  Returned as a tuple of rows."""
-    if t not in net.sinks:
-        raise ValueError(f"{t} is not a sink")
-    cols = sorted(c.id for c in net.in_channels(t))
-    return tuple(
-        tuple(ks.kernels[c][i] for c in cols) for i in range(ks.rate)
-    )
-
-
-def rank_over_field(matrix) -> int:
-    """Rank of a matrix of FieldElements by Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged matrix")
-    field = None
-    for r in rows:
-        for el in r:
-            if field is None:
-                field = el.field
-            elif el.field != field:
-                raise ValueError("matrix mixes elements of different fields")
-    if field is None or ncols == 0:
-        return 0
-    values = np.array([[el.value for el in r] for r in rows], dtype=np.int64)
-    return int(_batch_rank(values[None], field)[0])
-
-
-def simulate_once(
-    net: Network, w: int, field: FieldSpec, trial_rng: RandomStream
-) -> dict[str, int]:
-    """One coding round: fresh uniform coefficients, then rank(F_t) per sink.
-    Failure at sink t means the returned rank is below w."""
-    assign = uniform_assignment(net, w, field, trial_rng)
-    ks = propagate(net, w, assign)
-    return {
-        t: rank_over_field(decoding_matrix(ks, net, t)) for t in sorted(net.sinks)
-    }
 
 
 # --- vectorized engine ----------------------------------------------------------

@@ -49,6 +49,17 @@ class TestGen:
         assert code == 0 and out == ""
         assert network_from_text(dest.read_text()) == butterfly()
 
+    def test_matches_inline_spec(self, capsys):
+        for argv, spec in (
+            (("plait", "--w", "2", "--r", "3"), "plait:w=2,r=3"),
+            (("butterfly",), "butterfly"),
+            (("random", "--internal", "6", "--w", "2", "--density", "0.5", "--seed", "3"),
+             "random:internal=6,w=2,density=0.5,seed=3"),
+        ):
+            code, out, _ = run_cli(capsys, "gen", *argv)
+            assert code == 0
+            assert network_from_text(out) == parse_gen_spec(spec), spec
+
     def test_bad_params_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "plait", "--w", "2")
         assert code == 2
@@ -138,10 +149,18 @@ class TestBounds:
         assert "prime power" in err
 
     def test_infeasible_rate_exit_3(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--gen", "butterfly", "--sink", "t1",
-                               "--rate", "3", "--field", "2")
-        assert code == 3
-        assert "max-flow is 2" in err
+        # every subcommand checks the rate against the sink's min-cut before
+        # any work sized by w
+        for argv in (
+            ("bounds", "--field", "2"),
+            ("simulate", "--field", "2", "--trials", "200", "--seed", "1"),
+            ("exact", "--field", "2"),
+            ("sweep", "--fields", "2"),
+        ):
+            code, out, err = run_cli(capsys, argv[0], "--gen", "butterfly", "--sink", "t1",
+                                     "--rate", "3", *argv[1:])
+            assert code == 3, argv
+            assert out == "" and "max-flow is 2" in err, argv
 
     def test_network_file(self, capsys, tmp_path):
         path = tmp_path / "n.net"
@@ -289,6 +308,21 @@ class TestUsage:
 
     def test_missing_field(self, capsys):
         assert main(["bounds", "--gen", "butterfly"]) == 2
+
+    def test_options_a_subcommand_does_not_read_rejected(self, capsys):
+        base = ("--gen", "butterfly", "--sink", "t1", "--field", "2")
+        for command, extra in (
+            ("bounds", ("--trials", "5")),
+            ("bounds", ("--seed", "1")),
+            ("bounds", ("--budget", "10")),
+            ("simulate", ("--trials", "10", "--seed", "1", "--budget", "10")),
+            ("simulate", ("--trials", "10", "--seed", "1", "--rt", "exact")),
+            ("exact", ("--trials", "5")),
+            ("exact", ("--seed", "1")),
+            ("exact", ("--rt", "exact")),
+        ):
+            code, out, _ = run_cli(capsys, command, *base, *extra)
+            assert code == 2 and out == "", (command, extra)
 
     def test_bad_network_file(self, capsys, tmp_path):
         path = tmp_path / "bad.net"

@@ -15,7 +15,6 @@ from rlncfail.galois import (
     make_field,
     make_field_of_order,
     parse_prime_power,
-    uniform_element,
     uniform_int,
 )
 
@@ -87,31 +86,21 @@ class TestMakeField:
 class TestArithmetic:
     def test_characteristic_two(self):
         f = make_field(2)
-        assert (f.element(1) + f.element(1)).value == 0
+        assert f.add(1, 1) == 0
 
     def test_gf4_x_times_x(self):
         # residue x is the packed value 2; x*x = x + 1 which packs to 3
         f = make_field(2, 2)
-        assert (f.element(2) * f.element(2)).value == 3
+        assert f.mul(2, 2) == 3
 
     def test_gf5_inverse(self):
         f = make_field(5)
-        assert f.element(3).inv().value == 2
+        assert f.inv(3) == 2
 
     def test_inverse_of_zero_rejected(self):
         for f in (make_field(2), make_field(3, 2)):
             with pytest.raises(ZeroDivisionError):
                 f.inv(0)
-            with pytest.raises(ZeroDivisionError):
-                f.zero.inv()
-
-    def test_fields_never_mix(self):
-        a = make_field(2, 2).element(1)
-        b = make_field(2).element(1)
-        with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
-            a * b
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
     def test_axioms_exhaustive_small(self, p, m):
@@ -186,7 +175,7 @@ class TestSampling:
     def test_support_binary(self):
         f = make_field(2)
         rng = RandomStream(0)
-        assert {uniform_element(f, rng).value for _ in range(64)} == {0, 1}
+        assert {uniform_int(f.q, rng) for _ in range(64)} == {0, 1}
 
     def test_frequency_within_4_sigma(self):
         # 3e5 draws over F_3: binomial sigma = sqrt(N * (1/3)(2/3)) ~= 258.2
@@ -201,7 +190,7 @@ class TestSampling:
 
     def test_fixed_seed_repeats(self):
         f = make_field(7)
-        draws = lambda: [uniform_element(f, RandomStream(99, stream=s)).value for s in range(20)]
+        draws = lambda: [uniform_int(f.q, RandomStream(99, stream=s)) for s in range(20)]
         assert draws() == draws()
         a = RandomStream(5)
         b = RandomStream(5)

@@ -16,37 +16,43 @@ from oracles import (
     naive_rank,
     plait_failure_law,
 )
-from rlncfail.galois import (
-    FieldElement,
-    RandomStream,
-    make_field,
-    make_field_of_order,
-    uniform_element,
-    uniform_int,
-)
-from rlncfail.netmodel import butterfly, plait, random_dag
+from rlncfail.flowpaths import min_cut
+from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
+from rlncfail.netmodel import butterfly, input_channel_ids, plait, random_dag, topological_order
 from rlncfail.rlncsim import (
-    CoefficientAssignment,
     EnumerationBudgetError,
     coefficient_count,
     coefficient_slots,
-    decoding_matrix,
     estimate_failure,
     exact_failure,
-    propagate,
-    rank_over_field,
-    simulate_once,
-    uniform_assignment,
     wilson_interval,
 )
 
 
-def assignment_from_values(net, w, field, values: dict[tuple[str, str], int]):
-    coeffs = {pair: FieldElement(v, field) for pair, v in values.items()}
-    return CoefficientAssignment(field=field, coeffs=coeffs)
+def engine_kernels(net, w, field, rows):
+    """(program, kernels) from the batch engine: rows is a list of
+    {(in_id, out_id): value} assignments, each mapped to one coefficient row
+    in `coefficient_slots` order; kernels[cid] is a (B, w) array."""
+    program = rlncsim._compile(net, w)
+    coeffs = np.array(
+        [[values[(s.in_id, s.out_id)] for s in program.slots] for values in rows],
+        dtype=np.int64,
+    )
+    return program, rlncsim._batch_kernels(program, field, coeffs)
 
 
-def classic_butterfly_assignment(field):
+def sink_ranks(program, kernels, field, t):
+    """Rank of the decoding matrix of sink t, one per coefficient row."""
+    F = np.stack([kernels[c] for c in program.sink_inputs[t]], axis=2)
+    return rlncsim._batch_rank(F, field).tolist()
+
+
+def drawn_values(net, w, field, rng):
+    """Uniform coefficients drawn from rng in the canonical slot order."""
+    return {(s.in_id, s.out_id): uniform_int(field.q, rng) for s in coefficient_slots(net, w)}
+
+
+def classic_butterfly_values():
     """Identity coding at the source, forwarding elsewhere, mixing at b1."""
     values = {("d1", "e1"): 1, ("d2", "e1"): 0, ("d1", "e2"): 0, ("d2", "e2"): 1}
     for d, e in [
@@ -54,7 +60,7 @@ def classic_butterfly_assignment(field):
         ("e3", "e5"), ("e4", "e5"), ("e5", "e7"), ("e5", "e9"),
     ]:
         values[(d, e)] = 1
-    return assignment_from_values(butterfly(), 2, field, values)
+    return values
 
 
 class TestSlots:
@@ -81,96 +87,71 @@ class TestPropagate:
         f2 = make_field(2)
         net = plait(1, 0)
         cid = net.channels[0].id
-        ks = propagate(net, 1, assignment_from_values(net, 1, f2, {("d1", cid): 1}))
-        assert [el.value for el in ks.kernels[cid]] == [1]
-        ks = propagate(net, 1, assignment_from_values(net, 1, f2, {("d1", cid): 0}))
-        assert [el.value for el in ks.kernels[cid]] == [0]
+        _, kern = engine_kernels(net, 1, f2, [{("d1", cid): 1}, {("d1", cid): 0}])
+        assert kern[cid].tolist() == [[1], [0]]
 
     def test_classic_butterfly_code(self):
         f2 = make_field(2)
-        net = butterfly()
-        ks = propagate(net, 2, classic_butterfly_assignment(f2))
-        assert [el.value for el in ks.kernels["e5"]] == [1, 1]
-        assert rank_over_field(decoding_matrix(ks, net, "t1")) == 2
-        assert rank_over_field(decoding_matrix(ks, net, "t2")) == 2
+        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
+        assert kern["e5"].tolist() == [[1, 1]]
+        assert sink_ranks(program, kern, f2, "t1") == [2]
+        assert sink_ranks(program, kern, f2, "t2") == [2]
 
     def test_all_ones_over_gf2_cancels_at_the_mix(self):
         # with every coefficient 1, b1 adds two equal kernels: (1,1)+(1,1)=0
         f2 = make_field(2)
         net = butterfly()
         values = {(s.in_id, s.out_id): 1 for s in coefficient_slots(net, 2)}
-        ks = propagate(net, 2, assignment_from_values(net, 2, f2, values))
-        assert [el.value for el in ks.kernels["e5"]] == [0, 0]
-        assert rank_over_field(decoding_matrix(ks, net, "t1")) == 1
-
-    def test_incomplete_assignment_rejected(self):
-        f2 = make_field(2)
-        net = plait(1, 0)
-        with pytest.raises(ValueError, match="incomplete"):
-            propagate(net, 1, CoefficientAssignment(field=f2, coeffs={}))
+        program, kern = engine_kernels(net, 2, f2, [values])
+        assert kern["e5"].tolist() == [[0, 0]]
+        assert sink_ranks(program, kern, f2, "t1") == [1]
 
     def test_kernel_recursion_holds(self):
         # f_e equals the coefficient-weighted sum of the kernels into tail(e)
-        from rlncfail.netmodel import input_channel_ids
-
         f4 = make_field(2, 2)
+        naive = NaiveField(f4)
         net = random_dag(4, 2, 0.6, seed=9)
-        rng = RandomStream(17)
-        assign = uniform_assignment(net, 2, f4, rng)
-        ks = propagate(net, 2, assign)
+        values = drawn_values(net, 2, f4, RandomStream(17))
+        _, kern = engine_kernels(net, 2, f4, [values])
         for c in net.channels:
-            expect = [f4.zero, f4.zero]
+            expect = [0, 0]
             for d in input_channel_ids(net, c.tail, 2):
-                k = assign.coeffs[(d, c.id)]
-                expect = [acc + (k * x) for acc, x in zip(expect, ks.kernels[d])]
-            assert tuple(expect) == ks.kernels[c.id]
+                k = values[(d, c.id)]
+                terms = [naive.mul(k, x) for x in kern[d][0].tolist()]
+                expect = [naive.add(acc, term) for acc, term in zip(expect, terms)]
+            assert expect == kern[c.id][0].tolist()
 
     def test_message_forwarding_matches_kernels(self):
         # forwarding symbols U_e = sum k * U_d gives exactly X . f_e
-        from rlncfail.netmodel import input_channel_ids, topological_order
-
         f3 = make_field(3)
+        naive = NaiveField(f3)
         net = random_dag(5, 2, 0.5, seed=21)
         rng = RandomStream(4)
-        assign = uniform_assignment(net, 2, f3, rng)
-        ks = propagate(net, 2, assign)
-        x = [uniform_element(f3, rng) for _ in range(2)]
+        values = drawn_values(net, 2, f3, rng)
+        _, kern = engine_kernels(net, 2, f3, [values])
+        x = [uniform_int(3, rng) for _ in range(2)]
         symbols = {d: x[i] for i, d in enumerate(("d1", "d2"))}
         pos = {n: i for i, n in enumerate(topological_order(net))}
         for c in sorted(net.channels, key=lambda c: (pos[c.tail], c.id)):
-            u = f3.zero
+            u = 0
             for d in input_channel_ids(net, c.tail, 2):
-                u = u + assign.coeffs[(d, c.id)] * symbols[d]
+                u = naive.add(u, naive.mul(values[(d, c.id)], symbols[d]))
             symbols[c.id] = u
-            via_kernel = f3.zero
-            for xi, fi in zip(x, ks.kernels[c.id]):
-                via_kernel = via_kernel + xi * fi
+            via_kernel = 0
+            for xi, fi in zip(x, kern[c.id][0].tolist()):
+                via_kernel = naive.add(via_kernel, naive.mul(xi, fi))
             assert symbols[c.id] == via_kernel
 
 
 class TestRank:
     def test_identity(self):
-        f5 = make_field(5)
-        m = [[f5.one if i == j else f5.zero for j in range(3)] for i in range(3)]
-        assert rank_over_field(m) == 3
+        assert rlncsim._batch_rank(np.eye(3, dtype=np.int64)[None], make_field(5)).tolist() == [3]
 
     def test_zero_matrix(self):
-        f2 = make_field(2)
-        assert rank_over_field([[f2.zero] * 4 for _ in range(2)]) == 0
+        assert rlncsim._batch_rank(np.zeros((1, 2, 4), np.int64), make_field(2)).tolist() == [0]
 
     def test_duplicate_rows(self):
-        f2 = make_field(2)
-        row = [f2.one, f2.one]
-        assert rank_over_field([row, row]) == 1
-
-    def test_ragged_rejected(self):
-        f2 = make_field(2)
-        with pytest.raises(ValueError, match="ragged"):
-            rank_over_field([[f2.one], [f2.one, f2.zero]])
-
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError):
-            rank_over_field([[make_field(2).one, make_field(3).one]])
+        assert rlncsim._batch_rank(np.ones((1, 2, 2), np.int64), make_field(2)).tolist() == [1]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_batch_rank_matches_scalar(self, q):
@@ -199,54 +180,57 @@ class TestRank:
 class TestDecodingMatrix:
     def test_shapes(self):
         f2 = make_field(2)
-        net = butterfly()
-        ks = propagate(net, 2, classic_butterfly_assignment(f2))
-        m = decoding_matrix(ks, net, "t1")
-        assert len(m) == 2 and len(m[0]) == 2
+        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
+        F = np.stack([kern[c] for c in program.sink_inputs["t1"]], axis=2)
+        assert F.shape == (1, 2, 2)
 
     def test_columns_ordered_by_channel_id(self):
         f2 = make_field(2)
-        net = butterfly()
-        ks = propagate(net, 2, classic_butterfly_assignment(f2))
-        m = decoding_matrix(ks, net, "t1")
+        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
         # In(t1) = {e6, e7}; e6 carries X1 = (1,0), e7 carries X1+X2 = (1,1)
-        assert [row[0].value for row in m] == [1, 0]
-        assert [row[1].value for row in m] == [1, 1]
+        assert program.sink_inputs["t1"] == ("e6", "e7")
+        assert kern["e6"].tolist() == [[1, 0]]
+        assert kern["e7"].tolist() == [[1, 1]]
 
     def test_non_sink_rejected(self):
-        f2 = make_field(2)
         net = butterfly()
-        ks = propagate(net, 2, classic_butterfly_assignment(f2))
+        assert set(rlncsim._compile(net, 2).sink_inputs) == {"t1", "t2"}
         with pytest.raises(ValueError):
-            decoding_matrix(ks, net, "b1")
+            exact_failure(net, 2, make_field(2), "b1")
 
 
 class TestSimulateOnce:
-    def test_rank_bounded_by_rate_and_min_cut(self):
-        from rlncfail.flowpaths import min_cut
+    """One coding round per coefficient row: uniform draws from a trial's
+    stream, propagated kernels, and the rank at each sink."""
 
+    def test_rank_bounded_by_rate_and_min_cut(self):
         f2 = make_field(2)
         for seed, w, q, density in corpus_params(15):
             net = corpus_network(seed, w, density)
-            ranks = simulate_once(net, w, f2, RandomStream(seed))
-            for t, rank in ranks.items():
-                assert 0 <= rank <= min(w, min_cut(net, t))
+            rows = [drawn_values(net, w, f2, RandomStream(seed, stream=i)) for i in range(8)]
+            program, kern = engine_kernels(net, w, f2, rows)
+            for t in net.sinks:
+                for rank in sink_ranks(program, kern, f2, t):
+                    assert 0 <= rank <= min(w, min_cut(net, t))
 
     def test_deterministic_per_trial(self):
         f2 = make_field(2)
         net = butterfly()
-        a = [simulate_once(net, 2, f2, RandomStream(3, stream=i)) for i in range(10)]
-        b = [simulate_once(net, 2, f2, RandomStream(3, stream=i)) for i in range(10)]
-        assert a == b
+
+        def ranks():
+            rows = [drawn_values(net, 2, f2, RandomStream(3, stream=i)) for i in range(10)]
+            program, kern = engine_kernels(net, 2, f2, rows)
+            return [sink_ranks(program, kern, f2, t) for t in ("t1", "t2")]
+
+        assert ranks() == ranks()
 
     def test_single_channel_failure_rate(self):
         f2 = make_field(2)
         net = plait(1, 0)
         n = 4000
-        fails = sum(
-            simulate_once(net, 1, f2, RandomStream(12, stream=i))["t"] < 1
-            for i in range(n)
-        )
+        rows = [drawn_values(net, 1, f2, RandomStream(12, stream=i)) for i in range(n)]
+        program, kern = engine_kernels(net, 1, f2, rows)
+        fails = sum(rank < 1 for rank in sink_ranks(program, kern, f2, "t"))
         lo, hi = wilson_interval(fails, n)
         assert lo <= 0.5 <= hi
 
@@ -255,13 +239,8 @@ class TestEstimate:
     def test_matches_per_trial_simulation(self):
         f2 = make_field(2)
         net = plait(2, 1)
-        n = 300
-        est = estimate_failure(net, 2, f2, "t", n, seed=5)
-        direct = sum(
-            simulate_once(net, 2, f2, RandomStream(5, stream=i))["t"] < 2
-            for i in range(n)
-        )
-        assert est.failures == direct
+        est = estimate_failure(net, 2, f2, "t", 300, seed=5)
+        assert est.failures == naive_mc_failures(net, 2, f2, "t", 300, seed=5)
 
     def test_scalar_engine_matches_vector(self):
         f2 = make_field(2)
