@@ -36,7 +36,6 @@ from .netmodel import (
     Network,
     NetworkFormatError,
     NetworkValidationError,
-    ValidationReport,
     butterfly,
     imaginary_inputs,
     network_from_text,
@@ -44,8 +43,6 @@ from .netmodel import (
     plait,
     random_dag,
     read_network,
-    topological_order,
-    validate,
     write_network,
 )
 from .rlncsim import (

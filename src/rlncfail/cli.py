@@ -116,13 +116,6 @@ def _resolve_rate(net: Network, sink: str, rate: int | None) -> int:
     return w
 
 
-def _field(args):
-    try:
-        return make_field_of_order(args.field)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
@@ -152,7 +145,7 @@ def _cmd_bounds(args) -> int:
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
-    field = _field(args)
+    field = make_field_of_order(args.field)
     report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
     if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
@@ -186,7 +179,7 @@ def _cmd_simulate(args) -> int:
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
-    field = _field(args)
+    field = make_field_of_order(args.field)
     est = rlncsim.estimate_failure(
         net, w, field, sink, args.trials, args.seed, workers=args.workers
     )
@@ -216,7 +209,7 @@ def _cmd_exact(args) -> int:
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
-    field = _field(args)
+    field = make_field_of_order(args.field)
     result = rlncsim.exact_failure(net, w, field, sink, budget=args.budget)
     if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
@@ -260,12 +253,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"bad --fields list: {exc}") from None
     if not orders:
         raise UsageError("sweep requires a nonempty --fields list")
-    fields = []
-    for q in orders:
-        try:
-            fields.append(make_field_of_order(q))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    fields = [make_field_of_order(q) for q in orders]
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
@@ -386,19 +374,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleRateError as exc:
+    except InfeasibleRateError as exc:  # a ValueError, so ahead of that clause
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (netmodel.NetworkFormatError, netmodel.NetworkValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError and the network errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .netmodel import Network, topological_order
+from .netmodel import Network
 
 
 class InfeasibleRateError(ValueError):
@@ -140,7 +140,7 @@ def _decompose(net: Network, t: str, flow: set[str], w: int) -> tuple[tuple[str,
 
 
 def _path_set(net: Network, t: str, w: int, paths: tuple[tuple[str, ...], ...]) -> PathSet:
-    pos = {n: i for i, n in enumerate(topological_order(net))}
+    pos = {n: i for i, n in enumerate(net.order)}
     nodes = {
         net.channel(cid).head
         for p in paths
@@ -221,8 +221,9 @@ def min_internal_paths(
     """Path set minimizing the number of distinct internal nodes.
 
     mode="exact" runs a branch-and-bound over all channel-disjoint path
-    sets (seeded with the heuristic answer); if the step budget runs out the
-    best set found so far is returned with exact=False.  mode="heuristic"
+    sets (seeded with the heuristic answer); if the step budget runs out, or
+    a path outgrows the recursion limit, the best set found so far is
+    returned with exact=False.  mode="heuristic"
     returns the min-cost-flow answer directly (exact=False), whose node
     count upper-bounds the true minimum.
     """
@@ -296,7 +297,7 @@ def min_internal_paths(
         choose_next(set(), frozenset(), [], "")
         exact = True
         paths = best["paths"]
-    except _SearchBudget:
+    except (_SearchBudget, RecursionError):
         exact = False
         paths = best["paths"]
     ps = _path_set(net, t, w, tuple(sorted(paths)))

@@ -94,22 +94,8 @@ class RandomStream:
         return mix64((self.key + _GOLDEN * self.counter) & _MASK64)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -179,7 +165,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic must be prime, got {p}")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
@@ -350,19 +336,13 @@ def parse_prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"field order must be >= 2, got {q}")
     if q > MAX_ORDER:
         raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            m = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                m += 1
-            if rest != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-        p += 1
-    return q, 1  # q itself is prime
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
+    return p, m
 
 
 def make_field_of_order(q: int) -> FieldSpec:

@@ -5,6 +5,10 @@ least one sink, and unit-capacity channels.  Parallel channels between the
 same node pair are allowed, so cuts and paths everywhere are sets/sequences
 of channel ids, never endpoint pairs.
 
+A `Network` is checked and ordered once, when it is built: construction
+raises NetworkValidationError on an illegal network, so every built network
+is legal and carries its topological order.  Do not mutate one afterwards.
+
 The source's inputs are modeled as w imaginary channels d1..dw that carry the
 raw messages; they are not stored on the Network (they depend on the chosen
 rate) but their ids are reserved and produced by `imaginary_inputs`.
@@ -35,13 +39,9 @@ class NetworkFormatError(ValueError):
 class NetworkValidationError(ValueError):
     """Structurally parseable network that violates a model invariant."""
 
-    def __init__(self, report: "ValidationReport"):
-        super().__init__("invalid network: " + "; ".join(report.violations))
-        self.report = report
-
-
-class CycleError(ValueError):
-    """Raised when a topological order is requested for a cyclic graph."""
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__("invalid network: " + "; ".join(violations))
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,13 @@ def imaginary_inputs(rate: int) -> ImaginaryInputs:
 
 @dataclass
 class Network:
-    """Immutable-by-convention network; do not mutate after construction.
+    """A legal network in a fixed topological order; do not mutate it.
 
     nodes maps node id -> role ("source" | "internal" | "sink").  Channels
     are kept sorted by id, which is the canonical order used everywhere.
+    Construction raises NetworkValidationError listing every violated
+    invariant, and sets `order` (the nodes with every channel going forward,
+    ties broken by smallest node id), `source`, `sinks` and `internal_nodes`.
     """
 
     nodes: dict[str, str]
@@ -88,21 +91,14 @@ class Network:
                 self._ins[c.head].append(c)
             if c.tail in self._outs:
                 self._outs[c.tail].append(c)
-
-    @property
-    def source(self) -> str:
-        srcs = [n for n, role in self.nodes.items() if role == SOURCE]
-        if len(srcs) != 1:
-            raise ValueError(f"network has {len(srcs)} source nodes, expected exactly 1")
-        return srcs[0]
-
-    @property
-    def sinks(self) -> frozenset[str]:
-        return frozenset(n for n, role in self.nodes.items() if role == SINK)
-
-    @property
-    def internal_nodes(self) -> frozenset[str]:
-        return frozenset(n for n, role in self.nodes.items() if role == INTERNAL)
+        order = self._kahn_order()
+        violations = self._violations(order)
+        if violations:
+            raise NetworkValidationError(violations)
+        self.order = tuple(order)
+        self.source = next(n for n, role in self.nodes.items() if role == SOURCE)
+        self.sinks = frozenset(n for n, role in self.nodes.items() if role == SINK)
+        self.internal_nodes = frozenset(n for n, role in self.nodes.items() if role == INTERNAL)
 
     def channel(self, cid: str) -> Channel:
         return self._by_id[cid]
@@ -113,13 +109,74 @@ class Network:
     def out_channels(self, node: str) -> list[Channel]:
         return self._outs.get(node, [])
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Network)
-            and self.nodes == other.nodes
-            and self.channels == other.channels
-            and self.rate_hint == other.rate_hint
-        )
+    def _kahn_order(self) -> list[str]:
+        """Nodes so that every channel goes forward, smallest ready node id
+        first; nodes on or behind a cycle are left out."""
+        indeg = {n: 0 for n in self.nodes}
+        for c in self.channels:
+            if c.head in indeg and c.tail in indeg:
+                indeg[c.head] += 1
+        ready = [n for n, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for c in self._outs[u]:
+                if c.head in indeg:
+                    indeg[c.head] -= 1
+                    if indeg[c.head] == 0:
+                        heapq.heappush(ready, c.head)
+        return order
+
+    def _cycle(self, leftover: set[str]) -> list[str]:
+        """A node cycle among the nodes the order left out, starting and
+        ending at its smallest node id.  Each of them has an in-channel from
+        another, so walking in-channels back from the smallest repeats a node."""
+        walk = [min(leftover)]
+        at = {walk[0]: 0}
+        while True:
+            tail = next(c.tail for c in self._ins[walk[-1]] if c.tail in leftover)
+            if tail in at:
+                break
+            at[tail] = len(walk)
+            walk.append(tail)
+        cycle = walk[at[tail]:][::-1]
+        k = cycle.index(min(cycle))
+        return cycle[k:] + cycle[: k + 1]
+
+    def _violations(self, order: list[str]) -> tuple[str, ...]:
+        """Every violated model invariant, given the topological pass."""
+        found: list[str] = []
+        roles = list(self.nodes.values())
+        for n, role in self.nodes.items():
+            if role not in _ROLES:
+                found.append(f"node {n} has unknown role {role!r}")
+        n_src = roles.count(SOURCE)
+        if n_src != 1:
+            found.append(f"expected exactly one source node, found {n_src}")
+        if roles.count(SINK) == 0:
+            found.append("network has no sink node")
+        seen_ids: set[str] = set()
+        for c in self.channels:
+            if c.id in seen_ids:
+                found.append(f"duplicate channel id {c.id}")
+            seen_ids.add(c.id)
+            if _IMAGINARY_ID.match(c.id):
+                found.append(f"channel id {c.id} is reserved for imaginary source inputs")
+            if c.tail == c.head:
+                found.append(f"channel {c.id} is a self-loop at {c.tail}")
+            for end, what in ((c.tail, "tail"), (c.head, "head")):
+                if end not in self.nodes:
+                    found.append(f"channel {c.id} has dangling {what} {end}")
+            if self.nodes.get(c.head) == SOURCE:
+                found.append(f"source node {c.head} has incoming channel {c.id}")
+            if self.nodes.get(c.tail) == SINK:
+                found.append(f"sink node {c.tail} has outgoing channel {c.id}")
+        if len(order) < len(self.nodes):
+            cycle = self._cycle(set(self.nodes) - set(order))
+            found.append("channel graph has a cycle: " + " -> ".join(cycle))
+        return tuple(found)
 
 
 def input_channel_ids(net: Network, node: str, rate: int) -> tuple[str, ...]:
@@ -127,102 +184,6 @@ def input_channel_ids(net: Network, node: str, rate: int) -> tuple[str, ...]:
     if node == net.source:
         return imaginary_inputs(rate).ids
     return tuple(c.id for c in net.in_channels(node))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _find_cycle(net: Network) -> list[str] | None:
-    """One directed node cycle, as a node list, or None if acyclic."""
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(u: str) -> list[str] | None:
-        color[u] = 1
-        stack.append(u)
-        for c in net.out_channels(u):
-            v = c.head
-            if v not in net.nodes:
-                continue
-            st = color.get(v, 0)
-            if st == 0:
-                found = dfs(v)
-                if found:
-                    return found
-            elif st == 1:
-                return stack[stack.index(v):] + [v]
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for n in sorted(net.nodes):
-        if color.get(n, 0) == 0:
-            cyc = dfs(n)
-            if cyc:
-                return cyc
-    return None
-
-
-def validate(net: Network) -> ValidationReport:
-    """Every violated model invariant; an empty report means a legal network."""
-    found: list[str] = []
-    roles = [r for r in net.nodes.values()]
-    for n, role in net.nodes.items():
-        if role not in _ROLES:
-            found.append(f"node {n} has unknown role {role!r}")
-    n_src = roles.count(SOURCE)
-    if n_src != 1:
-        found.append(f"expected exactly one source node, found {n_src}")
-    if roles.count(SINK) == 0:
-        found.append("network has no sink node")
-    seen_ids: set[str] = set()
-    for c in net.channels:
-        if c.id in seen_ids:
-            found.append(f"duplicate channel id {c.id}")
-        seen_ids.add(c.id)
-        if _IMAGINARY_ID.match(c.id):
-            found.append(f"channel id {c.id} is reserved for imaginary source inputs")
-        if c.tail == c.head:
-            found.append(f"channel {c.id} is a self-loop at {c.tail}")
-        for end, what in ((c.tail, "tail"), (c.head, "head")):
-            if end not in net.nodes:
-                found.append(f"channel {c.id} has dangling {what} {end}")
-        if c.head in net.nodes and net.nodes[c.head] == SOURCE:
-            found.append(f"source node {c.head} has incoming channel {c.id}")
-        if c.tail in net.nodes and net.nodes[c.tail] == SINK:
-            found.append(f"sink node {c.tail} has outgoing channel {c.id}")
-    cyc = _find_cycle(net)
-    if cyc:
-        found.append("channel graph has a cycle: " + " -> ".join(cyc))
-    return ValidationReport(tuple(found))
-
-
-def topological_order(net: Network) -> list[str]:
-    """Nodes ordered so every channel goes forward; ties broken by node id."""
-    indeg = {n: 0 for n in net.nodes}
-    for c in net.channels:
-        if c.head in indeg and c.tail in indeg:
-            indeg[c.head] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for c in net.out_channels(u):
-            indeg[c.head] -= 1
-            if indeg[c.head] == 0:
-                heapq.heappush(ready, c.head)
-    if len(order) != len(net.nodes):
-        cyc = _find_cycle(net)
-        raise CycleError("cycle detected: " + " -> ".join(cyc or ["?"]))
-    return order
 
 
 # --- canonical generators ---------------------------------------------------
@@ -359,19 +320,12 @@ def network_from_text(text: str) -> Network:
             if end not in nodes:
                 raise NetworkFormatError(f"line {lineno}: unknown node {end} in channel {cid}")
         channels.append(Channel(cid, tail, head))
-    net = Network(nodes, channels, rate_hint=rate_hint)
-    report = validate(net)
-    if not report.ok:
-        raise NetworkValidationError(report)
-    return net
+    return Network(nodes, channels, rate_hint=rate_hint)
 
 
 def network_to_text(net: Network) -> str:
-    report = validate(net)
-    if not report.ok:
-        raise NetworkValidationError(report)
     out = io.StringIO()
-    for n in topological_order(net):
+    for n in net.order:
         out.write(f"node {n} {net.nodes[n]}\n")
     for c in net.channels:  # already sorted by id
         out.write(f"channel {c.id} {c.tail} {c.head}\n")

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .galois import FieldSpec, rejection_params, stream_keys_array, words_at
-from .netmodel import Network, imaginary_inputs, input_channel_ids, topological_order
+from .netmodel import Network, imaginary_inputs, input_channel_ids
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -73,11 +73,10 @@ class _Program:
 def _compile(net: Network, w: int) -> _Program:
     """Fix the slot order (node topological position, in-channel id,
     out-channel id) and the channel propagation order once per run."""
-    order = topological_order(net)
-    pos = {n: i for i, n in enumerate(order)}
+    pos = {n: i for i, n in enumerate(net.order)}
     slots: list[CoefficientSlot] = []
     slot_index: dict[tuple[str, str], int] = {}
-    for node in order:
+    for node in net.order:
         ins = sorted(input_channel_ids(net, node, w))
         outs = sorted(c.id for c in net.out_channels(node))
         for d in ins:
@@ -177,11 +176,10 @@ def _batch_failure_flags(program: _Program, field: FieldSpec, coeffs: np.ndarray
 
 
 def _mc_block_failures(
-    net: Network, w: int, field: FieldSpec, t: str, seed: int, start: int, count: int
+    program: _Program, field: FieldSpec, t: str, seed: int, start: int, count: int
 ) -> int:
     """Failure count over trials [start, start+count); a pure function of its
     arguments, which is what makes worker scheduling irrelevant."""
-    program = _compile(net, w)
     q = field.q
     trials = np.arange(start, start + count, dtype=np.int64)
     keys = stream_keys_array(seed, trials)
@@ -254,8 +252,9 @@ def estimate_failure(
         raise ValueError("trials must be >= 1")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
+    program = _compile(net, w)
     blocks = [
-        (net, w, field, t, seed, start, min(_BLOCK, trials - start))
+        (program, field, t, seed, start, min(_BLOCK, trials - start))
         for start in range(0, trials, _BLOCK)
     ]
     workers = min(workers, len(blocks), os.cpu_count() or 1)

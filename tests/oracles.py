@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from rlncfail.flowpaths import PathSet
 from rlncfail.galois import FieldSpec, RandomStream, uniform_int
-from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids, topological_order
+from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids
 from rlncfail.rlncsim import coefficient_slots
 
 
@@ -164,7 +164,7 @@ def linear_extensions(net: Network, ps: PathSet, limit_nodes: int = 8):
             f"linear extension enumeration is limited to {limit_nodes} internal nodes"
         )
     reach: dict[str, set[str]] = {}
-    for n in reversed(topological_order(net)):
+    for n in reversed(net.order):
         heads = {c.head for c in net.out_channels(n)}
         reach[n] = heads.union(*(reach[m] for m in heads))
     before = {v: {u for u in nodes if v in reach[u]} for v in nodes}
@@ -243,6 +243,7 @@ class NaiveField:
         self.poly = field.reduction_poly  # monic, low degree first; None when m = 1
 
     def digits(self, v: int) -> list[int]:
+        v = int(v)  # a numpy scalar would wrap in the products below
         return [v // self.p**i % self.p for i in range(self.m)]
 
     def pack(self, digits: list[int]) -> int:
@@ -299,7 +300,7 @@ def naive_failure_test(net: Network, w: int, field: FieldSpec, t: str):
     coeffs[i] at canonical slot i and reports rank(F_t) < w."""
     F = NaiveField(field)
     slots = [(s.in_id, s.out_id) for s in coefficient_slots(net, w)]
-    order = topological_order(net)
+    order = net.order
     cols = sorted(c.id for c in net.in_channels(t))
 
     def failed(coeffs) -> bool:

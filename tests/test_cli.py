@@ -334,3 +334,29 @@ class TestUsage:
     def test_missing_network_file(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--network", "/nonexistent", "--field", "2")
         assert code == 2
+
+    def test_cyclic_network_file(self, capsys, tmp_path):
+        path = tmp_path / "cyclic.net"
+        path.write_text(
+            "node s source\nnode t sink\nnode u internal\nnode v internal\n"
+            "channel e1 s t\nchannel e2 v u\nchannel e3 u v\n"
+        )
+        code, out, err = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid network: channel graph has a cycle: u -> v -> u\n"
+
+
+class TestLongChain:
+    def test_chain_of_1500_internal_nodes(self, capsys, tmp_path):
+        # far longer than the interpreter's recursion limit
+        path = tmp_path / "chain.net"
+        code, _, err = run_cli(capsys, "gen", "plait", "--w", "1", "--r", "1500", "--out", str(path))
+        assert code == 0
+        assert "nodes=1502 channels=1501" in err
+        assert network_from_text(path.read_text()) == plait(1, 1500)
+        code, out, _ = run_cli(capsys, "bounds", "--gen", "plait:w=1,r=1500", "--field", "2")
+        assert code == 0
+        assert "R_t: 1500 (heuristic)" in out
+        code, out, _ = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
+        assert code == 0
+        assert "R_t: 1500 (heuristic)" in out

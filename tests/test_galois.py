@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,23 @@ class TestAgainstNaiveOracle:
                 assert naive.mul(a, f.inv(a)) == 1
                 if q <= 1024:
                     assert f.inv(a) == naive.inv(a)
+
+    @pytest.mark.parametrize("q", [243, 1024])
+    def test_oracle_takes_numpy_scalars(self, q):
+        # elements read from an engine array are np.uint16, whose products
+        # wrap; the oracle must compute in Python ints all the same
+        f = make_field_of_order(q)
+        naive = NaiveField(f)
+        rng = RandomStream(q)
+        values = np.array([uniform_int(q, rng) for _ in range(40)] + [0, 1, q - 1], np.uint16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in values:
+                for b in values:
+                    x, y = int(a), int(b)
+                    assert naive.add(a, b) == f.add(x, y), (x, y)
+                    assert naive.sub(a, b) == f.sub(x, y), (x, y)
+                    assert naive.mul(a, b) == f.mul(x, y), (x, y)
 
     @pytest.mark.parametrize("q", [9, 243, 65521])
     def test_array_ops_match_scalar_ops(self, q):

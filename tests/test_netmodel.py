@@ -1,4 +1,4 @@
-"""Network model: validation, generators, topological order, file format."""
+"""Network model: checks at construction, generators, topological order, file format."""
 
 import io
 
@@ -20,8 +20,6 @@ from rlncfail.netmodel import (
     plait,
     random_dag,
     read_network,
-    topological_order,
-    validate,
     write_network,
 )
 
@@ -30,69 +28,132 @@ def two_node(*channels):
     return Network({"s": "source", "t": "sink"}, list(channels))
 
 
+def violations_of(nodes, channels):
+    """The violations an illegal network's construction reports."""
+    with pytest.raises(NetworkValidationError) as info:
+        Network(nodes, channels)
+    return info.value.violations
+
+
 class TestValidate:
     def test_generators_are_legal(self):
         for net in (butterfly(), plait(2, 1), plait(1, 0), random_dag(4, 2, 0.5, seed=3)):
-            assert validate(net).ok
+            assert sorted(net.order) == sorted(net.nodes)
 
     def test_smallest_cycle(self):
-        net = Network(
+        violations = violations_of(
             {"s": "source", "u": "internal", "v": "internal", "t": "sink"},
             [Channel("e1", "u", "v"), Channel("e2", "v", "u"), Channel("e3", "s", "t")],
         )
-        report = validate(net)
-        assert any("cycle" in v for v in report.violations)
+        assert violations == ("channel graph has a cycle: u -> v -> u",)
+
+    def test_cycle_named_from_its_smallest_node(self):
+        # a sorts first and hangs off the cycle; walking back from a enters
+        # the cycle at v, but the message starts at u
+        violations = violations_of(
+            {"s": "source", "u": "internal", "v": "internal", "a": "internal", "t": "sink"},
+            [
+                Channel("e1", "u", "v"),
+                Channel("e2", "v", "u"),
+                Channel("e3", "v", "a"),
+                Channel("e4", "s", "t"),
+            ],
+        )
+        assert violations == ("channel graph has a cycle: u -> v -> u",)
+
+    def test_cycle_follows_channel_direction(self):
+        violations = violations_of(
+            {"s": "source", "u": "internal", "v": "internal", "w": "internal", "t": "sink"},
+            [
+                Channel("e1", "w", "u"),
+                Channel("e2", "u", "v"),
+                Channel("e3", "v", "w"),
+                Channel("e4", "s", "t"),
+            ],
+        )
+        assert violations == ("channel graph has a cycle: u -> v -> w -> u",)
+
+    def test_self_loop_is_a_cycle(self):
+        violations = violations_of(
+            {"s": "source", "u": "internal", "t": "sink"},
+            [Channel("e1", "s", "u"), Channel("e2", "u", "u"), Channel("e3", "u", "t")],
+        )
+        assert violations == (
+            "channel e2 is a self-loop at u",
+            "channel graph has a cycle: u -> u",
+        )
 
     def test_source_with_incoming(self):
-        net = Network(
+        violations = violations_of(
             {"s": "source", "u": "internal", "t": "sink"},
             [Channel("e1", "s", "u"), Channel("e2", "u", "s"), Channel("e3", "u", "t")],
         )
-        violations = validate(net).violations
         assert any("source" in v and "incoming" in v for v in violations)
         # the u->s->u cycle is reported as well
         assert any("cycle" in v for v in violations)
 
     def test_sink_with_outgoing(self):
-        net = Network(
+        violations = violations_of(
             {"s": "source", "t": "sink", "t2": "sink"},
             [Channel("e1", "s", "t"), Channel("e2", "t", "t2")],
         )
-        assert any("sink" in v and "outgoing" in v for v in validate(net).violations)
+        assert any("sink" in v and "outgoing" in v for v in violations)
 
     def test_dangling_endpoint(self):
-        net = two_node(Channel("e1", "s", "ghost"))
-        assert any("dangling" in v for v in validate(net).violations)
+        violations = violations_of({"s": "source", "t": "sink"}, [Channel("e1", "s", "ghost")])
+        assert any("dangling" in v for v in violations)
 
     def test_reserved_imaginary_id(self):
-        net = two_node(Channel("d1", "s", "t"))
-        assert any("reserved" in v for v in validate(net).violations)
+        violations = violations_of({"s": "source", "t": "sink"}, [Channel("d1", "s", "t")])
+        assert any("reserved" in v for v in violations)
 
     def test_multiple_sources(self):
-        net = Network({"s": "source", "s2": "source", "t": "sink"}, [Channel("e1", "s", "t")])
-        assert any("source" in v for v in validate(net).violations)
+        violations = violations_of(
+            {"s": "source", "s2": "source", "t": "sink"}, [Channel("e1", "s", "t")]
+        )
+        assert any("source" in v for v in violations)
+
+    def test_all_violations_in_order(self):
+        violations = violations_of(
+            {"s": "source", "s2": "source", "x": "relay"},
+            [Channel("d1", "s", "ghost"), Channel("e1", "x", "s")],
+        )
+        assert violations == (
+            "node x has unknown role 'relay'",
+            "expected exactly one source node, found 2",
+            "network has no sink node",
+            "channel id d1 is reserved for imaginary source inputs",
+            "channel d1 has dangling head ghost",
+            "source node s has incoming channel e1",
+        )
 
 
 class TestTopologicalOrder:
     def test_plait_chain_is_forced(self):
-        assert topological_order(plait(2, 1)) == ["s", "i1", "t"]
+        assert plait(2, 1).order == ("s", "i1", "t")
 
     def test_butterfly_extremes(self):
-        order = topological_order(butterfly())
+        order = butterfly().order
         assert order[0] == "s"
         assert set(order[-2:]) == {"t1", "t2"}
 
     def test_parallel_channels(self):
         net = two_node(Channel("e1", "s", "t"), Channel("e2", "s", "t"))
-        assert topological_order(net) == ["s", "t"]
+        assert net.order == ("s", "t")
 
     def test_cycle_raises(self):
-        net = Network(
-            {"s": "source", "u": "internal", "v": "internal", "t": "sink"},
-            [Channel("e1", "u", "v"), Channel("e2", "v", "u"), Channel("e3", "s", "t")],
-        )
-        with pytest.raises(ValueError):
-            topological_order(net)
+        with pytest.raises(NetworkValidationError, match="cycle"):
+            Network(
+                {"s": "source", "u": "internal", "v": "internal", "t": "sink"},
+                [Channel("e1", "u", "v"), Channel("e2", "v", "u"), Channel("e3", "s", "t")],
+            )
+
+    def test_long_chain(self):
+        # longer than the interpreter's recursion limit: the checks and the
+        # order must not recurse per node
+        net = plait(1, 1500)
+        assert net.order == ("s",) + tuple(f"i{k}" for k in range(1, 1501)) + ("t",)
+        assert network_from_text(network_to_text(net)) == net
 
 
 class TestGenerators:
@@ -123,7 +184,7 @@ class TestGenerators:
 
     def test_random_dag_zero_internal_full_density(self):
         net = random_dag(0, 3, 1.0, seed=0)
-        assert validate(net).ok
+        assert net.order == ("s", "t")
         assert len(net.channels) == 3
         assert all((c.tail, c.head) == ("s", "t") for c in net.channels)
 
@@ -142,7 +203,7 @@ class TestGenerators:
         from rlncfail.flowpaths import min_cut
 
         net = random_dag(internal, w, density, seed=seed)
-        assert validate(net).ok
+        assert sorted(net.order) == sorted(net.nodes)
         assert min_cut(net, "t") >= w
 
 

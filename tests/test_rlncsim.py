@@ -18,7 +18,7 @@ from oracles import (
 )
 from rlncfail.flowpaths import min_cut
 from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
-from rlncfail.netmodel import butterfly, input_channel_ids, plait, random_dag, topological_order
+from rlncfail.netmodel import butterfly, input_channel_ids, plait, random_dag
 from rlncfail.rlncsim import (
     EnumerationBudgetError,
     coefficient_count,
@@ -131,7 +131,7 @@ class TestPropagate:
         _, kern = engine_kernels(net, 2, f3, [values])
         x = [uniform_int(3, rng) for _ in range(2)]
         symbols = {d: x[i] for i, d in enumerate(("d1", "d2"))}
-        pos = {n: i for i, n in enumerate(topological_order(net))}
+        pos = {n: i for i, n in enumerate(net.order)}
         for c in sorted(net.channels, key=lambda c: (pos[c.tail], c.id)):
             u = 0
             for d in input_channel_ids(net, c.tail, 2):
@@ -286,6 +286,19 @@ class TestEstimate:
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [3, 2]
+
+    def test_compiles_once_per_call(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(net, w):
+            compiled.append(w)
+            return real_compile(net, w)
+
+        real_compile = rlncsim._compile
+        monkeypatch.setattr(rlncsim, "_compile", counting_compile)
+        trials = 2 * rlncsim._BLOCK + 1  # three blocks
+        estimate_failure(plait(2, 1), 2, make_field(2), "t", trials, seed=1, workers=1)
+        assert compiled == [2]
 
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
