@@ -1,19 +1,17 @@
 """Failure probability of random linear network coding at a sink node.
 
 Exact rational upper/lower bounds from channel-disjoint path sets,
-validated against exhaustive enumeration and Monte Carlo simulation over
-finite fields.
+validated against an exact frontier dynamic program and Monte Carlo
+simulation over finite fields.
 """
 
 from .bounds import (
     BoundReport,
-    Rational,
     cut_profile_bound,
     full_report,
     internal_node_bound,
     phi,
     rate_margin_lower_bound,
-    subspace_completion_success,
 )
 from .flowpaths import (
     InfeasibleRateError,

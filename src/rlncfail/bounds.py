@@ -26,8 +26,6 @@ from .flowpaths import cut_out_profile, disjoint_paths, min_cut, min_internal_pa
 from .galois import FieldSpec
 from .netmodel import Network
 
-Rational = Fraction
-
 
 def phi(q: int, n: int) -> Fraction:
     """prod_{i=1..n} (1 - q^-i); phi(q, 0) = 1."""
@@ -38,23 +36,6 @@ def phi(q: int, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(1, n + 1):
         out *= 1 - Fraction(1, q**i)
-    return out
-
-
-def subspace_completion_success(q: int, n: int, k0: int) -> Fraction:
-    """Probability that n - k0 uniform vectors from a spanning complement
-    extend a k0-dimensional subspace to the full n-dimensional space.
-
-    Equals phi(q, n - k0); whenever n > k0 the complement satisfies
-    1/q <= 1 - result < 1/(q - 1), which is re-checked here.
-    """
-    if k0 < 0 or k0 > n:
-        raise ValueError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    out = phi(q, n - k0)
-    if n > k0:
-        miss = 1 - out
-        if not (Fraction(1, q) <= miss < Fraction(1, q - 1)):
-            raise AssertionError(f"completion bracket violated for q={q}, n-k0={n - k0}")
     return out
 
 

@@ -1,17 +1,18 @@
 """Command-line surface.
 
 Subcommands: `gen` writes network files, `bounds` prints the bound report,
-`simulate` runs the Monte Carlo estimator, `exact` runs the exhaustive
-enumeration, and `sweep` emits one CSV row per field order.
+`simulate` runs the Monte Carlo estimator, `exact` runs the exact frontier
+dynamic program, and `sweep` emits one CSV row per field order.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 usage/config error, 3 infeasible rate, 4 enumeration budget exceeded.
+2 usage/config error, 3 infeasible rate, 4 exact-evaluation budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -137,6 +138,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# the bound report's fields, in the order the text report and the sweep list them
+_BOUND_LABELS = ("lower", "thm1", "thm2", "cor1", "thm3")
+
+
 def _report_header(name: str, sink: str, q: int, w: int) -> dict:
     return {"network": name, "sink": sink, "q": q, "w": w}
 
@@ -160,13 +165,8 @@ def _cmd_bounds(args) -> int:
     # the profile lists the path set's internal nodes in topological order
     print(f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical")
     print("bounds:")
-    for label, value in (
-        ("lower", report.lower),
-        ("thm1", report.thm1),
-        ("thm2", report.thm2),
-        ("cor1", report.cor1),
-        ("thm3", report.thm3),
-    ):
+    for label in _BOUND_LABELS:
+        value = getattr(report, label)
         print(f"  {label:<6} {frac_str(value):<16} {decimal_str(value)}")
     return 0
 
@@ -185,14 +185,7 @@ def _cmd_simulate(args) -> int:
     )
     if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
-        doc["estimate"] = {
-            "trials": est.trials,
-            "failures": est.failures,
-            "p_hat": est.p_hat,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "seed": est.seed,
-        }
+        doc["estimate"] = dataclasses.asdict(est)  # trials, failures, p_hat, ci_low, ci_high, seed
         print(json.dumps(doc, indent=2))
         return 0
     p_hat = Fraction(est.failures, est.trials)
@@ -257,7 +250,6 @@ def _cmd_sweep(args) -> int:
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
-    slots = rlncsim.coefficient_count(net, w)
 
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
@@ -276,19 +268,14 @@ def _cmd_sweep(args) -> int:
             "rt_mode": "exact" if report.r_min_exact else "heuristic",
             "J": report.j_count,
         }
-        for label, value in (
-            ("lower", report.lower),
-            ("thm1", report.thm1),
-            ("thm2", report.thm2),
-            ("cor1", report.cor1),
-            ("thm3", report.thm3),
-        ):
-            row[f"{label}_frac"] = frac_str(value)
-            row[label] = decimal_str(value)
-        if field.q**slots <= args.budget:
-            result = rlncsim.exact_failure(net, w, field, sink, budget=args.budget)
-            row["exact_frac"] = frac_str(result.fraction)
-            row["exact"] = decimal_str(result.fraction)
+        for label in _BOUND_LABELS:
+            value = getattr(report, label)
+            row[f"{label}_frac"], row[label] = frac_str(value), decimal_str(value)
+        try:  # the exact columns stay blank when the budget is too small
+            exact = rlncsim.exact_failure(net, w, field, sink, budget=args.budget).fraction
+            row["exact_frac"], row["exact"] = frac_str(exact), decimal_str(exact)
+        except EnumerationBudgetError:
+            pass
         if args.trials is not None:
             est = rlncsim.estimate_failure(
                 net, w, field, sink, args.trials, args.seed, workers=args.workers
@@ -318,7 +305,7 @@ _OPTIONS = {
     "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
     "--budget": dict(
         type=int, default=DEFAULT_ENUMERATION_BUDGET,
-        help="max q^N assignments for exact enumeration",
+        help="max branches of the exact evaluator: states x q^(rank x out-channels), summed over nodes",
     ),
     "--rt": dict(
         choices=("exact", "heuristic"), default="exact",
@@ -334,7 +321,7 @@ _SUBCOMMANDS = (
      ("--field", "--rt"), ("text", "json")),
     ("simulate", "Monte Carlo failure estimate", _cmd_simulate,
      ("--field", "--trials", "--seed"), ("text", "json")),
-    ("exact", "exhaustive exact failure probability", _cmd_exact,
+    ("exact", "exact failure probability by a frontier dynamic program", _cmd_exact,
      ("--field", "--budget"), ("text", "json")),
     ("sweep", "bounds/exact/estimate across field orders (CSV)", _cmd_sweep,
      ("--fields", "--trials", "--seed", "--budget", "--rt"), ("csv",)),

@@ -319,10 +319,6 @@ class FieldSpec:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
         return int(self.vinv(a))
 
-    def pow(self, a: int, e: int) -> int:
-        exp, log = self._tables
-        return int(exp[int(log[a]) * e % (self.q - 1)]) if a else int(e == 0)
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:

@@ -1,4 +1,4 @@
-"""Random linear network coding, simulated and enumerated.
+"""Random linear network coding, simulated and evaluated exactly.
 
 Ground truth for the sink failure probability: propagate global encoding
 kernels under uniformly random local coefficients, decide failure as
@@ -7,16 +7,18 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 * `estimate_failure` - Monte Carlo with a Wilson 99% interval.  Trial i
   draws its coefficients from the counter-based stream (seed, i), so results
   are bit-identical across runs and across worker counts.
-* `exact_failure` - exhaustive enumeration of all q^N coefficient
-  assignments (N = number of adjacent channel pairs), as an exact rational.
+* `exact_failure` - the exact rational failures / q^N (N = number of
+  adjacent channel pairs), by a dynamic program that advances the cut
+  between processed and unprocessed nodes one node at a time.
 
-Both run one vectorized numpy engine over the field's log/antilog tables,
-for every supported field: `_batch_kernels` propagates a (B, N) block of
-coefficient rows and `_batch_rank` ranks the decoding matrix of each row.
+Both run on the field's log/antilog tables through numpy: `_batch_kernels`
+propagates a (B, N) block of coefficient rows, and `_eliminate` reduces
+batches of decoding or frontier matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,22 +32,18 @@ from .netmodel import Network, imaginary_inputs, input_channel_ids
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-DEFAULT_ENUMERATION_BUDGET = 1 << 24
-_HARD_ENUMERATION_CAP = 1 << 62  # int64 assignment indices
+DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
 
 
 class EnumerationBudgetError(RuntimeError):
-    """q^N assignments exceed the enumeration budget."""
+    """The exact evaluator's branches exceed its budget."""
 
-    def __init__(self, num_slots: int, total: int, budget: int):
-        super().__init__(
-            f"enumeration needs q^N = {total} assignments for N = {num_slots} "
-            f"coefficient slots, above the budget {budget}"
-        )
-        self.num_slots = num_slots
-        self.total = total
+    def __init__(self, node: str, branches: int, budget: int):
+        super().__init__(f"exact evaluation needs {branches} branches up to node {node}, "
+                         f"above the budget {budget}")
+        self.branches = branches
         self.budget = budget
 
 
@@ -113,12 +111,11 @@ def coefficient_count(net: Network, w: int) -> int:
 
 # --- vectorized engine ----------------------------------------------------------
 
-def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Ranks of a (B, w, c) batch of matrices by batched elimination."""
-    B, w, c = mats.shape
-    if B == 0:
-        return np.zeros(0, dtype=np.int64)
-    M = mats.astype(np.int32)
+def _eliminate(M: np.ndarray, field: FieldSpec, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Batched elimination of a (B, r, c) int32 batch M (modified): the echelon
+    forms, whose first rank rows span each row space, and the ranks.
+    full=True also clears above the pivots: the RREF, canonical per row space."""
+    B, w, c = M.shape
     piv = np.zeros(B, dtype=np.int64)
     rows = np.arange(w)
     for col in range(c):
@@ -131,22 +128,25 @@ def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
             continue
         src = elig.argmax(axis=1)
         sel = np.nonzero(has)[0]
-        r0 = piv[sel]
-        r1 = src[sel]
-        tmp = M[sel, r0, :].copy()
-        M[sel, r0, :] = M[sel, r1, :]
-        M[sel, r1, :] = tmp
+        r0, r1 = piv[sel], src[sel]
+        M[sel, r0, :], M[sel, r1, :] = M[sel, r1, :], M[sel, r0, :]
         pinv = field.vinv(M[sel, r0, col])
         M[sel, r0, :] = field.vmul(M[sel, r0, :], pinv[:, None])
         pivrow = np.zeros((B, c), dtype=np.int32)
         pivrow[sel] = M[sel, r0, :]
         f = M[:, :, col]
-        below = (rows[None, :] > piv[:, None]) & (f != 0) & has[:, None]
-        if below.any():
+        others = rows[None, :] != piv[:, None] if full else rows[None, :] > piv[:, None]
+        clear = others & (f != 0) & has[:, None]
+        if clear.any():
             delta = field.vmul(f[:, :, None], pivrow[:, None, :])
-            M = np.where(below[:, :, None], field.vsub(M, delta), M)
+            M = np.where(clear[:, :, None], field.vsub(M, delta), M)
         piv = piv + has.astype(np.int64)
-    return piv
+    return M, piv
+
+
+def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Ranks of a (B, w, c) batch of matrices by batched elimination."""
+    return _eliminate(mats.astype(np.int32), field)[1]
 
 
 def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> dict[str, np.ndarray]:
@@ -163,16 +163,6 @@ def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> d
             acc = term if acc is None else field.vadd(acc, term)
         kern[cid] = acc if acc is not None else np.zeros((B, w), dtype=np.uint16)
     return kern
-
-
-def _batch_failure_flags(program: _Program, field: FieldSpec, coeffs: np.ndarray, t: str) -> np.ndarray:
-    """Boolean failure flag per row of the (B, N) coefficient matrix."""
-    cols = program.sink_inputs[t]
-    if not cols:
-        return np.ones(coeffs.shape[0], dtype=bool)
-    kern = _batch_kernels(program, field, coeffs)
-    F = np.stack([kern[c] for c in cols], axis=2)
-    return _batch_rank(F, field) < program.rate
 
 
 def _mc_block_failures(
@@ -198,7 +188,10 @@ def _mc_block_failures(
             ok = cand < limit_u
             coeffs[pending[ok], j] = (cand[ok] % q_u).astype(np.int64)
             pending = pending[~ok]
-    return int(_batch_failure_flags(program, field, coeffs, t).sum())
+    kern = _batch_kernels(program, field, coeffs)
+    cols = [kern[c] for c in program.sink_inputs[t]]  # none: rank 0, every trial fails
+    F = np.stack(cols, axis=2) if cols else np.zeros((count, program.rate, 0), np.uint16)
+    return int((_batch_rank(F, field) < program.rate).sum())
 
 
 def _mc_block_star(args) -> int:
@@ -290,38 +283,83 @@ class ExactProbability:
         return Fraction(self.numerator, self.denominator)
 
 
+def _branches(basis, rest, outs: int, field: FieldSpec):
+    """(parent state, RREF, rank) of every branch, in batches: basis (g, r, w)
+    spans each state's in-columns, rest (g, w, k) holds its other columns, and
+    each of the q^(r*outs) choices appends outs vectors of the span to rest."""
+    q = field.q
+    g, r, w = basis.shape
+    k = rest.shape[2] + outs
+    per_batch = max(q, (1 << 20) // (w * k))  # matrices per batch: 2^20 entries, or q
+    low = 0  # choice digits enumerated by numpy; the others by the loop
+    while low < r * outs and q ** (low + 1) <= per_batch:
+        low += 1
+    choices = np.zeros((q**low, r * outs), dtype=np.int64)
+    choices[:, :low] = np.arange(q**low)[:, None] // q ** np.arange(low) % q
+    per_state = max(1, per_batch // q**low)
+    for high in itertools.product(range(q), repeat=r * outs - low):
+        choices[:, low:] = high
+        coef = choices.reshape(1, q**low, r, 1, outs)
+        for s0 in range(0, g, per_state):
+            span = basis[s0 : s0 + per_state, None, :, :, None]
+            cols = np.zeros((len(span), q**low, w, outs), dtype=np.int32)
+            for i in range(r):
+                cols = field.vadd(cols, field.vmul(span[:, :, i], coef[:, :, i]))
+            old = np.broadcast_to(rest[s0 : s0 + len(span), None], cols.shape[:3] + (k - outs,))
+            M, rank = _eliminate(np.concatenate([old, cols], axis=3).reshape(-1, w, k), field, full=True)
+            yield np.repeat(np.arange(s0, s0 + len(span)), q**low), M, rank
+
+
 def exact_failure(
-    net: Network,
-    w: int,
-    field: FieldSpec,
-    t: str,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    net: Network, w: int, field: FieldSpec, t: str, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> ExactProbability:
-    """Exact failure probability by enumerating all q^N coefficient
-    assignments as a mixed-radix counter over the canonical slot order."""
+    """Exact failure probability by a frontier dynamic program over the nodes
+    that reach t, in `net.order`.  The frontier is the channels whose tail is
+    processed and whose head is not; a state is the RREF of the w x k matrix
+    of their global kernels, weighted by the number of coefficient
+    assignments that lead to it.  Node v's out-kernels are uniform on the
+    span of its in-kernels (rank rho), each value hit q^(|In| - rho) times,
+    so v branches each state q^(rho*|Out|) ways, and equal successors merge.
+    The frontier's rank never rises, so only states of rank w are kept.
+    Slots of channels that cannot reach t are free: they scale counts by q.
+
+    `budget` bounds the branches summed over the nodes; it is checked before
+    each node is expanded, and EnumerationBudgetError is raised above it.
+    """
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
-    program = _compile(net, w)
-    n = len(program.slots)
-    q = field.q
-    total = q**n
-    if total > budget or total > _HARD_ENUMERATION_CAP:
-        raise EnumerationBudgetError(n, total, min(budget, _HARD_ENUMERATION_CAP))
-    failures = 0
-    places = [q ** (n - 1 - j) for j in range(n)]
-    batch = 1 << 16
-    for start in range(0, total, batch):
-        cnt = min(batch, total - start)
-        idx = np.arange(start, start + cnt, dtype=np.int64)
-        coeffs = np.empty((cnt, n), dtype=np.int64)
-        for j, place in enumerate(places):
-            coeffs[:, j] = (idx // place) % q
-        failures += int(_batch_failure_flags(program, field, coeffs, t).sum())
-    frac = Fraction(failures, total)
-    return ExactProbability(
-        numerator=frac.numerator,
-        denominator=frac.denominator,
-        failures=failures,
-        assignments=total,
-        num_slots=n,
-    )
+    q, n = field.q, coefficient_count(net, w)
+    reach = {t}
+    for node in reversed(net.order):
+        if any(c.head in reach for c in net.out_channels(node)):
+            reach.add(node)
+    frontier = [net.source] * w  # the head of each frontier channel
+    live = int(net.source in reach)  # with no path to t every assignment fails
+    states = np.broadcast_to(np.eye(w, dtype=np.uint16), (live, w, w))
+    weights = [1] * live
+    kept = spent = 0
+    for v in (v for v in net.order if v in reach and v != t):
+        ins = [i for i, h in enumerate(frontier) if h == v]
+        rest = [i for i, h in enumerate(frontier) if h != v]
+        outs = [c for c in net.out_channels(v) if c.head in reach]
+        a, b = len(ins), len(outs)
+        basis, rho = _eliminate(states[:, :, ins].transpose(0, 2, 1).astype(np.int32), field)
+        per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
+        spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
+        if spent > budget:
+            raise EnumerationBudgetError(v, spent, budget)
+        merged: dict[bytes, int] = {}
+        for r in (r for r, c in enumerate(per_rank) if c):
+            sel, mult = np.flatnonzero(rho == r), q ** ((a - r) * b)
+            for parent, M, rank in _branches(basis[sel, :r], states[sel][:, :, rest], b, field):
+                full = rank == w
+                keys = M[full].astype(np.uint16).reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
+                for key, p in zip(keys.ravel().tolist(), sel[parent[full]].tolist()):
+                    merged[key] = merged.get(key, 0) + weights[p] * mult
+        kept += a * b
+        frontier = [frontier[i] for i in rest] + [c.head for c in outs]
+        states = np.frombuffer(b"".join(merged), dtype=np.uint16).reshape(-1, w, len(frontier))
+        weights = list(merged.values())
+    # assignments are conserved: those not in a rank-w state fail
+    failures = q**n - sum(weights) * q ** (n - kept)
+    return ExactProbability(*Fraction(failures, q**n).as_integer_ratio(), failures, q**n, n)

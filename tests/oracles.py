@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
+from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet
 from rlncfail.galois import FieldSpec, RandomStream, uniform_int
 from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids
-from rlncfail.rlncsim import coefficient_slots
+from rlncfail.rlncsim import _batch_kernels, _batch_rank, _compile, coefficient_slots
 
 
 def reaches(net: Network, t: str, removed: frozenset[str] = frozenset()) -> bool:
@@ -197,6 +200,34 @@ def butterfly_failure_law(q: int) -> Fraction:
     return 1 - Fraction((q + 1) * (q - 1) ** 6, q**7)
 
 
+def subspace_completion_success(q: int, n: int, k0: int) -> Fraction:
+    """Probability that n - k0 uniform vectors from a spanning complement
+    extend a k0-dimensional subspace to the full n-dimensional space.
+
+    Equals phi(q, n - k0); whenever n > k0 the complement satisfies
+    1/q <= 1 - result < 1/(q - 1), which is re-checked here.
+    """
+    if k0 < 0 or k0 > n:
+        raise ValueError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
+    out = phi(q, n - k0)
+    if n > k0:
+        miss = 1 - out
+        if not (Fraction(1, q) <= miss < Fraction(1, q - 1)):
+            raise AssertionError(f"completion bracket violated for q={q}, n-k0={n - k0}")
+    return out
+
+
+def field_pow(field: FieldSpec, a: int, e: int) -> int:
+    """a^e by square-and-multiply over the field's scalar `mul`."""
+    out = 1
+    while e:
+        if e & 1:
+            out = field.mul(out, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return out
+
+
 def rank_gf2(rows: list[int], width: int) -> int:
     """GF(2) rank of rows packed as ints, by xor elimination."""
     rank = 0
@@ -334,3 +365,26 @@ def naive_enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) ->
     """Failing assignments among all q^N, by itertools.product."""
     n, failed = naive_failure_test(net, w, field, t)
     return sum(failed(combo) for combo in product(range(field.q), repeat=n))
+
+
+def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
+    """Failing assignments among all q^N, by the library's Monte Carlo
+    engine (`_batch_kernels`, `_batch_rank`) run over a mixed-radix counter
+    of the canonical slot order in blocks of 2^16 rows."""
+    program = _compile(net, w)
+    n, q = len(program.slots), field.q
+    total = q**n
+    if total > 1 << 62:
+        raise ValueError(f"q^N = {total} overflows the int64 assignment index")
+    places = [q ** (n - 1 - j) for j in range(n)]
+    failures = 0
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        coeffs = np.stack([idx // place % q for place in places], axis=1)
+        kern = _batch_kernels(program, field, coeffs)
+        cols = [kern[c] for c in program.sink_inputs[t]]
+        if not cols:
+            failures += len(idx)
+            continue
+        failures += int((_batch_rank(np.stack(cols, axis=2), field) < w).sum())
+    return failures

@@ -24,7 +24,7 @@ from rlncfail.flowpaths import min_internal_paths
 from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
 from rlncfail.netmodel import butterfly, plait
 from rlncfail.rlncsim import (
-    coefficient_count,
+    EnumerationBudgetError,
     estimate_failure,
     exact_failure,
     wilson_interval,
@@ -91,7 +91,7 @@ def test_criterion_2_plait_exactness(capsys):
 
 
 def test_criterion_3_bound_ordering_on_random_corpus():
-    budget = 1 << 16
+    budget = 1 << 16  # exact-DP branches per network
     checked = exact_checked = 0
     for seed, w, q, density in corpus_params(200):
         net = corpus_network(seed, w, density)
@@ -99,11 +99,15 @@ def test_criterion_3_bound_ordering_on_random_corpus():
         rep = full_report(net, "t", w, field)
         assert rep.lower <= rep.thm1 <= rep.thm2 <= rep.thm3, (seed, w, q)
         checked += 1
-        if q ** coefficient_count(net, w) <= budget:
+        try:
             exact = exact_failure(net, w, field, "t", budget=budget).fraction
-            assert rep.lower <= exact <= rep.thm1, (seed, w, q)
-            exact_checked += 1
+        except EnumerationBudgetError:
+            continue
+        assert rep.lower <= exact <= rep.thm1, (seed, w, q)
+        exact_checked += 1
     assert checked == 200
+    # 158 of the 200 fit the budget; only 118 have q^N <= 2^16
+    assert exact_checked >= 158
     print(
         f"\nACCEPTANCE 3 PASS: bound chain held on all {checked} random DAGs; "
         f"exact probability bracketed on the {exact_checked} within budget"

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import butterfly_failure_law, corpus_network, corpus_params, plait_failure_law
+from oracles import (
+    butterfly_failure_law,
+    corpus_network,
+    corpus_params,
+    plait_failure_law,
+    subspace_completion_success,
+)
 from rlncfail.bounds import (
     cut_profile_bound,
     full_report,
     internal_node_bound,
     phi,
     rate_margin_lower_bound,
-    subspace_completion_success,
 )
 from rlncfail.flowpaths import InfeasibleRateError
 from rlncfail.galois import make_field, make_field_of_order

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -234,10 +235,39 @@ class TestExact:
         }
 
     def test_budget_exceeded_exit_4(self, capsys):
+        # plait(4, 1)'s source alone branches 16^16 ways, above the default 2^20
+        code, out, err = run_cli(capsys, "exact", "--gen", "plait:w=4,r=1", "--field", "16")
+        assert code == 4 and out == ""
+        assert err == (
+            f"error: exact evaluation needs {16**16} branches up to node s, "
+            f"above the budget {1 << 20}\n"
+        )
         code, _, err = run_cli(capsys, "exact", "--gen", "butterfly", "--sink", "t1",
-                               "--field", "16")
+                               "--field", "2", "--budget", "37")
         assert code == 4
-        assert str(16**12) in err
+        assert "needs 38 branches up to node b2, above the budget 37" in err
+
+    def test_q65536_exits_4_before_expanding(self, capsys, monkeypatch):
+        import rlncfail.rlncsim as rlncsim
+
+        def no_expansion(*args):
+            raise AssertionError("a node was expanded before the budget check")
+
+        monkeypatch.setattr(rlncsim, "_branches", no_expansion)
+        start = time.monotonic()
+        code, _, err = run_cli(capsys, "exact", "--gen", "butterfly", "--sink", "t1",
+                               "--field", "65536")
+        elapsed = time.monotonic() - start
+        assert code == 4
+        assert f"needs {65536**4} branches up to node s" in err
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+    def test_workers_accepted_and_ignored(self, capsys):
+        base = ("exact", "--gen", "butterfly", "--sink", "t1", "--field", "4")
+        _, out1, _ = run_cli(capsys, *base)
+        code, out2, _ = run_cli(capsys, *base, "--workers", "2")
+        assert code == 0 and out1 == out2
+        assert "exact: 12739/16384" in out1 and "failing: 13044736" in out1
 
 
 class TestSweep:
@@ -270,6 +300,17 @@ class TestSweep:
             q = int(row["q"])
             expect = butterfly_failure_law(q)
             assert row["exact_frac"] == f"{expect.numerator}/{expect.denominator}"
+
+    def test_exact_blank_only_over_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--gen", "butterfly", "--sink", "t1",
+                               "--fields", "2,16,65536")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["exact_frac"] == r["thm1_frac"] for r in rows] == [True, True, False]
+        assert rows[2]["exact_frac"] == rows[2]["exact"] == ""
+        _, out, _ = run_cli(capsys, "sweep", "--gen", "butterfly", "--sink", "t1",
+                            "--fields", "2", "--budget", "37")
+        assert next(csv.DictReader(io.StringIO(out)))["exact"] == ""
 
     def test_estimate_included_when_requested(self, capsys):
         rows = self.run_sweep(capsys, "--trials", "2000", "--seed", "9")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NaiveField
+from oracles import NaiveField, field_pow
 from rlncfail.galois import (
     FieldSpec,
     RandomStream,
@@ -136,7 +136,7 @@ class TestArithmetic:
     def test_multiplicative_group_order(self, p, m):
         f = make_field(p, m)
         for a in range(1, f.q):
-            assert f.pow(a, f.q - 1) == 1
+            assert field_pow(f, a, f.q - 1) == 1
             assert f.inv(f.inv(a)) == a
 
 

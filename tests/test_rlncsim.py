@@ -1,5 +1,6 @@
-"""Kernel propagation, rank, Monte Carlo estimation, exact enumeration."""
+"""Kernel propagation, rank, Monte Carlo estimation, the exact frontier DP."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     butterfly_failure_law,
     corpus_network,
     corpus_params,
+    enumerated_failures,
     naive_enumerated_failures,
     naive_mc_failures,
     naive_rank,
@@ -18,8 +20,10 @@ from oracles import (
 )
 from rlncfail.flowpaths import min_cut
 from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
-from rlncfail.netmodel import butterfly, input_channel_ids, plait, random_dag
+from rlncfail.netmodel import Channel, Network, butterfly, input_channel_ids, plait, random_dag
+from rlncfail.bounds import full_report
 from rlncfail.rlncsim import (
+    DEFAULT_ENUMERATION_BUDGET,
     EnumerationBudgetError,
     coefficient_count,
     coefficient_slots,
@@ -366,15 +370,30 @@ class TestExact:
             res = exact_failure(plait(w, r), w, field, "t")
             assert res.fraction == plait_failure_law(q, w, r), (w, r, q)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        # the source of plait(4, 1) branches 16^(4*4) ways at q = 16
+        def no_expansion(*args):
+            raise AssertionError("a node was expanded before the budget check")
+
+        monkeypatch.setattr(rlncsim, "_branches", no_expansion)
         with pytest.raises(EnumerationBudgetError) as err:
-            exact_failure(butterfly(), 2, make_field(2, 4), "t1")
-        assert err.value.num_slots == 12
-        assert err.value.total == 16**12
+            exact_failure(plait(4, 1), 4, make_field(2, 4), "t")
+        assert err.value.branches == 16**16
+        assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
+        assert str(err.value) == (
+            f"exact evaluation needs {16**16} branches up to node s, "
+            f"above the budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
 
     def test_custom_budget(self):
-        with pytest.raises(EnumerationBudgetError):
-            exact_failure(butterfly(), 2, make_field(2), "t1", budget=100)
+        # butterfly t1 over GF(2) takes 16 + 4 + 6 + 10 + 2 branches at s, u1, u2, b1, b2
+        with pytest.raises(EnumerationBudgetError) as err:
+            exact_failure(butterfly(), 2, make_field(2), "t1", budget=37)
+        assert (err.value.branches, err.value.budget) == (38, 37)
+        assert "up to node b2" in str(err.value)
+        with pytest.raises(EnumerationBudgetError, match="needs 20 branches up to node u1"):
+            exact_failure(butterfly(), 2, make_field(2), "t1", budget=19)
+        assert exact_failure(butterfly(), 2, make_field(2), "t1", budget=38).failures == 4000
 
     def test_scalar_engine_matches_vector(self):
         f3 = make_field(3)
@@ -409,3 +428,73 @@ class TestExact:
         exact = exact_failure(net, w, f2, "t", budget=1 << 16)
         est = estimate_failure(net, w, f2, "t", 20_000, seed=seed)
         assert est.ci_low - 1e-12 <= float(exact.fraction) <= est.ci_high + 1e-12
+
+
+class TestFrontierDP:
+    """The frontier DP against enumeration and against the paper's bounds."""
+
+    def test_matches_enumeration_on_small_corpus(self):
+        # every corpus network with q^N <= 2^16; the per-assignment oracle on
+        # those with q^N <= 2^8, where it stays fast
+        checked = naive_checked = 0
+        for seed, w, q, density in corpus_params(200):
+            net = corpus_network(seed, w, density)
+            size = q ** coefficient_count(net, w)
+            if size > 1 << 16:
+                continue
+            field = make_field_of_order(q)
+            res = exact_failure(net, w, field, "t")
+            assert res.assignments == size
+            assert res.failures == enumerated_failures(net, w, field, "t"), (seed, w, q)
+            checked += 1
+            if size <= 1 << 8:
+                assert res.failures == naive_enumerated_failures(net, w, field, "t"), (seed, w, q)
+                naive_checked += 1
+        assert (checked, naive_checked) == (118, 74)
+
+    @pytest.mark.parametrize("sink", ["t1", "t2"])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_butterfly_matches_enumeration(self, sink, q):
+        field = make_field_of_order(q)
+        res = exact_failure(butterfly(), 2, field, sink)
+        assert res.failures == enumerated_failures(butterfly(), 2, field, sink)
+        if q == 2:
+            assert res.failures == naive_enumerated_failures(butterfly(), 2, field, sink)
+
+    @pytest.mark.parametrize("sink", ["t1", "t2"])
+    def test_butterfly_q4_pinned(self, sink):
+        # 4^12 assignments: the count the enumerator found, and the closed form
+        res = exact_failure(butterfly(), 2, make_field(2, 2), sink)
+        assert (res.failures, res.assignments, res.num_slots) == (13044736, 4**12, 12)
+        assert res.fraction == butterfly_failure_law(4)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_butterfly_equals_thm1(self, q):
+        field = make_field_of_order(q)
+        start = time.monotonic()
+        exact = exact_failure(butterfly(), 2, field, "t1").fraction
+        elapsed = time.monotonic() - start
+        assert exact == full_report(butterfly(), "t1", 2, field).thm1 == butterfly_failure_law(q)
+        assert elapsed < 1.0, f"q={q} took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_plait_3_2_equals_every_upper_bound(self, q):
+        field = make_field_of_order(q)
+        exact = exact_failure(plait(3, 2), 3, field, "t").fraction
+        rep = full_report(plait(3, 2), "t", 3, field)
+        assert exact == rep.thm1 == rep.thm2 == rep.thm3 == plait_failure_law(q, 3, 2)
+
+    def test_sink_without_a_path_always_fails(self):
+        # x has no in-channel, so t's kernels are all zero
+        net = Network(
+            {"s": "source", "x": "internal", "t": "sink", "u": "sink"},
+            [Channel("e1", "s", "u"), Channel("e2", "x", "t")],
+        )
+        res = exact_failure(net, 1, make_field(3), "t")
+        assert (res.failures, res.assignments) == (3, 3)
+
+    def test_slots_that_cannot_reach_the_sink_are_free(self):
+        # e8 and e9 feed only t2: the DP skips their slots yet counts q^N
+        res = exact_failure(butterfly(), 1, make_field(2), "t1")
+        assert res.assignments == 2 ** coefficient_count(butterfly(), 1)
+        assert res.failures == naive_enumerated_failures(butterfly(), 1, make_field(2), "t1")
