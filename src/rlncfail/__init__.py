@@ -23,7 +23,6 @@ from .flowpaths import (
 )
 from .galois import (
     FieldSpec,
-    RandomStream,
     make_field,
     make_field_of_order,
     parse_prime_power,

@@ -120,7 +120,6 @@ def full_report(
     w: int,
     field: FieldSpec,
     rt_mode: str = "exact",
-    rt_budget: int = 10**6,
 ) -> BoundReport:
     """All bounds for sink t at rate w over the given field.
 
@@ -133,7 +132,7 @@ def full_report(
     profile = cut_out_profile(net, ps)
     q = field.q
     thm1 = cut_profile_bound(profile, q, w)
-    rt = min_internal_paths(net, t, w, mode=rt_mode, budget=rt_budget)
+    rt = min_internal_paths(net, t, w, mode=rt_mode)
     thm2 = internal_node_bound(ps.r, q, w)
     cor1 = internal_node_bound(rt.paths.r, q, w)
     thm3 = internal_node_bound(len(net.internal_nodes), q, w)

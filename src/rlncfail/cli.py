@@ -122,12 +122,7 @@ def _resolve_rate(net: Network, sink: str, rate: int | None) -> int:
 def _cmd_gen(args) -> int:
     build, _, params = _GENERATORS[args.kind]
     net = getattr(netmodel, build)(*(getattr(args, k) for k, _ in params))
-    text = netmodel.network_to_text(net)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    netmodel.write_network(net, args.out or sys.stdout)
     cuts = " ".join(
         f"min_cut[{t}]={min_cut(net, t)}" for t in sorted(net.sinks)
     )

@@ -7,13 +7,14 @@ integer packs the residue polynomial's coefficients in base p, i.e.
 value = sum(c_i * p**i) for the residue c_0 + c_1 x + ... + c_{m-1} x^{m-1}.
 
 Every field multiplies and inverts through log/antilog tables of length
-O(q), built on first use, and adds digit-wise in base p; the same array
-methods serve scalar arithmetic and the bulk simulation and enumeration
-engines.
+O(q), built on first use, and adds digit-wise in base p; its array methods
+serve the bulk simulation and the exact evaluator.
 
-Sampling is deterministic: `RandomStream` is a counter-based word stream, and
-`uniform_int` rejects from a power-of-two range so that every field element
-has probability exactly 1/q regardless of q.
+Sampling is deterministic: `uniform_rows` draws uniform elements from
+counter-based streams keyed by (seed, stream), rejecting from a power-of-two
+range so that every value has probability exactly 1/q regardless of q.  It is
+the package's only random draw: Monte Carlo trial i reads stream i, and
+`netmodel.random_dag` reads stream 0.
 """
 
 from __future__ import annotations
@@ -28,70 +29,51 @@ MAX_ORDER = 1 << 16
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD2B74407B1CE6E93
+_CHUNK_WORDS = 1 << 18  # words drawn per numpy pass of `uniform_rows`
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized `mix64` over a uint64 array."""
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array: bijective, full avalanche."""
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
 
 
-def stream_key(seed: int, stream: int = 0) -> int:
-    """64-bit key for the (seed, stream) pair; equal pairs give equal keys."""
-    k = mix64((seed + _GOLDEN) & _MASK64)
-    return mix64(k ^ (((stream + 1) * _STREAM_SALT) & _MASK64))
+def uniform_rows(q: int, seed: int, streams, n: int) -> np.ndarray:
+    """(len(streams), n) int64 array: row i holds the first n uniform draws
+    from 0..q-1 of the counter stream (seed, streams[i]).
 
-
-def stream_keys_array(seed: int, streams: np.ndarray) -> np.ndarray:
-    """Vectorized `stream_key` for an int64/uint64 array of stream ids."""
-    k = np.uint64(mix64((seed + _GOLDEN) & _MASK64))
-    salted = (streams.astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
-    return mix64_array(k ^ salted)
-
-
-def words_at(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Vectorized `RandomStream.next_word`: word <counter> of each stream key."""
-    return mix64_array(keys + _GOLDEN_U64 * counters)
-
-
-def rejection_params(q: int) -> tuple[int, int]:
-    """(shift, limit) for the power-of-two rejection sampler shared by the
-    scalar and vectorized uniform draws: candidates are word >> shift,
-    accepted when below limit (the largest multiple of q in range)."""
-    bits = max(1, (q - 1).bit_length()) + 16
-    span = 1 << bits
-    return 64 - bits, span - span % q
-
-
-class RandomStream:
-    """Deterministic counter-based stream of 64-bit words.
-
-    word(i) = mix64(key + GOLDEN * i), so sequential use and random access
-    agree; any consumer can replay a stream exactly from (seed, stream).
-    Instances are single-owner: never share one between concurrent workers,
-    derive one stream per worker instead.
+    Word c = 1, 2, ... of a stream with key k is mix64(k + GOLDEN * c), so a
+    stream is a pure function of (seed, stream).  A draw takes the top
+    b + 16 bits of the stream's next word, b the bit length of q - 1, and
+    rejects candidates at or above the largest multiple of q in that range,
+    so each value has probability exactly 1/q.
     """
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.key = stream_key(seed, stream)
-        self.counter = 0
-
-    def next_word(self) -> int:
-        self.counter += 1
-        return mix64((self.key + _GOLDEN * self.counter) & _MASK64)
+    bits = max(1, (q - 1).bit_length()) + 16
+    shift, limit = np.uint64(64 - bits), np.uint64((1 << bits) - (1 << bits) % q)
+    q_u = np.uint64(q)
+    # one-element arrays throughout: numpy warns on uint64 scalar overflow
+    seed_key = _mix64(np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64))
+    salted = (np.asarray(streams).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
+    keys = _mix64(seed_key ^ salted)
+    steps = _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
+    out = np.empty((len(keys), n), dtype=np.int64)
+    per_chunk = max(1, _CHUNK_WORDS // max(n, 1))
+    for r0 in range(0, len(keys), per_chunk):
+        cand = _mix64(keys[r0 : r0 + per_chunk, None] + steps) >> shift
+        ok = cand < limit
+        out[r0 : r0 + per_chunk] = cand % q_u
+        # rejections are rare (< 2^-16 per word): redo those rows word by word
+        for i in np.flatnonzero(~ok.all(axis=1)):
+            row, c = cand[i][ok[i]], np.array([n], dtype=np.uint64)
+            while row.size < n:
+                c += 1
+                more = _mix64(keys[r0 + i : r0 + i + 1] + _GOLDEN_U64 * c) >> shift
+                row = np.append(row, more[more < limit])
+            out[r0 + i] = row % q_u
+    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -300,25 +282,6 @@ class FieldSpec:
         exp, log = self._tables
         return exp[(self.q - 1) - log[a]]
 
-    # -- scalar arithmetic on canonical integers ----------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.vadd(a, b))
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.vsub(a, b))
-
-    def neg(self, a: int) -> int:
-        return int(self.vneg(a))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.vmul(a, b))
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        return int(self.vinv(a))
-
 
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldSpec:
@@ -345,18 +308,3 @@ def make_field_of_order(q: int) -> FieldSpec:
     """Field of order q (must be a prime power)."""
     p, m = parse_prime_power(q)
     return make_field(p, m)
-
-
-def uniform_int(q: int, rng: RandomStream) -> int:
-    """Uniform draw from 0..q-1 by rejection from a power-of-two range.
-
-    Each candidate takes the top (b + 16) bits of a fresh 64-bit word, where
-    b is the bit length of q - 1; candidates at or above the largest multiple
-    of q are rejected, so accepted values are exactly uniform.
-    """
-    shift, limit = rejection_params(q)
-    while True:
-        cand = rng.next_word() >> shift
-        if cand < limit:
-            return cand % q
-

@@ -21,7 +21,7 @@ import io
 import re
 from dataclasses import dataclass
 
-from .galois import RandomStream, uniform_int
+from .galois import uniform_rows
 
 SOURCE = "source"
 INTERNAL = "internal"
@@ -30,6 +30,8 @@ _ROLES = (SOURCE, INTERNAL, SINK)
 
 _IMAGINARY_ID = re.compile(r"^d[0-9]+$")
 _RATE = re.compile(r"[1-9][0-9]*")
+
+MAX_GENERATED = 1 << 20  # channels of a plait, candidate pairs plus w of a random DAG
 
 
 class NetworkFormatError(ValueError):
@@ -192,6 +194,8 @@ def plait(w: int, r: int) -> Network:
     """Chain s, i1..ir, t with w parallel channels per stage ((r+1)*w total)."""
     if w < 1 or r < 0:
         raise ValueError("plait requires w >= 1 and r >= 0")
+    if (r + 1) * w > MAX_GENERATED:
+        raise ValueError(f"plait would have {(r + 1) * w} channels, above {MAX_GENERATED}")
     names = ["s"] + [f"i{k}" for k in range(1, r + 1)] + ["t"]
     nodes = {n: INTERNAL for n in names}
     nodes["s"] = SOURCE
@@ -233,34 +237,35 @@ def butterfly() -> Network:
 def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> Network:
     """Seeded random DAG s -> i1..ik -> t with min-cut(s, t) >= w.
 
-    Forward node pairs get a channel with the given probability; if the
-    resulting max-flow falls short of w, direct s->t channels are added.
+    Forward node pairs get a channel with the given probability, decided by
+    one 32-bit draw per pair from stream 0 of `seed`; if the resulting
+    max-flow falls short of w, direct s->t channels are added.
     """
     if num_internal < 0 or w < 1:
         raise ValueError("num_internal must be >= 0 and w >= 1")
     if not 0.0 < channel_density <= 1.0:
         raise ValueError(f"channel_density must be in (0, 1], got {channel_density}")
+    pairs = (num_internal + 2) * (num_internal + 1) // 2
+    if pairs + w > MAX_GENERATED:
+        raise ValueError(f"{pairs} node pairs plus rate {w} exceed {MAX_GENERATED}")
     names = ["s"] + [f"i{k}" for k in range(1, num_internal + 1)] + ["t"]
     nodes = {n: INTERNAL for n in names}
     nodes["s"] = SOURCE
     nodes["t"] = SINK
-    rng = RandomStream(seed)
-    channels: list[Channel] = []
-    idx = 0
-    # density threshold in 2^-32 units, drawn against 32-bit words
+    # density threshold in 2^-32 units, against one 32-bit draw per pair
     thresh = int(channel_density * (1 << 32))
+    draws = iter(uniform_rows(1 << 32, seed, [0], pairs)[0].tolist())
+    channels: list[Channel] = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
-            if uniform_int(1 << 32, rng) < thresh:
-                channels.append(Channel(f"e{idx:03d}", names[a], names[b]))
-                idx += 1
+            if next(draws) < thresh:
+                channels.append(Channel(f"e{len(channels):03d}", names[a], names[b]))
     net = Network(nodes, channels, rate_hint=w)
     from .flowpaths import min_cut  # deferred: flowpaths imports netmodel
 
     short = w - min_cut(net, "t")
     for _ in range(max(0, short)):
-        channels.append(Channel(f"e{idx:03d}", "s", "t"))
-        idx += 1
+        channels.append(Channel(f"e{len(channels):03d}", "s", "t"))
     if short > 0:
         net = Network(nodes, channels, rate_hint=w)
     return net

@@ -27,11 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .galois import FieldSpec, rejection_params, stream_keys_array, words_at
+from .galois import FieldSpec, uniform_rows
 from .netmodel import Network, imaginary_inputs, input_channel_ids
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
+MAX_TRIALS = 1 << 32  # 2^18 blocks; the block list is built before any work starts
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
@@ -170,24 +171,7 @@ def _mc_block_failures(
 ) -> int:
     """Failure count over trials [start, start+count); a pure function of its
     arguments, which is what makes worker scheduling irrelevant."""
-    q = field.q
-    trials = np.arange(start, start + count, dtype=np.int64)
-    keys = stream_keys_array(seed, trials)
-    counters = np.zeros(count, dtype=np.uint64)
-    shift, limit = rejection_params(q)
-    shift_u = np.uint64(shift)
-    limit_u = np.uint64(limit)
-    q_u = np.uint64(q)
-    n = len(program.slots)
-    coeffs = np.empty((count, n), dtype=np.int64)
-    for j in range(n):
-        pending = np.arange(count)
-        while pending.size:
-            counters[pending] += np.uint64(1)
-            cand = words_at(keys[pending], counters[pending]) >> shift_u
-            ok = cand < limit_u
-            coeffs[pending[ok], j] = (cand[ok] % q_u).astype(np.int64)
-            pending = pending[~ok]
+    coeffs = uniform_rows(field.q, seed, np.arange(start, start + count), len(program.slots))
     kern = _batch_kernels(program, field, coeffs)
     cols = [kern[c] for c in program.sink_inputs[t]]  # none: rank 0, every trial fails
     F = np.stack(cols, axis=2) if cols else np.zeros((count, program.rate, 0), np.uint16)
@@ -240,9 +224,10 @@ def estimate_failure(
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
     worker count.  At most min(workers, blocks, CPU count) processes start.
+    More than MAX_TRIALS trials raise ValueError before any work.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     program = _compile(net, w)

@@ -15,7 +15,7 @@ import numpy as np
 
 from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet
-from rlncfail.galois import FieldSpec, RandomStream, uniform_int
+from rlncfail.galois import FieldSpec
 from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids
 from rlncfail.rlncsim import _batch_kernels, _batch_rank, _compile, coefficient_slots
 
@@ -218,14 +218,54 @@ def subspace_completion_success(q: int, n: int, k0: int) -> Fraction:
 
 
 def field_pow(field: FieldSpec, a: int, e: int) -> int:
-    """a^e by square-and-multiply over the field's scalar `mul`."""
+    """a^e by square-and-multiply over the field's `vmul`."""
     out = 1
     while e:
         if e & 1:
-            out = field.mul(out, a)
-        a = field.mul(a, a)
+            out = int(field.vmul(out, a))
+        a = int(field.vmul(a, a))
         e >>= 1
     return out
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_STREAM_SALT = 0xD2B74407B1CE6E93
+
+
+def mix64(x: int) -> int:
+    """SplitMix64 finalizer on a Python int."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+class RandomStream:
+    """The counter stream (seed, stream) one word at a time, in Python ints:
+    word c = 1, 2, ... is mix64(key + GOLDEN * c).  `counter` is the number
+    of words drawn so far."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        k = mix64((seed + _GOLDEN) & _MASK64)
+        self.key = mix64(k ^ (((stream + 1) * _STREAM_SALT) & _MASK64))
+        self.counter = 0
+
+    def next_word(self) -> int:
+        self.counter += 1
+        return mix64((self.key + _GOLDEN * self.counter) & _MASK64)
+
+
+def uniform_int(q: int, rng: RandomStream) -> int:
+    """One uniform draw from 0..q-1: the top (b + 16) bits of the next word,
+    b the bit length of q - 1, rejected at or above the largest multiple of
+    q in range.  The reference for `galois.uniform_rows`."""
+    bits = max(1, (q - 1).bit_length()) + 16
+    limit = (1 << bits) - (1 << bits) % q
+    while True:
+        cand = rng.next_word() >> (64 - bits)
+        if cand < limit:
+            return cand % q
 
 
 def rank_gf2(rows: list[int], width: int) -> int:

@@ -11,17 +11,19 @@ import time
 from fractions import Fraction
 
 from oracles import (
+    RandomStream,
     butterfly_failure_law,
     corpus_network,
     corpus_params,
     exhaustive_min_internal,
     plait_failure_law,
     rank_gf2,
+    uniform_int,
 )
 from rlncfail.bounds import full_report, phi, rate_margin_lower_bound
 from rlncfail.cli import main
 from rlncfail.flowpaths import min_internal_paths
-from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
+from rlncfail.galois import make_field, make_field_of_order
 from rlncfail.netmodel import butterfly, plait
 from rlncfail.rlncsim import (
     EnumerationBudgetError,

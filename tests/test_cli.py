@@ -68,6 +68,17 @@ class TestGen:
                                "--density", "1.5", "--seed", "0")
         assert code == 2
 
+    def test_size_caps_exit_2(self, capsys):
+        for argv in (
+            ("gen", "plait", "--w", "1048577", "--r", "0"),
+            ("gen", "random", "--internal", "1447", "--w", "1", "--density", "0.5", "--seed", "0"),
+            ("bounds", "--gen", "plait:w=1024,r=1024", "--field", "2"),
+            ("bounds", "--gen", "random:internal=100000,w=1,density=0.5,seed=0", "--field", "2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: ") and "1048576" in err, argv
+
 
 class TestGenSpec:
     def test_parse(self):
@@ -192,6 +203,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--gen", "plait:w=1,r=0", "--field", "2",
                                "--seed", "1")
         assert code == 2 and "--trials" in err
+
+    def test_trials_above_max_exit_2(self, capsys):
+        for cmd in (("simulate", "--field", "2"), ("sweep", "--fields", "2,3")):
+            code, out, err = run_cli(capsys, *cmd, "--gen", "plait:w=1,r=0",
+                                     "--trials", "4294967297", "--seed", "1")
+            assert code == 2 and out == "", cmd
+            assert err == "error: trials must be in 1..4294967296, got 4294967297\n", cmd
 
     def test_byte_identical_runs(self, capsys):
         args = ("simulate", "--gen", "plait:w=1,r=0", "--field", "2",

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import NaiveField, field_pow
+import rlncfail.galois as galois
+from oracles import NaiveField, RandomStream, field_pow, uniform_int
 from rlncfail.galois import (
     FieldSpec,
-    RandomStream,
     make_field,
     make_field_of_order,
     parse_prime_power,
-    uniform_int,
+    uniform_rows,
 )
 
 
@@ -47,13 +47,13 @@ class TestMakeField:
         a = FieldSpec(2, 3)
         b = FieldSpec(2, 3)
         assert a.reduction_poly == b.reduction_poly
-        pairs = [(x, y) for x in range(a.q) for y in range(a.q)]
-        assert [a.mul(x, y) for x, y in pairs] == [b.mul(x, y) for x, y in pairs]
-        assert [a.add(x, y) for x, y in pairs] == [b.add(x, y) for x, y in pairs]
+        x, y = np.arange(a.q)[:, None], np.arange(a.q)[None, :]
+        assert (a.vmul(x, y) == b.vmul(x, y)).all()
+        assert (a.vadd(x, y) == b.vadd(x, y)).all()
 
     def test_pickles_to_the_cached_field(self):
         f = make_field(3, 10)
-        f.mul(2, 3)  # tables built; they are not shipped
+        f.vmul(2, 3)  # tables built; they are not shipped
         assert pickle.loads(pickle.dumps(f)) is f
         assert pickle.loads(pickle.dumps(FieldSpec(2, 3))) is make_field(2, 3)
         assert len(pickle.dumps(f)) < 200
@@ -87,36 +87,29 @@ class TestMakeField:
 class TestArithmetic:
     def test_characteristic_two(self):
         f = make_field(2)
-        assert f.add(1, 1) == 0
+        assert f.vadd(1, 1) == 0
 
     def test_gf4_x_times_x(self):
         # residue x is the packed value 2; x*x = x + 1 which packs to 3
         f = make_field(2, 2)
-        assert f.mul(2, 2) == 3
+        assert f.vmul(2, 2) == 3
 
     def test_gf5_inverse(self):
         f = make_field(5)
-        assert f.inv(3) == 2
-
-    def test_inverse_of_zero_rejected(self):
-        for f in (make_field(2), make_field(3, 2)):
-            with pytest.raises(ZeroDivisionError):
-                f.inv(0)
+        assert f.vinv(3) == 2
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
     def test_axioms_exhaustive_small(self, p, m):
         f = make_field(p, m)
-        q = f.q
-        els = range(q)
-        for a in els:
-            for b in els:
-                assert f.add(a, b) == f.add(b, a)
-                assert f.mul(a, b) == f.mul(b, a)
-                assert f.sub(a, b) == f.add(a, f.neg(b))
-                for c in els:
-                    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        els = np.arange(f.q)
+        a, b, c = els[:, None, None], els[None, :, None], els[None, None, :]
+        add, mul = f.vadd, f.vmul
+        assert (add(a, b) == add(b, a)).all()
+        assert (mul(a, b) == mul(b, a)).all()
+        assert (f.vsub(a, b) == add(a, f.vneg(b))).all()
+        assert (add(add(a, b), c) == add(a, add(b, c))).all()
+        assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
+        assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
 
     @pytest.mark.parametrize("p,m", [(251, 1), (2, 9), (3, 5), (13, 2)])
     @settings(max_examples=40, deadline=None)
@@ -126,18 +119,20 @@ class TestArithmetic:
         a = data.draw(st.integers(0, f.q - 1))
         b = data.draw(st.integers(0, f.q - 1))
         c = data.draw(st.integers(0, f.q - 1))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.add(a, f.neg(a)) == 0
+        add, mul = f.vadd, f.vmul
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert add(a, f.vneg(a)) == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert mul(a, f.vinv(a)) == 1
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (11, 1), (2, 8), (251, 1)])
     def test_multiplicative_group_order(self, p, m):
         f = make_field(p, m)
         for a in range(1, f.q):
             assert field_pow(f, a, f.q - 1) == 1
-            assert f.inv(f.inv(a)) == a
+        nonzero = np.arange(1, f.q)
+        assert (f.vinv(f.vinv(nonzero)) == nonzero).all()
 
 
 class TestAgainstNaiveOracle:
@@ -145,18 +140,17 @@ class TestAgainstNaiveOracle:
     def test_ops_match_schoolbook_arithmetic(self, q):
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        rng = RandomStream(q)
-        values = sorted({0, 1, q - 1} | {uniform_int(q, rng) for _ in range(9)})
+        values = sorted({0, 1, q - 1} | set(uniform_rows(q, q, [0], 9)[0].tolist()))
         for a in values:
             for b in values:
-                assert f.add(a, b) == naive.add(a, b), (a, b)
-                assert f.sub(a, b) == naive.sub(a, b), (a, b)
-                assert f.mul(a, b) == naive.mul(a, b), (a, b)
-            assert f.neg(a) == naive.sub(0, a)
+                assert f.vadd(a, b) == naive.add(a, b), (a, b)
+                assert f.vsub(a, b) == naive.sub(a, b), (a, b)
+                assert f.vmul(a, b) == naive.mul(a, b), (a, b)
+            assert f.vneg(a) == naive.sub(0, a)
             if a:
-                assert naive.mul(a, f.inv(a)) == 1
+                assert naive.mul(a, int(f.vinv(a))) == 1
                 if q <= 1024:
-                    assert f.inv(a) == naive.inv(a)
+                    assert f.vinv(a) == naive.inv(a)
 
     @pytest.mark.parametrize("q", [243, 1024])
     def test_oracle_takes_numpy_scalars(self, q):
@@ -164,66 +158,93 @@ class TestAgainstNaiveOracle:
         # wrap; the oracle must compute in Python ints all the same
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        rng = RandomStream(q)
-        values = np.array([uniform_int(q, rng) for _ in range(40)] + [0, 1, q - 1], np.uint16)
+        values = np.array(uniform_rows(q, q, [0], 40)[0].tolist() + [0, 1, q - 1], np.uint16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in values:
                 for b in values:
                     x, y = int(a), int(b)
-                    assert naive.add(a, b) == f.add(x, y), (x, y)
-                    assert naive.sub(a, b) == f.sub(x, y), (x, y)
-                    assert naive.mul(a, b) == f.mul(x, y), (x, y)
+                    assert naive.add(a, b) == f.vadd(x, y), (x, y)
+                    assert naive.sub(a, b) == f.vsub(x, y), (x, y)
+                    assert naive.mul(a, b) == f.vmul(x, y), (x, y)
 
     @pytest.mark.parametrize("q", [9, 243, 65521])
     def test_array_ops_match_scalar_ops(self, q):
         f = make_field_of_order(q)
-        rng = RandomStream(7)
+        naive = NaiveField(f)
+        a, b = uniform_rows(q, 7, [0, 1], 64)
         # uint16 is the engine's own element dtype, where a + b would wrap
-        a = np.array([uniform_int(q, rng) for _ in range(64)] + [0, 1, q - 1, 0], np.uint16)
-        b = np.array([uniform_int(q, rng) for _ in range(64)] + [0, q - 1, 1, q - 1], np.uint16)
-        for vec, scalar in [(f.vadd, f.add), (f.vsub, f.sub), (f.vmul, f.mul)]:
-            assert list(vec(a, b)) == [scalar(int(x), int(y)) for x, y in zip(a, b)]
+        a = np.array(a.tolist() + [0, 1, q - 1, 0], np.uint16)
+        b = np.array(b.tolist() + [0, q - 1, 1, q - 1], np.uint16)
+        for vec, scalar in [(f.vadd, naive.add), (f.vsub, naive.sub), (f.vmul, naive.mul)]:
+            assert vec(a, b).tolist() == [scalar(x, y) for x, y in zip(a, b)]
         nz = a[a != 0]
-        assert list(f.vinv(nz)) == [f.inv(int(x)) for x in nz]
-        assert list(f.vneg(a)) == [f.neg(int(x)) for x in a]
+        assert [naive.mul(x, y) for x, y in zip(nz, f.vinv(nz))] == [1] * len(nz)
+        assert f.vneg(a).tolist() == [naive.sub(0, x) for x in a]
+
+
+def oracle_rows(q, seed, streams, n):
+    """uniform_rows one draw at a time, and the words each stream rejected."""
+    rows, rejected = [], []
+    for s in streams:
+        rng = RandomStream(seed, stream=s)
+        rows.append([uniform_int(q, rng) for _ in range(n)])
+        rejected.append(rng.counter - n)
+    return rows, rejected
 
 
 class TestSampling:
     def test_support_binary(self):
-        f = make_field(2)
-        rng = RandomStream(0)
-        assert {uniform_int(f.q, rng) for _ in range(64)} == {0, 1}
+        assert set(uniform_rows(2, 0, [0], 64)[0].tolist()) == {0, 1}
 
     def test_frequency_within_4_sigma(self):
         # 3e5 draws over F_3: binomial sigma = sqrt(N * (1/3)(2/3)) ~= 258.2
         n = 300_000
         sigma = math.sqrt(n * (1 / 3) * (2 / 3))
-        rng = RandomStream(2024)
-        counts = [0, 0, 0]
-        for _ in range(n):
-            counts[uniform_int(3, rng)] += 1
+        counts = np.bincount(uniform_rows(3, 2024, [0], n)[0], minlength=3)
+        assert counts.sum() == n
         for c in counts:
             assert abs(c - n / 3) <= 4 * sigma
 
     def test_fixed_seed_repeats(self):
-        f = make_field(7)
-        draws = lambda: [uniform_int(f.q, RandomStream(99, stream=s)) for s in range(20)]
-        assert draws() == draws()
-        a = RandomStream(5)
-        b = RandomStream(5)
-        assert [uniform_int(7, a) for _ in range(50)] == [uniform_int(7, b) for _ in range(50)]
+        draws = lambda: uniform_rows(7, 99, range(20), 1)
+        assert (draws() == draws()).all()
+        assert uniform_rows(7, 5, [0], 50).tolist() == uniform_rows(7, 5, [0], 50).tolist()
 
     def test_distinct_streams_differ(self):
-        seqs = set()
-        for s in range(8):
-            rng = RandomStream(1, stream=s)
-            seqs.add(tuple(uniform_int(1 << 16, rng) for _ in range(8)))
+        seqs = {tuple(row) for row in uniform_rows(1 << 16, 1, range(8), 8).tolist()}
         assert len(seqs) == 8
 
     @given(q=st.integers(2, 1 << 16), seed=st.integers(-(2**63), 2**63 - 1))
     @settings(max_examples=60, deadline=None)
     def test_draws_always_in_range(self, q, seed):
-        rng = RandomStream(seed)
-        for _ in range(8):
-            assert 0 <= uniform_int(q, rng) < q
+        draws = uniform_rows(q, seed, [0, 1], 8)
+        assert draws.shape == (2, 8)
+        assert ((0 <= draws) & (draws < q)).all()
+
+    def test_matches_scalar_stream_where_words_are_rejected(self):
+        rows, rejected = oracle_rows(4057, 7, range(4096), 64)
+        assert sum(rejected) == 6  # in streams 69, 713, 850, 1710, 2114, 3163
+        assert uniform_rows(4057, 7, range(4096), 64).tolist() == rows
+
+    def test_matches_scalar_stream_at_any_start(self):
+        rows, rejected = oracle_rows(3, 7, range(2100, 2130), 64)
+        assert rejected[2114 - 2100] == 1 and sum(rejected) == 1
+        assert uniform_rows(3, 7, np.arange(2100, 2130), 64).tolist() == rows
+
+    @pytest.mark.parametrize("q,n", [(2, 1), (5, 17), (65521, 3), (1 << 32, 40)])
+    def test_matches_scalar_stream(self, q, n):
+        for seed in (0, -1, 2**64 + 5):
+            rows, _ = oracle_rows(q, seed, [0, 1, 999], n)
+            assert uniform_rows(q, seed, [0, 1, 999], n).tolist() == rows
+
+    def test_chunking_invisible(self, monkeypatch):
+        whole = uniform_rows(4057, 7, range(4096), 64)
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1000)  # 15 rows per pass
+        assert (uniform_rows(4057, 7, range(4096), 64) == whole).all()
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1)  # one row per pass
+        assert (uniform_rows(4057, 7, range(4096), 64) == whole).all()
+
+    def test_empty(self):
+        assert uniform_rows(5, 1, [], 3).shape == (0, 3)
+        assert uniform_rows(5, 1, [0, 1], 0).shape == (2, 0)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_min_cut
+import rlncfail.netmodel as netmodel
+from oracles import RandomStream, brute_force_min_cut, uniform_int
 from rlncfail.netmodel import (
+    MAX_GENERATED,
     Channel,
     Network,
     NetworkFormatError,
@@ -191,6 +193,41 @@ class TestGenerators:
     def test_random_dag_deterministic(self):
         assert random_dag(5, 2, 0.4, seed=7) == random_dag(5, 2, 0.4, seed=7)
         assert random_dag(5, 2, 0.4, seed=7) != random_dag(5, 2, 0.4, seed=8)
+
+    @pytest.mark.parametrize(
+        "k,density,seed", [(0, 1.0, 0), (4, 0.5, 3), (7, 0.3, -12345), (12, 0.8, 2**40), (30, 0.3, 2)]
+    )
+    def test_random_dag_draws_one_word_per_pair(self, k, density, seed):
+        # stream 0 of the seed, one 32-bit draw per forward pair in (a, b) order
+        rng = RandomStream(seed)
+        names = ["s"] + [f"i{j}" for j in range(1, k + 1)] + ["t"]
+        thresh = int(density * (1 << 32))
+        expect = [
+            (names[a], names[b])
+            for a in range(len(names))
+            for b in range(a + 1, len(names))
+            if uniform_int(1 << 32, rng) < thresh
+        ]
+        assert rng.counter == (k + 2) * (k + 1) // 2  # 2^32 never rejects a word
+        net = random_dag(k, 2, density, seed=seed)
+        got = [(c.tail, c.head) for c in net.channels]
+        assert [c.id for c in net.channels] == [f"e{i:03d}" for i in range(len(got))]
+        assert got[: len(expect)] == expect
+        assert set(got[len(expect) :]) <= {("s", "t")}
+
+    def test_generator_sizes_capped_before_building(self, monkeypatch):
+        assert MAX_GENERATED == 1 << 20
+        monkeypatch.setattr(netmodel, "uniform_rows", None)  # calling it would raise TypeError
+        for args in ((MAX_GENERATED + 1, 0), (1 << 10, 1 << 10), (1 << 40, 1 << 40)):
+            with pytest.raises(ValueError, match="channels, above 1048576"):
+                plait(*args)
+        for k, w in ((1447, 1), (1446, 949), (10**12, 1), (0, 1 << 40)):
+            with pytest.raises(ValueError, match="exceed 1048576"):
+                random_dag(k, w, 0.5, seed=0)
+
+    def test_largest_random_dag_fits(self):
+        net = random_dag(1446, 948, 1e-9, seed=0)  # 1,047,628 pairs + 948
+        assert len(net.nodes) == 1448 and len(net.channels) >= 948
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -9,6 +9,7 @@ import pytest
 import rlncfail.rlncsim as rlncsim
 from oracles import (
     NaiveField,
+    RandomStream,
     butterfly_failure_law,
     corpus_network,
     corpus_params,
@@ -17,9 +18,10 @@ from oracles import (
     naive_mc_failures,
     naive_rank,
     plait_failure_law,
+    uniform_int,
 )
 from rlncfail.flowpaths import min_cut
-from rlncfail.galois import RandomStream, make_field, make_field_of_order, uniform_int
+from rlncfail.galois import make_field, make_field_of_order
 from rlncfail.netmodel import Channel, Network, butterfly, input_channel_ids, plait, random_dag
 from rlncfail.bounds import full_report
 from rlncfail.rlncsim import (
@@ -330,6 +332,15 @@ class TestEstimate:
             estimate_failure(butterfly(), 2, f2, "t1", 0, seed=1)
         with pytest.raises(ValueError):
             estimate_failure(butterfly(), 2, f2, "b1", 10, seed=1)
+
+    def test_trials_above_max_rejected_before_compiling(self, monkeypatch):
+        def no_compile(net, w):
+            raise AssertionError("compiled a run that should be refused")
+
+        monkeypatch.setattr(rlncsim, "_compile", no_compile)
+        assert rlncsim.MAX_TRIALS == 1 << 32
+        with pytest.raises(ValueError, match=r"trials must be in 1\.\.4294967296, got 4294967297"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", (1 << 32) + 1, seed=1)
 
 
 class TestWilson:
