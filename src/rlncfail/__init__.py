@@ -29,12 +29,10 @@ from .galois import (
 )
 from .netmodel import (
     Channel,
-    ImaginaryInputs,
     Network,
     NetworkFormatError,
     NetworkValidationError,
     butterfly,
-    imaginary_inputs,
     network_from_text,
     network_to_text,
     plait,

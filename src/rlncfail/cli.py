@@ -66,6 +66,8 @@ def parse_gen_spec(spec: str) -> Network:
             k, sep, v = part.partition("=")
             if not sep:
                 raise UsageError(f"bad generator parameter {part!r} in {spec!r}")
+            if k in kv:
+                raise UsageError(f"generator parameter {k!r} repeated in {spec!r}")
             kv[k] = v
     if name not in _GENERATORS:
         raise UsageError(f"unknown generator {name!r} (expected plait, butterfly, or random)")
@@ -169,7 +171,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed is None:
         raise UsageError("simulate requires an explicit --seed")
-    if args.trials is None or args.trials < 1:
+    if args.trials is None:
         raise UsageError("simulate requires --trials >= 1")
     net, name = _load_network(args)
     sink = _resolve_sink(net, args.sink)
@@ -348,6 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args) -> None:
+    """Bound the sizes a user sets before any network is loaded."""
+    if getattr(args, "workers", 1) < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    trials = getattr(args, "trials", None)
+    if trials is not None and not 1 <= trials <= rlncsim.MAX_TRIALS:
+        raise UsageError(f"trials must be in 1..{rlncsim.MAX_TRIALS}, got {trials}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -355,6 +366,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_sizes(args)
         return args.func(args)
     except InfeasibleRateError as exc:  # a ValueError, so ahead of that clause
         print(f"error: {exc}", file=sys.stderr)

@@ -7,8 +7,11 @@ distinct internal nodes, and the out-part sizes of the cut advanced node by
 node along a chosen path set, which are path counts: at internal node v the
 cut channels entering v are exactly the m_v path channels whose head is v.
 
-All functions are pure with respect to their immutable inputs, and every
-tie is broken by smallest channel id so repeated runs give identical output.
+The algorithms run on the network's integer view (see `netmodel.Network`)
+and turn channel indices back into ids only for the public `PathSet`.  All
+functions are pure with respect to their immutable inputs, and every tie is
+broken by smallest channel index, which is smallest channel id, so repeated
+runs give identical output.
 """
 
 from __future__ import annotations
@@ -65,89 +68,79 @@ class MinInternalResult:
 
 def _max_flow(
     net: Network,
-    t: str,
+    t: int,
     limit: int | None = None,
-    removed: set[str] | frozenset[str] = frozenset(),
-) -> tuple[int, set[str]]:
-    """Unit-capacity max-flow from the source to t via augmenting paths,
-    in the network without the removed channels.
+    removed: set[int] | frozenset[int] = frozenset(),
+) -> tuple[int, set[int]]:
+    """Unit-capacity max-flow from the source to node t via augmenting paths,
+    in the network without the removed channels, on the integer view.
 
-    Returns (value, flow channel ids).  Augmentation explores forward unused
-    channels before used reverse channels, each in channel-id order, so the
-    result is deterministic.
+    Returns (value, flow channel indices).  Each search step tries the
+    unused forward and used reverse channels in channel order, so the result
+    is deterministic.
     """
-    s = net.source
+    s = net.index[net.source]
     if t == s:
         raise ValueError("sink equals source")
-    used: set[str] = set()
+    head, tail = net.head, net.tail
+    used: set[int] = set()
     value = 0
     while limit is None or value < limit:
         # iterative DFS for one augmenting path in the residual graph
         visited = {s}
-        stack: list[tuple[str, list[tuple[str, bool]]]] = [(s, [])]
-        found: list[tuple[str, bool]] | None = None
+        stack: list[tuple[int, list[int]]] = [(s, [])]
+        found: list[int] | None = None
         while stack:
             node, trail = stack.pop()
             if node == t:
                 found = trail
                 break
-            moves: list[tuple[str, str, bool]] = []
-            for c in net.out_channels(node):
-                if c.id not in used and c.id not in removed and c.head not in visited:
-                    moves.append((c.id, c.head, True))
-            for c in net.in_channels(node):
-                if c.id in used and c.tail not in visited:
-                    moves.append((c.id, c.tail, False))
-            # stack is LIFO: push in reverse so smallest channel id pops first
-            for cid, nxt, fwd in sorted(moves, reverse=True):
+            moves: list[tuple[int, int]] = []
+            for j in net.outs[node]:
+                if j not in used and j not in removed and head[j] not in visited:
+                    moves.append((j, head[j]))
+            for j in net.ins[node]:
+                if j in used and tail[j] not in visited:
+                    moves.append((j, tail[j]))
+            # stack is LIFO: push in reverse so the smallest channel pops first
+            for j, nxt in sorted(moves, reverse=True):
                 if nxt not in visited:
                     visited.add(nxt)
-                    stack.append((nxt, trail + [(cid, fwd)]))
+                    stack.append((nxt, trail + [j]))
         if found is None:
             break
-        for cid, fwd in found:
-            if fwd:
-                used.add(cid)
-            else:
-                used.remove(cid)
+        used ^= set(found)  # forward channels join the flow, reverse ones leave it
         value += 1
     return value, used
 
 
 def min_cut(net: Network, t: str) -> int:
     """Min-cut capacity between the source and t (0 when unreachable)."""
-    value, _ = _max_flow(net, t)
-    return value
+    return _max_flow(net, net.index[t])[0]
 
 
-def _decompose(net: Network, t: str, flow: set[str], w: int) -> tuple[tuple[str, ...], ...]:
-    """Split an acyclic unit flow into w chained paths, smallest ids first."""
+def _decompose(net: Network, t: int, flow: set[int], w: int) -> tuple[tuple[int, ...], ...]:
+    """Split an acyclic unit flow into w chained paths, smallest channels first."""
     remaining = set(flow)
-    outs: dict[str, list[str]] = {}
-    for cid in sorted(remaining):
-        outs.setdefault(net.channel(cid).tail, []).append(cid)
     paths = []
     for _ in range(w):
-        node = net.source
-        path: list[str] = []
+        node = net.index[net.source]
+        path: list[int] = []
         while node != t:
-            cid = next(c for c in outs[node] if c in remaining)
-            remaining.remove(cid)
-            path.append(cid)
-            node = net.channel(cid).head
+            j = next(j for j in net.outs[node] if j in remaining)
+            remaining.remove(j)
+            path.append(j)
+            node = net.head[j]
         paths.append(tuple(path))
     return tuple(paths)
 
 
-def _path_set(net: Network, t: str, w: int, paths: tuple[tuple[str, ...], ...]) -> PathSet:
-    pos = {n: i for i, n in enumerate(net.order)}
-    nodes = {
-        net.channel(cid).head
-        for p in paths
-        for cid in p[:-1]
-    }
-    ordered = tuple(sorted(nodes, key=lambda n: (pos[n], n)))
-    return PathSet(sink=t, rate=w, paths=paths, internal_nodes=ordered)
+def _path_set(net: Network, t: str, w: int, paths: tuple[tuple[int, ...], ...]) -> PathSet:
+    """The public PathSet of channel-index paths; its internal nodes are the
+    heads of all but each path's last channel, in topological order."""
+    nodes = sorted({net.head[j] for p in paths for j in p[:-1]})
+    ids = tuple(tuple(net.channels[j].id for j in p) for p in paths)
+    return PathSet(t, w, ids, tuple(net.order[i] for i in nodes))
 
 
 def disjoint_paths(net: Network, t: str, w: int) -> PathSet:
@@ -158,53 +151,49 @@ def disjoint_paths(net: Network, t: str, w: int) -> PathSet:
     """
     if w < 1:
         raise ValueError(f"rate must be >= 1, got {w}")
-    value, flow = _max_flow(net, t, limit=w)
+    ti = net.index[t]
+    value, flow = _max_flow(net, ti, limit=w)
     if value < w:
-        full, _ = _max_flow(net, t)
+        full, _ = _max_flow(net, ti)
         raise InfeasibleRateError(w, full, t)
-    return _path_set(net, t, w, _decompose(net, t, flow, w))
+    return _path_set(net, t, w, _decompose(net, ti, flow, w))
 
 
 # --- minimal-internal-node path sets -----------------------------------------
 
-def _min_cost_paths(net: Network, t: str, w: int) -> PathSet:
+def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]:
     """Successive-shortest-path min-cost flow, one cost unit per entry into an
-    internal node.  The returned set's distinct-node count is an upper bound
-    on the true minimum (shared nodes are charged once per traversal)."""
-    s = net.source
-    internal = net.internal_nodes
-    used: set[str] = set()
+    internal node, as channel-index paths.  The set's distinct-node count is
+    an upper bound on the true minimum (shared nodes are charged once per
+    traversal)."""
+    s, ti = net.index[net.source], net.index[t]
+    internal = {net.index[v] for v in net.internal_nodes}
+    inf = 1 << 60
+    used: set[int] = set()
     for k in range(w):
         # Bellman-Ford on the residual graph; deterministic relaxation order.
-        dist: dict[str, int] = {s: 0}
-        pred: dict[str, tuple[str, str, bool]] = {}
-        for _ in range(len(net.nodes)):
+        dist = [inf] * len(net.order)
+        dist[s] = 0
+        pred: dict[int, tuple[int, int]] = {}
+        for _ in range(len(net.order)):
             changed = False
-            for c in net.channels:
-                cost = 1 if c.head in internal else 0
-                if c.id not in used:
-                    if c.tail in dist and dist[c.tail] + cost < dist.get(c.head, 1 << 60):
-                        dist[c.head] = dist[c.tail] + cost
-                        pred[c.head] = (c.tail, c.id, True)
-                        changed = True
-                else:
-                    if c.head in dist and dist[c.head] - cost < dist.get(c.tail, 1 << 60):
-                        dist[c.tail] = dist[c.head] - cost
-                        pred[c.tail] = (c.head, c.id, False)
-                        changed = True
+            for j, (a, b) in enumerate(zip(net.tail, net.head)):
+                cost = 1 if b in internal else 0
+                if j in used:  # the residual channel runs backwards
+                    a, b, cost = b, a, -cost
+                if dist[a] < inf and dist[a] + cost < dist[b]:
+                    dist[b] = dist[a] + cost
+                    pred[b] = (a, j)
+                    changed = True
             if not changed:
                 break
-        if t not in dist:
+        if dist[ti] == inf:
             raise InfeasibleRateError(w, k, t)
-        node = t
+        node = ti
         while node != s:
-            prev, cid, fwd = pred[node]
-            if fwd:
-                used.add(cid)
-            else:
-                used.remove(cid)
-            node = prev
-    return _path_set(net, t, w, _decompose(net, t, used, w))
+            node, j = pred[node]
+            used ^= {j}
+    return _decompose(net, ti, used, w)
 
 
 class _SearchBudget(Exception):
@@ -225,17 +214,19 @@ def min_internal_paths(
     a path outgrows the recursion limit, the best set found so far is
     returned with exact=False.  mode="heuristic"
     returns the min-cost-flow answer directly (exact=False), whose node
-    count upper-bounds the true minimum.
+    count upper-bounds the true minimum.  Both run on the integer view.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     heur = _min_cost_paths(net, t, w)
     if mode == "heuristic":
-        return MinInternalResult(heur, exact=False)
+        return MinInternalResult(_path_set(net, t, w, heur), exact=False)
 
-    s = net.source
-    internal = net.internal_nodes
-    best = {"r": heur.r, "paths": heur.paths}
+    s, ti = net.index[net.source], net.index[t]
+    internal = {net.index[v] for v in net.internal_nodes}
+    best = {"r": _path_set(net, t, w, heur).r, "paths": heur}
+    used: set[int] = set()  # channels of the finished paths and the current one
+    done: list[tuple[int, ...]] = []  # the finished paths
     steps = 0
 
     def spend() -> None:
@@ -244,42 +235,31 @@ def min_internal_paths(
         if steps > budget:
             raise _SearchBudget()
 
-    def extend(
-        used: set[str],
-        nodes: frozenset[str],
-        done: list[tuple[str, ...]],
-        path: list[str],
-        node: str,
-        min_first: str,
-    ) -> None:
-        """Grow the current path channel by channel; recurse into the next
-        path on completion."""
-        if node == t:
+    def extend(nodes: frozenset[int], path: list[int], node: int, first: int) -> None:
+        """Grow the current path channel by channel, its first channel at
+        least `first`; recurse into the next path on completion."""
+        if node == ti:
             done.append(tuple(path))
-            choose_next(used, nodes, done, path[0])
+            choose_next(nodes, path[0] + 1)
             done.pop()
             return
-        for c in net.out_channels(node):
-            if c.id in used:
+        for j in net.outs[node]:
+            if j in used:
                 continue
-            if node == s and c.id <= min_first:
-                continue  # paths ordered by first channel id: kill permutations
+            if node == s and j < first:
+                continue  # paths ordered by first channel: kill permutations
             spend()
-            added = c.head in internal and c.head not in nodes
+            h = net.head[j]
+            added = h in internal and h not in nodes
             if added and len(nodes) + 1 >= best["r"]:
                 continue
-            used.add(c.id)
-            path.append(c.id)
-            extend(used, nodes | {c.head} if added else nodes, done, path, c.head, min_first)
+            used.add(j)
+            path.append(j)
+            extend(nodes | {h} if added else nodes, path, h, first)
             path.pop()
-            used.remove(c.id)
+            used.remove(j)
 
-    def choose_next(
-        used: set[str],
-        nodes: frozenset[str],
-        done: list[tuple[str, ...]],
-        last_first: str,
-    ) -> None:
+    def choose_next(nodes: frozenset[int], first: int) -> None:
         if len(done) == w:
             if len(nodes) < best["r"]:
                 best["r"] = len(nodes)
@@ -288,19 +268,17 @@ def min_internal_paths(
         if len(nodes) >= best["r"]:
             return
         # feasibility: the untouched graph must still carry the missing flow
-        value, _ = _max_flow(net, t, limit=w - len(done), removed=used)
+        value, _ = _max_flow(net, ti, limit=w - len(done), removed=used)
         if value < w - len(done):
             return
-        extend(used, nodes, done, [], s, last_first)
+        extend(nodes, [], s, first)
 
     try:
-        choose_next(set(), frozenset(), [], "")
+        choose_next(frozenset(), 0)
         exact = True
-        paths = best["paths"]
     except (_SearchBudget, RecursionError):
         exact = False
-        paths = best["paths"]
-    ps = _path_set(net, t, w, tuple(sorted(paths)))
+    ps = _path_set(net, t, w, tuple(sorted(best["paths"])))
     return MinInternalResult(ps, exact=exact)
 
 

@@ -5,13 +5,14 @@ least one sink, and unit-capacity channels.  Parallel channels between the
 same node pair are allowed, so cuts and paths everywhere are sets/sequences
 of channel ids, never endpoint pairs.
 
-A `Network` is checked and ordered once, when it is built: construction
-raises NetworkValidationError on an illegal network, so every built network
-is legal and carries its topological order.  Do not mutate one afterwards.
+A `Network` is checked, ordered and compiled once, when it is built:
+construction raises NetworkValidationError on an illegal network, so every
+built network is legal and carries its topological order and an integer view
+of itself.  Do not mutate one afterwards.
 
 The source's inputs are modeled as w imaginary channels d1..dw that carry the
 raw messages; they are not stored on the Network (they depend on the chosen
-rate) but their ids are reserved and produced by `imaginary_inputs`.
+rate), but ids of that form are reserved for them.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ class Channel:
     head: str
 
 
-@dataclass(frozen=True)
-class ImaginaryInputs:
-    """The rate-many imaginary source inputs d1..dw carrying messages X_1..X_w."""
-
-    rate: int
-    ids: tuple[str, ...]
-
-
-def imaginary_inputs(rate: int) -> ImaginaryInputs:
-    if rate < 1:
-        raise ValueError(f"rate must be >= 1, got {rate}")
-    return ImaginaryInputs(rate, tuple(f"d{i}" for i in range(1, rate + 1)))
-
-
 @dataclass
 class Network:
     """A legal network in a fixed topological order; do not mutate it.
@@ -76,6 +63,12 @@ class Network:
     Construction raises NetworkValidationError listing every violated
     invariant, and sets `order` (the nodes with every channel going forward,
     ties broken by smallest node id), `source`, `sinks` and `internal_nodes`.
+
+    It also sets the integer view the graph algorithms run on: node i is
+    `order[i]` and channel j is `channels[j]`, so index order is topological
+    order for nodes and id order for channels.  `index` maps a node id to
+    its index, `tail[j]`/`head[j]` are channel j's end nodes, and
+    `outs[i]`/`ins[i]` are node i's out- and in-channels, ascending.
     """
 
     nodes: dict[str, str]
@@ -84,11 +77,10 @@ class Network:
 
     def __post_init__(self) -> None:
         self.channels = sorted(self.channels, key=lambda c: c.id)
-        self._by_id: dict[str, Channel] = {}
+        self._by_id = {c.id: j for j, c in enumerate(self.channels)}  # id -> index
         self._ins: dict[str, list[Channel]] = {n: [] for n in self.nodes}
         self._outs: dict[str, list[Channel]] = {n: [] for n in self.nodes}
         for c in self.channels:
-            self._by_id[c.id] = c
             if c.head in self._ins:
                 self._ins[c.head].append(c)
             if c.tail in self._outs:
@@ -101,9 +93,14 @@ class Network:
         self.source = next(n for n, role in self.nodes.items() if role == SOURCE)
         self.sinks = frozenset(n for n, role in self.nodes.items() if role == SINK)
         self.internal_nodes = frozenset(n for n, role in self.nodes.items() if role == INTERNAL)
+        self.index = {n: i for i, n in enumerate(order)}
+        self.tail = tuple(self.index[c.tail] for c in self.channels)
+        self.head = tuple(self.index[c.head] for c in self.channels)
+        self.outs = tuple(tuple(self._by_id[c.id] for c in self._outs[n]) for n in order)
+        self.ins = tuple(tuple(self._by_id[c.id] for c in self._ins[n]) for n in order)
 
     def channel(self, cid: str) -> Channel:
-        return self._by_id[cid]
+        return self.channels[self._by_id[cid]]
 
     def in_channels(self, node: str) -> list[Channel]:
         return self._ins.get(node, [])
@@ -179,13 +176,6 @@ class Network:
             cycle = self._cycle(set(self.nodes) - set(order))
             found.append("channel graph has a cycle: " + " -> ".join(cycle))
         return tuple(found)
-
-
-def input_channel_ids(net: Network, node: str, rate: int) -> tuple[str, ...]:
-    """In(node) as channel ids; for the source these are the imaginary inputs."""
-    if node == net.source:
-        return imaginary_inputs(rate).ids
-    return tuple(c.id for c in net.in_channels(node))
 
 
 # --- canonical generators ---------------------------------------------------

@@ -11,9 +11,9 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
   adjacent channel pairs), by a dynamic program that advances the cut
   between processed and unprocessed nodes one node at a time.
 
-Both run on the field's log/antilog tables through numpy: `_batch_kernels`
-propagates a (B, N) block of coefficient rows, and `_eliminate` reduces
-batches of decoding or frontier matrices.
+Both run on the network's integer view and the field's log/antilog tables
+through numpy: `_batch_kernels` propagates a (B, N) block of coefficient
+rows, and `_eliminate` reduces batches of decoding or frontier matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .galois import FieldSpec, uniform_rows
-from .netmodel import Network, imaginary_inputs, input_channel_ids
+from .netmodel import Network
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -62,52 +62,44 @@ class CoefficientSlot:
 
 @dataclass(frozen=True)
 class _Program:
+    """The propagation program on kernel indices: the imaginary inputs are
+    0..w-1 and channel j is w + j.  channels lists (kernel index, ((in-kernel
+    index, slot), ...)) in propagation order."""
+
     rate: int
-    slots: tuple[CoefficientSlot, ...]
-    channels: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
-    imaginary: tuple[str, ...]
-    sink_inputs: dict[str, tuple[str, ...]]
+    num_slots: int
+    channels: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    sink_inputs: dict[str, tuple[int, ...]]
 
 
 def _compile(net: Network, w: int) -> _Program:
-    """Fix the slot order (node topological position, in-channel id,
-    out-channel id) and the channel propagation order once per run."""
-    pos = {n: i for i, n in enumerate(net.order)}
-    slots: list[CoefficientSlot] = []
-    slot_index: dict[tuple[str, str], int] = {}
-    for node in net.order:
-        ins = sorted(input_channel_ids(net, node, w))
-        outs = sorted(c.id for c in net.out_channels(node))
-        for d in ins:
-            for e in outs:
-                slot_index[(d, e)] = len(slots)
-                slots.append(CoefficientSlot(node, d, e))
+    """Fix the slot order (node topological position, in-kernel, out-channel)
+    and the channel propagation order once per run, from the integer view."""
+    src = net.index[net.source]
+    ins = [tuple(range(w)) if i == src else tuple(w + j for j in js)  # In(v) as kernels
+           for i, js in enumerate(net.ins)]
     channels = []
-    for c in sorted(net.channels, key=lambda c: (pos[c.tail], c.id)):
-        ins = tuple(
-            (d, slot_index[(d, c.id)])
-            for d in sorted(input_channel_ids(net, c.tail, w))
-        )
-        channels.append((c.id, ins))
-    sink_inputs = {
-        t: tuple(sorted(c.id for c in net.in_channels(t))) for t in net.sinks
-    }
-    return _Program(
-        rate=w,
-        slots=tuple(slots),
-        channels=tuple(channels),
-        imaginary=imaginary_inputs(w).ids,
-        sink_inputs=sink_inputs,
-    )
+    n = 0  # slots of the nodes before this one
+    for i, outs in enumerate(net.outs):
+        for b, j in enumerate(outs):
+            slots = (n + a * len(outs) + b for a in range(len(ins[i])))
+            channels.append((w + j, tuple(zip(ins[i], slots))))
+        n += len(ins[i]) * len(outs)
+    sink_inputs = {t: ins[net.index[t]] for t in net.sinks}
+    return _Program(rate=w, num_slots=n, channels=tuple(channels), sink_inputs=sink_inputs)
 
 
 def coefficient_slots(net: Network, w: int) -> tuple[CoefficientSlot, ...]:
-    """All local coefficient positions, in the canonical draw/enumeration order."""
-    return _compile(net, w).slots
+    """All local coefficient positions, in the canonical draw/enumeration
+    order; the source's in-channels are the imaginary inputs d1..dw."""
+    ids = [f"d{a}" for a in range(1, w + 1)] + [c.id for c in net.channels]
+    slots = {si: CoefficientSlot(net.channels[k - w].tail, ids[d], ids[k])
+             for k, ins in _compile(net, w).channels for d, si in ins}
+    return tuple(slot for _, slot in sorted(slots.items()))
 
 
 def coefficient_count(net: Network, w: int) -> int:
-    return len(coefficient_slots(net, w))
+    return _compile(net, w).num_slots
 
 
 # --- vectorized engine ----------------------------------------------------------
@@ -150,19 +142,19 @@ def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
     return _eliminate(mats.astype(np.int32), field)[1]
 
 
-def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> dict[str, np.ndarray]:
-    """Global kernel of every channel, a (B, w) array per channel id, for
-    each row of the (B, N) coefficient matrix."""
+def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> list[np.ndarray]:
+    """Global kernel of every imaginary input and channel, a (B, w) array per
+    kernel index, for each row of the (B, N) coefficient matrix."""
     B = coeffs.shape[0]
     w = program.rate
     eye = np.eye(w, dtype=np.uint16)
-    kern = {d: np.broadcast_to(eye[i], (B, w)) for i, d in enumerate(program.imaginary)}
-    for cid, ins in program.channels:
+    kern = [np.broadcast_to(eye[i], (B, w)) for i in range(w)] + [None] * len(program.channels)
+    for k, ins in program.channels:
         acc = None
         for d, si in ins:
             term = field.vmul(coeffs[:, si][:, None], kern[d])
             acc = term if acc is None else field.vadd(acc, term)
-        kern[cid] = acc if acc is not None else np.zeros((B, w), dtype=np.uint16)
+        kern[k] = acc if acc is not None else np.zeros((B, w), dtype=np.uint16)
     return kern
 
 
@@ -171,7 +163,7 @@ def _mc_block_failures(
 ) -> int:
     """Failure count over trials [start, start+count); a pure function of its
     arguments, which is what makes worker scheduling irrelevant."""
-    coeffs = uniform_rows(field.q, seed, np.arange(start, start + count), len(program.slots))
+    coeffs = uniform_rows(field.q, seed, np.arange(start, start + count), program.num_slots)
     kern = _batch_kernels(program, field, coeffs)
     cols = [kern[c] for c in program.sink_inputs[t]]  # none: rank 0, every trial fails
     F = np.stack(cols, axis=2) if cols else np.zeros((count, program.rate, 0), np.uint16)
@@ -314,25 +306,26 @@ def exact_failure(
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     q, n = field.q, coefficient_count(net, w)
-    reach = {t}
-    for node in reversed(net.order):
-        if any(c.head in reach for c in net.out_channels(node)):
-            reach.add(node)
-    frontier = [net.source] * w  # the head of each frontier channel
-    live = int(net.source in reach)  # with no path to t every assignment fails
+    ti, src = net.index[t], net.index[net.source]
+    reach = [False] * len(net.order)  # node i reaches t
+    reach[ti] = True
+    for i in reversed(range(len(net.order))):
+        reach[i] = reach[i] or any(reach[net.head[j]] for j in net.outs[i])
+    frontier = [src] * w  # the head of each frontier channel
+    live = int(reach[src])  # with no path to t every assignment fails
     states = np.broadcast_to(np.eye(w, dtype=np.uint16), (live, w, w))
     weights = [1] * live
     kept = spent = 0
-    for v in (v for v in net.order if v in reach and v != t):
+    for v in (v for v in range(len(net.order)) if reach[v] and v != ti):
         ins = [i for i, h in enumerate(frontier) if h == v]
         rest = [i for i, h in enumerate(frontier) if h != v]
-        outs = [c for c in net.out_channels(v) if c.head in reach]
-        a, b = len(ins), len(outs)
+        heads = [net.head[j] for j in net.outs[v] if reach[net.head[j]]]
+        a, b = len(ins), len(heads)
         basis, rho = _eliminate(states[:, :, ins].transpose(0, 2, 1).astype(np.int32), field)
         per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
         spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
         if spent > budget:
-            raise EnumerationBudgetError(v, spent, budget)
+            raise EnumerationBudgetError(net.order[v], spent, budget)
         merged: dict[bytes, int] = {}
         for r in (r for r, c in enumerate(per_rank) if c):
             sel, mult = np.flatnonzero(rho == r), q ** ((a - r) * b)
@@ -342,7 +335,7 @@ def exact_failure(
                 for key, p in zip(keys.ravel().tolist(), sel[parent[full]].tolist()):
                     merged[key] = merged.get(key, 0) + weights[p] * mult
         kept += a * b
-        frontier = [frontier[i] for i in rest] + [c.head for c in outs]
+        frontier = [frontier[i] for i in rest] + heads
         states = np.frombuffer(b"".join(merged), dtype=np.uint16).reshape(-1, w, len(frontier))
         weights = list(merged.values())
     # assignments are conserved: those not in a rank-w state fail

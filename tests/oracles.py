@@ -16,8 +16,29 @@ import numpy as np
 from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet
 from rlncfail.galois import FieldSpec
-from rlncfail.netmodel import Network, imaginary_inputs, input_channel_ids
+from rlncfail.netmodel import Network
 from rlncfail.rlncsim import _batch_kernels, _batch_rank, _compile, coefficient_slots
+
+
+@dataclass(frozen=True)
+class ImaginaryInputs:
+    """The rate-many imaginary source inputs d1..dw carrying messages X_1..X_w."""
+
+    rate: int
+    ids: tuple[str, ...]
+
+
+def imaginary_inputs(rate: int) -> ImaginaryInputs:
+    if rate < 1:
+        raise ValueError(f"rate must be >= 1, got {rate}")
+    return ImaginaryInputs(rate, tuple(f"d{i}" for i in range(1, rate + 1)))
+
+
+def input_channel_ids(net: Network, node: str, rate: int) -> tuple[str, ...]:
+    """In(node) as channel ids; for the source these are the imaginary inputs."""
+    if node == net.source:
+        return imaginary_inputs(rate).ids
+    return tuple(c.id for c in net.in_channels(node))
 
 
 def reaches(net: Network, t: str, removed: frozenset[str] = frozenset()) -> bool:
@@ -412,7 +433,7 @@ def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
     engine (`_batch_kernels`, `_batch_rank`) run over a mixed-radix counter
     of the canonical slot order in blocks of 2^16 rows."""
     program = _compile(net, w)
-    n, q = len(program.slots), field.q
+    n, q = program.num_slots, field.q
     total = q**n
     if total > 1 << 62:
         raise ValueError(f"q^N = {total} overflows the int64 assignment index")

@@ -89,6 +89,7 @@ class TestGenSpec:
         for spec in (
             "plait:w=2", "unknown", "plait:w=two,r=1", "butterfly:x=1",
             "plait:w=2,r=3,typo=9", "random:internal=5,w=2,density=0.4,seed=7,extra=1",
+            "plait:w=2,w=1,r=1",
         ):
             code, out, err = run_cli(capsys, "bounds", "--gen", spec, "--field", "2")
             assert code == 2, spec
@@ -97,6 +98,51 @@ class TestGenSpec:
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
+DAG6_W10 = "random:internal=6,w=10,density=0.6,seed=1"
+SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
+
+
+# w = 10 puts the source's imaginary inputs d1..d10 where their string and
+# natural orders differ; simulate must not depend on the worker count
+@pytest.mark.parametrize("argv,golden", [
+    (("exact", "--gen", "plait:w=3,r=2", "--field", "3"), "exact-plait-w3-r2-q3.txt"),
+    (("exact", "--gen", "plait:w=3,r=2", "--field", "3", "--format", "json"),
+     "exact-plait-w3-r2-q3.json"),
+    (SIM_DAG6_W10, "simulate-dag6-w10-q2.txt"),
+    (SIM_DAG6_W10 + ("--workers", "2"), "simulate-dag6-w10-q2.txt"),
+])
+def test_golden_stdout(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        for argv in (
+            ("simulate", "--gen", "plait:w=1,r=0", "--field", "2", "--trials", "10", "--seed", "1"),
+            ("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "2"),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--workers", workers)
+            assert code == 2 and out == "", argv
+            assert err == f"error: --workers must be >= 1, got {workers}\n", argv
+
+    def test_trials_checked_before_loading(self, capsys, monkeypatch):
+        import rlncfail.bounds as bounds
+        import rlncfail.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --trials was checked")
+
+        monkeypatch.setattr(bounds, "full_report", never)
+        monkeypatch.setattr(cli, "parse_gen_spec", never)
+        for trials in ("0", "4294967297"):
+            for cmd in (("simulate", "--field", "2"), ("sweep", "--fields", "4")):
+                code, out, err = run_cli(capsys, *cmd, "--gen", "plait:w=3,r=2",
+                                         "--trials", trials, "--seed", "1")
+                assert code == 2 and out == "", (cmd, trials)
+                assert err == f"error: trials must be in 1..4294967296, got {trials}\n"
 
 
 class TestBounds:

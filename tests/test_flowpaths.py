@@ -10,6 +10,7 @@ from oracles import (
     corpus_params,
     cut_sequence,
     exhaustive_min_internal,
+    imaginary_inputs,
     linear_extensions,
     reaches,
 )
@@ -24,7 +25,6 @@ from rlncfail.netmodel import (
     Channel,
     Network,
     butterfly,
-    imaginary_inputs,
     plait,
     random_dag,
 )
@@ -149,6 +149,19 @@ class TestMinInternalPaths:
         res = min_internal_paths(butterfly(), "t1", 2, budget=budget)
         assert res.paths.paths == (("e1", "e6"), ("e2", "e4", "e5", "e7"))
         assert res.exact is exact
+
+    # the search's exact step counts: one step short it falls back to the
+    # best set so far; a reordered search would change them
+    @pytest.mark.parametrize("k,w,density,seed,steps", [
+        (20, 5, 0.4, 2, 23961),  # bounds-dag20 in tests/golden
+        (12, 4, 0.5, 5, 834),  # the simulate-dag12 benchmark network
+    ])
+    def test_random_dag_steps_pinned(self, k, w, density, seed, steps):
+        net = random_dag(k, w, density, seed=seed)
+        short = min_internal_paths(net, "t", w, budget=steps - 1)
+        full = min_internal_paths(net, "t", w, budget=steps)
+        assert (short.exact, full.exact) == (False, True)
+        assert full.paths.r <= short.paths.r
 
     @pytest.mark.parametrize("budget", [1, 10, 100])
     def test_dag20_pinned_at_budget(self, budget):

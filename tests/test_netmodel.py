@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rlncfail.netmodel as netmodel
-from oracles import RandomStream, brute_force_min_cut, uniform_int
+from oracles import (
+    RandomStream,
+    brute_force_min_cut,
+    corpus_network,
+    corpus_params,
+    imaginary_inputs,
+    input_channel_ids,
+    uniform_int,
+)
 from rlncfail.netmodel import (
     MAX_GENERATED,
     Channel,
@@ -15,8 +23,6 @@ from rlncfail.netmodel import (
     NetworkFormatError,
     NetworkValidationError,
     butterfly,
-    imaginary_inputs,
-    input_channel_ids,
     network_from_text,
     network_to_text,
     plait,
@@ -242,6 +248,31 @@ class TestGenerators:
         net = random_dag(internal, w, density, seed=seed)
         assert sorted(net.order) == sorted(net.nodes)
         assert min_cut(net, "t") >= w
+
+
+class TestIntegerView:
+    def test_butterfly(self):
+        net = butterfly()
+        assert net.order == ("s", "u1", "u2", "b1", "b2", "t1", "t2")
+        assert net.index == {n: i for i, n in enumerate(net.order)}
+        # e1..e9 are channels 0..8
+        assert net.tail == (0, 0, 1, 2, 3, 1, 4, 2, 4)
+        assert net.head == (1, 2, 3, 3, 4, 5, 5, 6, 6)
+        assert net.outs == ((0, 1), (2, 5), (3, 7), (4,), (6, 8), (), ())
+        assert net.ins == ((), (0,), (1,), (2, 3), (4,), (5, 6), (7, 8))
+
+    def test_matches_string_api(self):
+        nets = [corpus_network(seed, w, d) for seed, w, _, d in corpus_params(40)]
+        for net in nets + [plait(3, 2), butterfly()]:
+            ids = [c.id for c in net.channels]
+            assert ids == sorted(ids)
+            for j, c in enumerate(net.channels):
+                assert (net.order[net.tail[j]], net.order[net.head[j]]) == (c.tail, c.head)
+            for i, n in enumerate(net.order):
+                assert [ids[j] for j in net.outs[i]] == [c.id for c in net.out_channels(n)]
+                assert [ids[j] for j in net.ins[i]] == [c.id for c in net.in_channels(n)]
+                assert list(net.outs[i]) == sorted(net.outs[i])
+                assert list(net.ins[i]) == sorted(net.ins[i])
 
 
 class TestImaginaryInputs:

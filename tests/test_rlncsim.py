@@ -14,6 +14,8 @@ from oracles import (
     corpus_network,
     corpus_params,
     enumerated_failures,
+    imaginary_inputs,
+    input_channel_ids,
     naive_enumerated_failures,
     naive_mc_failures,
     naive_rank,
@@ -22,7 +24,7 @@ from oracles import (
 )
 from rlncfail.flowpaths import min_cut
 from rlncfail.galois import make_field, make_field_of_order
-from rlncfail.netmodel import Channel, Network, butterfly, input_channel_ids, plait, random_dag
+from rlncfail.netmodel import Channel, Network, butterfly, plait, random_dag
 from rlncfail.bounds import full_report
 from rlncfail.rlncsim import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -38,18 +40,22 @@ from rlncfail.rlncsim import (
 def engine_kernels(net, w, field, rows):
     """(program, kernels) from the batch engine: rows is a list of
     {(in_id, out_id): value} assignments, each mapped to one coefficient row
-    in `coefficient_slots` order; kernels[cid] is a (B, w) array."""
+    in `coefficient_slots` order; kernels[cid] is a (B, w) array.  The engine
+    indexes kernels by integer, d1..dw first and then the channels in id
+    order; kernels keeps that order, keyed by id."""
     program = rlncsim._compile(net, w)
     coeffs = np.array(
-        [[values[(s.in_id, s.out_id)] for s in program.slots] for values in rows],
+        [[values[(s.in_id, s.out_id)] for s in coefficient_slots(net, w)] for values in rows],
         dtype=np.int64,
     )
-    return program, rlncsim._batch_kernels(program, field, coeffs)
+    ids = imaginary_inputs(w).ids + tuple(c.id for c in net.channels)
+    return program, dict(zip(ids, rlncsim._batch_kernels(program, field, coeffs), strict=True))
 
 
 def sink_ranks(program, kernels, field, t):
     """Rank of the decoding matrix of sink t, one per coefficient row."""
-    F = np.stack([kernels[c] for c in program.sink_inputs[t]], axis=2)
+    by_index = list(kernels.values())
+    F = np.stack([by_index[k] for k in program.sink_inputs[t]], axis=2)
     return rlncsim._batch_rank(F, field).tolist()
 
 
@@ -86,6 +92,25 @@ class TestSlots:
             ("s", "d2", "e1"),
             ("s", "d2", "e2"),
         ]
+
+    def test_source_inputs_in_natural_order(self):
+        # d1, d2, ..., d11: not the string order d1, d10, d11, d2, ...
+        slots = coefficient_slots(plait(11, 0), 11)
+        assert [s.in_id for s in slots[::11]] == list(imaginary_inputs(11).ids)
+        assert len(slots) == coefficient_count(plait(11, 0), 11) == 121
+
+    def test_slots_match_oracle_order(self):
+        for seed, w, _, density in corpus_params(30):
+            net = corpus_network(seed, w, density)
+            expect = [
+                (v, d, c.id)
+                for v in net.order
+                for d in input_channel_ids(net, v, w)
+                for c in net.out_channels(v)
+            ]
+            slots = coefficient_slots(net, w)
+            assert [(s.node, s.in_id, s.out_id) for s in slots] == expect
+            assert coefficient_count(net, w) == len(expect)
 
 
 class TestPropagate:
@@ -187,14 +212,17 @@ class TestDecodingMatrix:
     def test_shapes(self):
         f2 = make_field(2)
         program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
-        F = np.stack([kern[c] for c in program.sink_inputs["t1"]], axis=2)
+        by_index = list(kern.values())
+        F = np.stack([by_index[k] for k in program.sink_inputs["t1"]], axis=2)
         assert F.shape == (1, 2, 2)
 
     def test_columns_ordered_by_channel_id(self):
         f2 = make_field(2)
         program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
-        # In(t1) = {e6, e7}; e6 carries X1 = (1,0), e7 carries X1+X2 = (1,1)
-        assert program.sink_inputs["t1"] == ("e6", "e7")
+        # In(t1) = {e6, e7}: channels 5 and 6, kernels w + 5 and w + 6;
+        # e6 carries X1 = (1,0), e7 carries X1+X2 = (1,1)
+        assert program.sink_inputs["t1"] == (7, 8)
+        assert list(kern)[7:9] == ["e6", "e7"]
         assert kern["e6"].tolist() == [[1, 0]]
         assert kern["e7"].tolist() == [[1, 1]]
 
