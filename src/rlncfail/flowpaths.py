@@ -7,6 +7,13 @@ distinct internal nodes, and the out-part sizes of the cut advanced node by
 node along a chosen path set, which are path counts: at internal node v the
 cut channels entering v are exactly the m_v path channels whose head is v.
 
+The fewest-nodes search is a branch-and-bound on an explicit stack.  Before
+it starts another path, the channels no path uses yet must still carry the
+paths missing.  A witness proves that: channel-disjoint paths avoiding the
+finished ones, first the heuristic's set, later the decomposition of the
+last feasibility flow.  The search runs a new max-flow only when fewer
+witness paths than are missing avoid the path just finished.
+
 The algorithms run on the network's integer view (see `netmodel.Network`)
 and turn channel indices back into ids only for the public `PathSet`.  All
 functions are pure with respect to their immutable inputs, and every tie is
@@ -87,29 +94,29 @@ def _max_flow(
     value = 0
     while limit is None or value < limit:
         # iterative DFS for one augmenting path in the residual graph
-        visited = {s}
-        stack: list[tuple[int, list[int]]] = [(s, [])]
-        found: list[int] | None = None
+        pred = {s: (s, -1)}  # node -> (previous node, channel); also the visited set
+        stack = [s]
         while stack:
-            node, trail = stack.pop()
+            node = stack.pop()
             if node == t:
-                found = trail
                 break
             moves: list[tuple[int, int]] = []
             for j in net.outs[node]:
-                if j not in used and j not in removed and head[j] not in visited:
+                if j not in used and j not in removed and head[j] not in pred:
                     moves.append((j, head[j]))
             for j in net.ins[node]:
-                if j in used and tail[j] not in visited:
+                if j in used and tail[j] not in pred:
                     moves.append((j, tail[j]))
             # stack is LIFO: push in reverse so the smallest channel pops first
             for j, nxt in sorted(moves, reverse=True):
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append((nxt, trail + [j]))
-        if found is None:
+                if nxt not in pred:
+                    pred[nxt] = (node, j)
+                    stack.append(nxt)
+        else:
             break
-        used ^= set(found)  # forward channels join the flow, reverse ones leave it
+        while node != s:  # forward channels join the flow, reverse ones leave it
+            node, j = pred[node]
+            used ^= {j}
         value += 1
     return value, used
 
@@ -196,10 +203,6 @@ def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]
     return _decompose(net, ti, used, w)
 
 
-class _SearchBudget(Exception):
-    pass
-
-
 def min_internal_paths(
     net: Network,
     t: str,
@@ -210,9 +213,8 @@ def min_internal_paths(
     """Path set minimizing the number of distinct internal nodes.
 
     mode="exact" runs a branch-and-bound over all channel-disjoint path
-    sets (seeded with the heuristic answer); if the step budget runs out, or
-    a path outgrows the recursion limit, the best set found so far is
-    returned with exact=False.  mode="heuristic"
+    sets (seeded with the heuristic answer); if the step budget runs out,
+    the best set found so far is returned with exact=False.  mode="heuristic"
     returns the min-cost-flow answer directly (exact=False), whose node
     count upper-bounds the true minimum.  Both run on the integer view.
     """
@@ -223,63 +225,65 @@ def min_internal_paths(
         return MinInternalResult(_path_set(net, t, w, heur), exact=False)
 
     s, ti = net.index[net.source], net.index[t]
+    outs, head = net.outs, net.head
     internal = {net.index[v] for v in net.internal_nodes}
-    best = {"r": _path_set(net, t, w, heur).r, "paths": heur}
+    best_r, best_paths = _path_set(net, t, w, heur).r, heur
     used: set[int] = set()  # channels of the finished paths and the current one
     done: list[tuple[int, ...]] = []  # the finished paths
+    path: list[int] = []  # the current path
+    witness = [heur]  # per finished-path count: disjoint paths avoiding them
+    # frames (node, its untried out-channels, internal nodes so far, least
+    # first channel, which binds only at the source)
+    stack = [(s, iter(outs[s]), frozenset(), 0)] if best_r else []
     steps = 0
-
-    def spend() -> None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            raise _SearchBudget()
-
-    def extend(nodes: frozenset[int], path: list[int], node: int, first: int) -> None:
-        """Grow the current path channel by channel, its first channel at
-        least `first`; recurse into the next path on completion."""
-        if node == ti:
-            done.append(tuple(path))
-            choose_next(nodes, path[0] + 1)
-            done.pop()
-            return
-        for j in net.outs[node]:
-            if j in used:
-                continue
-            if node == s and j < first:
+    while stack:
+        node, chans, nodes, first = stack[-1]
+        for j in chans:
+            if j in used or j < first:
                 continue  # paths ordered by first channel: kill permutations
-            spend()
-            h = net.head[j]
-            added = h in internal and h not in nodes
-            if added and len(nodes) + 1 >= best["r"]:
-                continue
+            steps += 1
+            if steps > budget:
+                stack.clear()
+                break
+            h = head[j]
+            grown = nodes
+            if h in internal and h not in nodes:
+                if len(nodes) + 1 >= best_r:
+                    continue
+                grown = nodes | {h}
             used.add(j)
             path.append(j)
-            extend(nodes | {h} if added else nodes, path, h, first)
-            path.pop()
-            used.remove(j)
-
-    def choose_next(nodes: frozenset[int], first: int) -> None:
-        if len(done) == w:
-            if len(nodes) < best["r"]:
-                best["r"] = len(nodes)
-                best["paths"] = tuple(done)
-            return
-        if len(nodes) >= best["r"]:
-            return
-        # feasibility: the untouched graph must still carry the missing flow
-        value, _ = _max_flow(net, ti, limit=w - len(done), removed=used)
-        if value < w - len(done):
-            return
-        extend(nodes, [], s, first)
-
-    try:
-        choose_next(frozenset(), 0)
-        exact = True
-    except (_SearchBudget, RecursionError):
-        exact = False
-    ps = _path_set(net, t, w, tuple(sorted(best["paths"])))
-    return MinInternalResult(ps, exact=exact)
+            if h != ti:
+                stack.append((h, iter(outs[h]), grown, 0))
+                break
+            need = w - len(done) - 1
+            if not need:
+                if len(grown) < best_r:
+                    best_r, best_paths = len(grown), (*done, tuple(path))
+            elif len(grown) < best_r:
+                # feasibility: the unused channels must still carry `need`
+                # paths; enough witness paths avoiding this one prove it
+                fits = [p for p in witness[-1] if used.isdisjoint(p)]
+                if len(fits) < need:
+                    value, flow = _max_flow(net, ti, limit=need, removed=used)
+                    fits = _decompose(net, ti, flow, need) if value == need else []
+                if fits:
+                    witness.append(fits)
+                    done.append(tuple(path))
+                    stack.append((s, iter(outs[s]), grown, path[0] + 1))
+                    path = []
+                    break
+            used.remove(path.pop())
+        else:
+            stack.pop()
+            if node == s:  # back into the finished path this one followed
+                if not done:
+                    break
+                witness.pop()
+                path = list(done.pop())
+            used.remove(path.pop())
+    ps = _path_set(net, t, w, tuple(sorted(best_paths)))
+    return MinInternalResult(ps, exact=steps <= budget)
 
 
 # --- cut profile ---------------------------------------------------------------

@@ -32,7 +32,7 @@ _ROLES = (SOURCE, INTERNAL, SINK)
 _IMAGINARY_ID = re.compile(r"^d[0-9]+$")
 _RATE = re.compile(r"[1-9][0-9]*")
 
-MAX_GENERATED = 1 << 20  # channels of a plait, candidate pairs plus w of a random DAG
+MAX_GENERATED = 1 << 20  # plait channels, random-DAG pairs plus w, nodes or channels of a file
 
 
 class NetworkFormatError(ValueError):
@@ -301,6 +301,8 @@ def network_from_text(text: str) -> Network:
             rate_hint = int(parts[1])
         else:
             raise NetworkFormatError(f"line {lineno}: unknown directive {kind!r}")
+        if max(len(nodes), len(raw_channels)) > MAX_GENERATED:
+            raise NetworkFormatError(f"line {lineno}: more than {MAX_GENERATED} {kind}s")
     channels: list[Channel] = []
     seen: set[str] = set()
     for lineno, cid, tail, head in raw_channels:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import numpy as np
 
 from rlncfail.bounds import phi
-from rlncfail.flowpaths import PathSet
+from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec
 from rlncfail.netmodel import Network
 from rlncfail.rlncsim import _batch_kernels, _batch_rank, _compile, coefficient_slots
@@ -105,6 +105,77 @@ def exhaustive_min_internal(net: Network, t: str, w: int) -> int:
             best = len(nodes)
     assert best is not None, "no channel-disjoint path set exists"
     return best
+
+
+class _SearchBudget(Exception):
+    pass
+
+
+def recursive_min_internal_paths(
+    net: Network, t: str, w: int, budget: int = 10**6
+) -> tuple[PathSet, bool, int]:
+    """The R_t branch-and-bound as plain recursion, with a max-flow at every
+    feasibility check: the reference for `flowpaths.min_internal_paths`,
+    which must take the same steps in the same order and return the same
+    (paths, exact).  Returns (paths, exact, steps)."""
+    heur = _min_cost_paths(net, t, w)
+    s, ti = net.index[net.source], net.index[t]
+    internal = {net.index[v] for v in net.internal_nodes}
+    best = {"r": _path_set(net, t, w, heur).r, "paths": heur}
+    used: set[int] = set()  # channels of the finished paths and the current one
+    done: list[tuple[int, ...]] = []  # the finished paths
+    steps = 0
+
+    def spend() -> None:
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise _SearchBudget()
+
+    def extend(nodes: frozenset[int], path: list[int], node: int, first: int) -> None:
+        """Grow the current path channel by channel, its first channel at
+        least `first`; recurse into the next path on completion."""
+        if node == ti:
+            done.append(tuple(path))
+            choose_next(nodes, path[0] + 1)
+            done.pop()
+            return
+        for j in net.outs[node]:
+            if j in used:
+                continue
+            if node == s and j < first:
+                continue  # paths ordered by first channel: kill permutations
+            spend()
+            h = net.head[j]
+            added = h in internal and h not in nodes
+            if added and len(nodes) + 1 >= best["r"]:
+                continue
+            used.add(j)
+            path.append(j)
+            extend(nodes | {h} if added else nodes, path, h, first)
+            path.pop()
+            used.remove(j)
+
+    def choose_next(nodes: frozenset[int], first: int) -> None:
+        if len(done) == w:
+            if len(nodes) < best["r"]:
+                best["r"] = len(nodes)
+                best["paths"] = tuple(done)
+            return
+        if len(nodes) >= best["r"]:
+            return
+        # feasibility: the untouched graph must still carry the missing flow
+        value, _ = _max_flow(net, ti, limit=w - len(done), removed=used)
+        if value < w - len(done):
+            return
+        extend(nodes, [], s, first)
+
+    try:
+        choose_next(frozenset(), 0)
+        exact = True
+    except (_SearchBudget, RecursionError):
+        exact = False
+    return _path_set(net, t, w, tuple(sorted(best["paths"]))), exact, min(steps, budget)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from oracles import butterfly_failure_law
+from rlncfail import netmodel
 from rlncfail.cli import SWEEP_COLUMNS, main, parse_gen_spec
 from rlncfail.netmodel import butterfly, network_from_text, plait
 
@@ -169,6 +170,14 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
         assert code == 2
         assert "line 4" in err and "rate hint" not in err
+
+    def test_oversized_file_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(netmodel, "MAX_GENERATED", 10)
+        path = tmp_path / "n.net"
+        path.write_text("node s source\nnode t sink\n" + "".join(f"channel e{k} s t\n" for k in range(11)))
+        code, out, err = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
+        assert (code, out) == (2, "")
+        assert "line 13: more than 10 channels" in err
 
     def test_butterfly_text(self, capsys):
         code, out, _ = run_cli(
@@ -453,7 +462,8 @@ class TestUsage:
 
 class TestLongChain:
     def test_chain_of_1500_internal_nodes(self, capsys, tmp_path):
-        # far longer than the interpreter's recursion limit
+        # far longer than the interpreter's recursion limit; the search
+        # keeps its own stack, so R_t stays exact
         path = tmp_path / "chain.net"
         code, _, err = run_cli(capsys, "gen", "plait", "--w", "1", "--r", "1500", "--out", str(path))
         assert code == 0
@@ -461,7 +471,7 @@ class TestLongChain:
         assert network_from_text(path.read_text()) == plait(1, 1500)
         code, out, _ = run_cli(capsys, "bounds", "--gen", "plait:w=1,r=1500", "--field", "2")
         assert code == 0
-        assert "R_t: 1500 (heuristic)" in out
+        assert "R_t: 1500 (exact)" in out
         code, out, _ = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
         assert code == 0
-        assert "R_t: 1500 (heuristic)" in out
+        assert "R_t: 1500 (exact)" in out

@@ -13,7 +13,9 @@ from oracles import (
     imaginary_inputs,
     linear_extensions,
     reaches,
+    recursive_min_internal_paths,
 )
+from rlncfail import flowpaths
 from rlncfail.flowpaths import (
     InfeasibleRateError,
     cut_out_profile,
@@ -170,6 +172,38 @@ class TestMinInternalPaths:
             ("e000", "e018"), ("e001", "e025"), ("e002", "e034"), ("e006", "e064"), ("e008", "e076"),
         )
         assert not res.exact
+
+    @pytest.mark.parametrize("net,t,w,steps", [
+        (butterfly(), "t1", 2, 16),
+        (random_dag(20, 5, 0.4, seed=2), "t", 5, 23961),
+        (random_dag(12, 4, 0.5, seed=5), "t", 4, 834),
+    ], ids=["butterfly", "dag20", "dag12"])
+    def test_oracle_steps_match_pins(self, net, t, w, steps):
+        assert recursive_min_internal_paths(net, t, w)[1:] == (True, steps)
+
+    def test_matches_recursive_oracle(self):
+        cases = [(corpus_network(seed, w, d), "t", w) for seed, w, q, d in corpus_params()]
+        cases += [(butterfly(), "t1", 2), (butterfly(), "t2", 2)]
+        for net, t, w in cases:
+            for budget in (1, 10, 100, 10**6):
+                res = min_internal_paths(net, t, w, budget=budget)
+                paths, exact, _ = recursive_min_internal_paths(net, t, w, budget=budget)
+                assert (res.paths, res.exact) == (paths, exact)
+
+    def test_witness_spares_max_flows(self, monkeypatch):
+        # a new max-flow only when the witness paths cannot settle a check;
+        # the recursive oracle runs 20,695 on this network
+        calls = []
+        max_flow = flowpaths._max_flow
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return max_flow(*args, **kwargs)
+
+        monkeypatch.setattr(flowpaths, "_max_flow", counted)
+        res = min_internal_paths(random_dag(30, 6, 0.3, seed=2), "t", 6)
+        assert (res.paths.r, res.exact) == (10, True)
+        assert len(calls) == 2890 < 20695
 
 
 class TestCutSequence:

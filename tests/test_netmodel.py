@@ -341,6 +341,17 @@ class TestFileFormat:
         with pytest.raises(NetworkFormatError, match="line 4"):
             network_from_text(text)
 
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(netmodel, "MAX_GENERATED", 10)
+        head = "node s source\nnode t sink\n"
+        network_from_text(head + "".join(f"channel e{k} s t\n" for k in range(10)))
+        # the line that crosses the cap fails before the bad line after it
+        with pytest.raises(NetworkFormatError, match="line 13: more than 10 channels"):
+            network_from_text(head + "".join(f"channel e{k} s t\n" for k in range(11)) + "x")
+        nodes = "".join(f"node i{k} internal\n" for k in range(9))
+        with pytest.raises(NetworkFormatError, match="line 11: more than 10 nodes"):
+            network_from_text(head + nodes + "x")
+
     def test_rate_multi_digit(self):
         text = "node s source\nnode t sink\nchannel e1 s t\nrate 10\n"
         assert network_from_text(text).rate_hint == 10
