@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import io
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .galois import uniform_rows
@@ -101,6 +102,15 @@ class Network:
 
     def channel(self, cid: str) -> Channel:
         return self.channels[self._by_id[cid]]
+
+    def reaching(self, t: int) -> list[bool]:
+        """reach[i]: node i reaches node t on the integer view (t reaches
+        itself); one pass against the topological order."""
+        reach = [False] * len(self.order)
+        reach[t] = True
+        for i in reversed(range(t)):
+            reach[i] = any(reach[self.head[j]] for j in self.outs[i])
+        return reach
 
     def in_channels(self, node: str) -> list[Channel]:
         return self._ins.get(node, [])
@@ -270,11 +280,17 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
 # '#' starts a comment; blank lines ignored; line order is irrelevant except
 # that the canonical writer emits nodes topologically, then channels by id.
 
-def network_from_text(text: str) -> Network:
+def network_from_text(text: str | Iterable[str]) -> Network:
+    """Parse the file format from a string or from its lines (a text file
+    object, say), which are taken one at a time: the line that crosses the
+    MAX_GENERATED cap fails before any line after it is read."""
     nodes: dict[str, str] = {}
     raw_channels: list[tuple[int, str, str, str]] = []
     rate_hint: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # split each given line again: a file breaks lines where its text would
+    lines = text.splitlines() if isinstance(text, str) else (
+        part for raw in text for part in raw.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -332,11 +348,11 @@ def network_to_text(net: Network) -> str:
 
 
 def read_network(source) -> Network:
-    """Read from a path or a text file object."""
+    """Read from a path or a text file object, line by line."""
     if hasattr(source, "read"):
-        return network_from_text(source.read())
+        return network_from_text(source)
     with open(source, "r", encoding="utf-8") as fh:
-        return network_from_text(fh.read())
+        return network_from_text(fh)
 
 
 def write_network(net: Network, dest) -> None:

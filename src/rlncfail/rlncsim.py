@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -143,12 +143,14 @@ def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> list[np.ndarray]:
-    """Global kernel of every imaginary input and channel, a (B, w) array per
-    kernel index, for each row of the (B, N) coefficient matrix."""
+    """Global kernel of every imaginary input and program channel, a (B, w)
+    array per kernel index, for each row of the (B, N) coefficient matrix;
+    None at the index of a channel the program leaves out."""
     B = coeffs.shape[0]
     w = program.rate
     eye = np.eye(w, dtype=np.uint16)
-    kern = [np.broadcast_to(eye[i], (B, w)) for i in range(w)] + [None] * len(program.channels)
+    size = max((k + 1 for k, _ in program.channels), default=w)  # channels may be left out
+    kern = [np.broadcast_to(eye[i], (B, w)) for i in range(w)] + [None] * (size - w)
     for k, ins in program.channels:
         acc = None
         for d, si in ins:
@@ -223,6 +225,11 @@ def estimate_failure(
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     program = _compile(net, w)
+    # a channel whose head cannot reach t cannot change t's rank; its slots
+    # are still drawn, so failure counts do not change
+    reach = net.reaching(net.index[t])
+    live = tuple((k, ins) for k, ins in program.channels if reach[net.head[k - w]])
+    program = replace(program, channels=live)
     blocks = [
         (program, field, t, seed, start, min(_BLOCK, trials - start))
         for start in range(0, trials, _BLOCK)
@@ -307,10 +314,7 @@ def exact_failure(
         raise ValueError(f"{t} is not a sink")
     q, n = field.q, coefficient_count(net, w)
     ti, src = net.index[t], net.index[net.source]
-    reach = [False] * len(net.order)  # node i reaches t
-    reach[ti] = True
-    for i in reversed(range(len(net.order))):
-        reach[i] = reach[i] or any(reach[net.head[j]] for j in net.outs[i])
+    reach = net.reaching(ti)
     frontier = [src] * w  # the head of each frontier channel
     live = int(reach[src])  # with no path to t every assignment fails
     states = np.broadcast_to(np.eye(w, dtype=np.uint16), (live, w, w))

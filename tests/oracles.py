@@ -115,9 +115,10 @@ def recursive_min_internal_paths(
     net: Network, t: str, w: int, budget: int = 10**6
 ) -> tuple[PathSet, bool, int]:
     """The R_t branch-and-bound as plain recursion, with a max-flow at every
-    feasibility check: the reference for `flowpaths.min_internal_paths`,
-    which must take the same steps in the same order and return the same
-    (paths, exact).  Returns (paths, exact, steps)."""
+    feasibility check and no prune but the node count: the reference for
+    `flowpaths.min_internal_paths`, whose prunes cut only branches without a
+    better set, so it must return the same (paths, exact) whenever both
+    finish, in no more steps.  Returns (paths, exact, steps)."""
     heur = _min_cost_paths(net, t, w)
     s, ti = net.index[net.source], net.index[t]
     internal = {net.index[v] for v in net.internal_nodes}

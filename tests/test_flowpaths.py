@@ -1,8 +1,11 @@
 """Flows, disjoint path sets, minimal-internal-node search, cut profiles."""
 
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_force_min_cut,
@@ -29,6 +32,7 @@ from rlncfail.netmodel import (
     butterfly,
     plait,
     random_dag,
+    read_network,
 )
 
 
@@ -142,10 +146,25 @@ class TestMinInternalPaths:
         with pytest.raises(InfeasibleRateError):
             min_internal_paths(plait(1, 1), "t", 2)
 
-    # the search takes exactly 16 steps on the butterfly; the feasibility
-    # pruning saves one of them
+    def test_heuristic_settles_reversed_chain_in_one_pass(self, tmp_path):
+        # channel ids run against the topology: relaxed in id order, each
+        # Bellman-Ford pass would settle one more node of the chain
+        names = ["s"] + [f"i{k}" for k in range(1, 4999)] + ["t"]
+        roles = ["source"] + ["internal"] * 4998 + ["sink"]
+        lines = [f"node {v} {role}" for v, role in zip(names, roles)]
+        stages = enumerate(zip(names, names[1:]))
+        lines += [f"channel c{4999 - k:04d} {a} {b}" for k, (a, b) in stages]
+        (tmp_path / "chain.net").write_text("\n".join(lines) + "\n")
+        net = read_network(tmp_path / "chain.net")
+        start = time.perf_counter()
+        res = min_internal_paths(net, "t", 1, mode="heuristic")
+        assert time.perf_counter() - start < 1.0
+        assert res.paths.r == 4998
+
+    # the search takes exactly 12 steps on the butterfly: the channels into
+    # t2 lead nowhere near t1, and the end-node bound cuts the rest
     @pytest.mark.parametrize(
-        "budget,exact", [(1, False), (10, False), (15, False), (16, True), (100, True)]
+        "budget,exact", [(1, False), (10, False), (11, False), (12, True), (100, True)]
     )
     def test_butterfly_pinned_at_budget(self, budget, exact):
         res = min_internal_paths(butterfly(), "t1", 2, budget=budget)
@@ -155,8 +174,9 @@ class TestMinInternalPaths:
     # the search's exact step counts: one step short it falls back to the
     # best set so far; a reordered search would change them
     @pytest.mark.parametrize("k,w,density,seed,steps", [
-        (20, 5, 0.4, 2, 23961),  # bounds-dag20 in tests/golden
-        (12, 4, 0.5, 5, 834),  # the simulate-dag12 benchmark network
+        (20, 5, 0.4, 2, 783),  # bounds-dag20 in tests/golden
+        (12, 4, 0.5, 5, 197),  # the simulate-dag12 benchmark network
+        (30, 6, 0.3, 2, 42242),  # the bounds-dag30 benchmark network
     ])
     def test_random_dag_steps_pinned(self, k, w, density, seed, steps):
         net = random_dag(k, w, density, seed=seed)
@@ -182,17 +202,69 @@ class TestMinInternalPaths:
         assert recursive_min_internal_paths(net, t, w)[1:] == (True, steps)
 
     def test_matches_recursive_oracle(self):
+        # the prunes cut only subtrees that hold no better set, so a finished
+        # search returns the oracle's set; under a budget the library stops
+        # where the oracle does, or has already finished
         cases = [(corpus_network(seed, w, d), "t", w) for seed, w, q, d in corpus_params()]
         cases += [(butterfly(), "t1", 2), (butterfly(), "t2", 2)]
         for net, t, w in cases:
-            for budget in (1, 10, 100, 10**6):
+            paths, exact, steps = recursive_min_internal_paths(net, t, w, budget=10**6)
+            res = min_internal_paths(net, t, w, budget=10**6)
+            assert (res.paths, res.exact) == (paths, exact) == (paths, True)
+            assert min_internal_paths(net, t, w, budget=steps).exact
+            for budget in (1, 10, 100):
                 res = min_internal_paths(net, t, w, budget=budget)
-                paths, exact, _ = recursive_min_internal_paths(net, t, w, budget=budget)
-                assert (res.paths, res.exact) == (paths, exact)
+                at_budget = recursive_min_internal_paths(net, t, w, budget=budget)[:2]
+                assert (res.paths, res.exact) in (at_budget, (paths, True))
+
+    def test_end_nodes_already_on_the_set_are_free(self):
+        # both best paths run s=v=x=t; once the first is finished, x is on
+        # the set and its second channel into t adds no node, so the
+        # end-node bound must not count it (the heuristic takes a, b, c)
+        nodes = {"s": "source", "t": "sink"} | {v: "internal" for v in "vxabc"}
+        pairs = ["sv", "sv", "vx", "vx", "xt", "xt", "sa", "at", "sb", "bc", "ct"]
+        net = Network(nodes, [Channel(f"e{k:02d}", a, b) for k, (a, b) in enumerate(pairs)])
+        assert min_internal_paths(net, "t", 2, mode="heuristic").paths.r == 3
+        res = min_internal_paths(net, "t", 2)
+        assert (res.paths, res.exact) == recursive_min_internal_paths(net, "t", 2)[:2]
+        assert res.exact and res.paths.internal_nodes == ("v", "x")
+
+    def test_dead_subgraph_changes_nothing(self):
+        # nodes that cannot reach t, a second sink among them, add channels
+        # to the network but not one step to the search
+        net = random_dag(12, 4, 0.5, seed=5)
+        nodes = dict(net.nodes, z1="internal", z2="internal", z3="sink")
+        dead = [("s", "z1"), ("s", "z1"), ("i3", "z1"), ("i7", "z2"), ("z1", "z2"),
+                ("z2", "z3"), ("i5", "z3")]
+        extra = [Channel(f"x{k}", a, b) for k, (a, b) in enumerate(dead)]
+        grown = Network(nodes, net.channels + extra)
+        for budget in (196, 197, 10**6):
+            res = min_internal_paths(net, "t", 4, budget=budget)
+            assert res.exact is (budget > 196)
+            assert min_internal_paths(grown, "t", 4, budget=budget) == res
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_r_matches_oracle_on_small_dags(self, data):
+        # small DAGs with parallel channels, dead nodes and a second sink u
+        k = data.draw(st.integers(0, 5))
+        names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
+        pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=14))
+        nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
+        channels = [Channel(f"e{j:02d}", names[a], names[b]) for j, (a, b) in enumerate(chosen)]
+        net = Network(nodes, channels)
+        cut = min_cut(net, "t")
+        assume(cut >= 1)
+        w = data.draw(st.integers(1, cut))
+        res = min_internal_paths(net, "t", w)
+        paths, exact, _ = recursive_min_internal_paths(net, "t", w)
+        assert (res.paths.r, res.paths, res.exact) == (paths.r, paths, exact)
 
     def test_witness_spares_max_flows(self, monkeypatch):
-        # a new max-flow only when the witness paths cannot settle a check;
-        # the recursive oracle runs 20,695 on this network
+        # a new max-flow only when neither the end-node bound nor the
+        # witness paths settle a check; the recursive oracle runs 20,695
+        # on this network
         calls = []
         max_flow = flowpaths._max_flow
 
@@ -203,7 +275,7 @@ class TestMinInternalPaths:
         monkeypatch.setattr(flowpaths, "_max_flow", counted)
         res = min_internal_paths(random_dag(30, 6, 0.3, seed=2), "t", 6)
         assert (res.paths.r, res.exact) == (10, True)
-        assert len(calls) == 2890 < 20695
+        assert len(calls) == 325 < 20695
 
 
 class TestCutSequence:

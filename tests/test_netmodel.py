@@ -1,6 +1,7 @@
 """Network model: checks at construction, generators, topological order, file format."""
 
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,14 @@ class TestIntegerView:
         assert net.outs == ((0, 1), (2, 5), (3, 7), (4,), (6, 8), (), ())
         assert net.ins == ((), (0,), (1,), (2, 3), (4,), (5, 6), (7, 8))
 
+    def test_reaching(self):
+        net = butterfly()
+        assert net.reaching(net.index["t1"]) == [True] * 6 + [False]
+        assert net.reaching(net.index["t2"]) == [True] * 5 + [False, True]
+        with_dead = Network(dict(net.nodes, x="internal"), net.channels + [Channel("x", "b1", "x")])
+        assert with_dead.reaching(with_dead.index["b2"]) == [
+            with_dead.order[i] in ("s", "u1", "u2", "b1", "b2") for i in range(8)]
+
     def test_matches_string_api(self):
         nets = [corpus_network(seed, w, d) for seed, w, _, d in corpus_params(40)]
         for net in nets + [plait(3, 2), butterfly()]:
@@ -351,6 +360,28 @@ class TestFileFormat:
         nodes = "".join(f"node i{k} internal\n" for k in range(9))
         with pytest.raises(NetworkFormatError, match="line 11: more than 10 nodes"):
             network_from_text(head + nodes + "x")
+
+    def test_file_breaks_lines_like_text(self):
+        text = "node s source\x0cnode t sink\r\nchannel e1 s t\rrate 0\n"
+        with pytest.raises(NetworkFormatError, match="line 4: expected 'rate <w>'"):
+            network_from_text(text)
+        with pytest.raises(NetworkFormatError, match="line 4: expected 'rate <w>'"):
+            read_network(io.StringIO(text))
+
+    def test_size_cap_stops_reading_the_file(self, monkeypatch, tmp_path):
+        # the file is read line by line, so an oversized one costs no memory
+        monkeypatch.setattr(netmodel, "MAX_GENERATED", 10)
+        path = tmp_path / "big.net"
+        channels = "".join(f"channel e{k} s t\n" for k in range(200_000))
+        path.write_text("node s source\nnode t sink\n" + channels)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NetworkFormatError, match="line 13: more than 10 channels"):
+                read_network(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rate_multi_digit(self):
         text = "node s source\nnode t sink\nchannel e1 s t\nrate 10\n"

@@ -282,6 +282,22 @@ class TestEstimate:
         fast = estimate_failure(net, 2, f2, "t1", 500, seed=9)
         assert fast.failures == naive_mc_failures(net, 2, f2, "t1", 500, seed=9)
 
+    def test_channels_that_cannot_reach_the_sink_are_skipped(self, monkeypatch):
+        # e8 and e9 feed only t2: their kernels are not computed for t1,
+        # but their slots are still drawn, so the count equals the oracle's
+        computed = []
+        batch_kernels = rlncsim._batch_kernels
+
+        def recording(program, field, coeffs):
+            computed.append(sorted(k for k, _ in program.channels))
+            return batch_kernels(program, field, coeffs)
+
+        monkeypatch.setattr(rlncsim, "_batch_kernels", recording)
+        f2 = make_field(2)
+        est = estimate_failure(butterfly(), 2, f2, "t1", 500, seed=9)
+        assert computed == [[2, 3, 4, 5, 6, 7, 8]]  # kernel index w + j for e1..e7
+        assert est.failures == naive_mc_failures(butterfly(), 2, f2, "t1", 500, seed=9)
+
     @pytest.mark.parametrize("p,m", [(2, 10), (3, 5)])
     def test_extension_field_matches_per_trial_oracle(self, p, m):
         field = make_field(p, m)
