@@ -354,6 +354,8 @@ def _check_sizes(args) -> None:
     """Bound the sizes a user sets before any network is loaded."""
     if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "budget", 1) < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     trials = getattr(args, "trials", None)
     if trials is not None and not 1 <= trials <= rlncsim.MAX_TRIALS:
         raise UsageError(f"trials must be in 1..{rlncsim.MAX_TRIALS}, got {trials}")

@@ -12,8 +12,10 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
   between processed and unprocessed nodes one node at a time.
 
 Both run on the network's integer view and the field's log/antilog tables
-through numpy: `_batch_kernels` propagates a (B, N) block of coefficient
-rows, and `_eliminate` reduces batches of decoding or frontier matrices.
+through numpy.  `_kernels` propagates a (B, N) block of coefficient rows node
+by node: each node's out-kernels are its in-kernels times its block of local
+coefficients, one `_matmul`, which also spans the DP's branches.
+`_eliminate` reduces batches of decoding or frontier matrices.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +51,7 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-# --- coefficient slots and the compiled propagation program -------------------
+# --- coefficient slots -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoefficientSlot:
@@ -60,46 +63,28 @@ class CoefficientSlot:
     out_id: str
 
 
-@dataclass(frozen=True)
-class _Program:
-    """The propagation program on kernel indices: the imaginary inputs are
-    0..w-1 and channel j is w + j.  channels lists (kernel index, ((in-kernel
-    index, slot), ...)) in propagation order."""
-
-    rate: int
-    num_slots: int
-    channels: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    sink_inputs: dict[str, tuple[int, ...]]
-
-
-def _compile(net: Network, w: int) -> _Program:
-    """Fix the slot order (node topological position, in-kernel, out-channel)
-    and the channel propagation order once per run, from the integer view."""
+def _fan_in(net: Network, w: int) -> list[int]:
+    """|In(i)| for each node i of the integer view; the source's inputs are
+    the w imaginary channels."""
     src = net.index[net.source]
-    ins = [tuple(range(w)) if i == src else tuple(w + j for j in js)  # In(v) as kernels
-           for i, js in enumerate(net.ins)]
-    channels = []
-    n = 0  # slots of the nodes before this one
-    for i, outs in enumerate(net.outs):
-        for b, j in enumerate(outs):
-            slots = (n + a * len(outs) + b for a in range(len(ins[i])))
-            channels.append((w + j, tuple(zip(ins[i], slots))))
-        n += len(ins[i]) * len(outs)
-    sink_inputs = {t: ins[net.index[t]] for t in net.sinks}
-    return _Program(rate=w, num_slots=n, channels=tuple(channels), sink_inputs=sink_inputs)
+    return [w if i == src else len(js) for i, js in enumerate(net.ins)]
 
 
 def coefficient_slots(net: Network, w: int) -> tuple[CoefficientSlot, ...]:
     """All local coefficient positions, in the canonical draw/enumeration
-    order; the source's in-channels are the imaginary inputs d1..dw."""
-    ids = [f"d{a}" for a in range(1, w + 1)] + [c.id for c in net.channels]
-    slots = {si: CoefficientSlot(net.channels[k - w].tail, ids[d], ids[k])
-             for k, ins in _compile(net, w).channels for d, si in ins}
-    return tuple(slot for _, slot in sorted(slots.items()))
+    order: node topological position, in-kernel, out-channel.  The source's
+    in-channels are the imaginary inputs d1..dw."""
+    ids = [c.id for c in net.channels]
+    src = net.index[net.source]
+    slots = []
+    for i, (js, outs) in enumerate(zip(net.ins, net.outs)):
+        ins = [f"d{a}" for a in range(1, w + 1)] if i == src else [ids[j] for j in js]
+        slots += [CoefficientSlot(net.order[i], d, ids[j]) for d in ins for j in outs]
+    return tuple(slots)
 
 
 def coefficient_count(net: Network, w: int) -> int:
-    return _compile(net, w).num_slots
+    return sum(a * len(outs) for a, outs in zip(_fan_in(net, w), net.outs))
 
 
 # --- vectorized engine ----------------------------------------------------------
@@ -142,38 +127,49 @@ def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
     return _eliminate(mats.astype(np.int32), field)[1]
 
 
-def _batch_kernels(program: _Program, field: FieldSpec, coeffs: np.ndarray) -> list[np.ndarray]:
-    """Global kernel of every imaginary input and program channel, a (B, w)
-    array per kernel index, for each row of the (B, N) coefficient matrix;
-    None at the index of a channel the program leaves out."""
+def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """(..., r, a) x (..., a, c) matrix products over the field; the batch
+    dimensions broadcast like numpy's, and a = 0 gives zero matrices."""
+    shape = np.broadcast_shapes(A.shape[:-1] + (1,), C.shape[:-2] + (1, C.shape[-1]))
+    out = np.zeros(shape, dtype=np.uint16)
+    for k in range(A.shape[-1]):
+        out = field.vadd(out, field.vmul(A[..., :, k, None], C[..., None, k, :]))
+    return out
+
+
+def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: list[bool]) -> np.ndarray:
+    """Global kernels of the channels, a (B, w, E) array, for each row of the
+    (B, N) coefficient matrix.  Node i's slots are one (in-kernel, out-channel)
+    block of the row, so its out-kernels are its in-kernels times that block;
+    the source's in-kernels are the identity, so its block is its out-kernels.
+    Only channels whose head is live are computed; the others stay 0."""
     B = coeffs.shape[0]
-    w = program.rate
-    eye = np.eye(w, dtype=np.uint16)
-    size = max((k + 1 for k, _ in program.channels), default=w)  # channels may be left out
-    kern = [np.broadcast_to(eye[i], (B, w)) for i in range(w)] + [None] * (size - w)
-    for k, ins in program.channels:
-        acc = None
-        for d, si in ins:
-            term = field.vmul(coeffs[:, si][:, None], kern[d])
-            acc = term if acc is None else field.vadd(acc, term)
-        kern[k] = acc if acc is not None else np.zeros((B, w), dtype=np.uint16)
+    src = net.index[net.source]
+    kern = np.zeros((B, w, len(net.channels)), dtype=np.uint16)
+    n = 0  # slots of the nodes before this one
+    for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
+        block = coeffs[:, n : n + a * len(outs)].reshape(B, a, len(outs))
+        n += a * len(outs)
+        cols = [b for b, j in enumerate(outs) if live[net.head[j]]]
+        if cols:
+            block = block[:, :, cols]
+            out = block if i == src else _matmul(kern[:, :, list(net.ins[i])], block, field)
+            kern[:, :, [outs[b] for b in cols]] = out
     return kern
 
 
 def _mc_block_failures(
-    program: _Program, field: FieldSpec, t: str, seed: int, start: int, count: int
+    net: Network, w: int, field: FieldSpec, t: str, seed: int, trials: int, start: int
 ) -> int:
-    """Failure count over trials [start, start+count); a pure function of its
-    arguments, which is what makes worker scheduling irrelevant."""
-    coeffs = uniform_rows(field.q, seed, np.arange(start, start + count), program.num_slots)
-    kern = _batch_kernels(program, field, coeffs)
-    cols = [kern[c] for c in program.sink_inputs[t]]  # none: rank 0, every trial fails
-    F = np.stack(cols, axis=2) if cols else np.zeros((count, program.rate, 0), np.uint16)
-    return int((_batch_rank(F, field) < program.rate).sum())
-
-
-def _mc_block_star(args) -> int:
-    return _mc_block_failures(*args)
+    """Failure count over trials [start, min(start + _BLOCK, trials)); a pure
+    function of its arguments, which is what makes worker scheduling
+    irrelevant.  A channel whose head cannot reach t cannot change t's rank,
+    so its kernel is not computed; its slots are still drawn."""
+    ti = net.index[t]
+    rows = np.arange(start, min(start + _BLOCK, trials))
+    coeffs = uniform_rows(field.q, seed, rows, coefficient_count(net, w))
+    kern = _kernels(net, w, field, coeffs, net.reaching(ti))
+    return int((_batch_rank(kern[:, :, list(net.ins[ti])], field) < w).sum())
 
 
 # --- failure probability, estimated and exact -----------------------------------
@@ -224,23 +220,14 @@ def estimate_failure(
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
-    program = _compile(net, w)
-    # a channel whose head cannot reach t cannot change t's rank; its slots
-    # are still drawn, so failure counts do not change
-    reach = net.reaching(net.index[t])
-    live = tuple((k, ins) for k, ins in program.channels if reach[net.head[k - w]])
-    program = replace(program, channels=live)
-    blocks = [
-        (program, field, t, seed, start, min(_BLOCK, trials - start))
-        for start in range(0, trials, _BLOCK)
-    ]
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    starts = range(0, trials, _BLOCK)
+    block = partial(_mc_block_failures, net, w, field, t, seed, trials)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        counts = [_mc_block_star(b) for b in blocks]
+        failures = sum(map(block, starts))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_mc_block_star, blocks))
-    failures = sum(counts)
+            failures = sum(pool.map(block, starts))
     lo, hi = wilson_interval(failures, trials)
     return FailureEstimate(
         trials=trials,
@@ -283,14 +270,13 @@ def _branches(basis, rest, outs: int, field: FieldSpec):
     per_state = max(1, per_batch // q**low)
     for high in itertools.product(range(q), repeat=r * outs - low):
         choices[:, low:] = high
-        coef = choices.reshape(1, q**low, r, 1, outs)
+        coef = choices.reshape(q**low, r, outs)
         for s0 in range(0, g, per_state):
-            span = basis[s0 : s0 + per_state, None, :, :, None]
-            cols = np.zeros((len(span), q**low, w, outs), dtype=np.int32)
-            for i in range(r):
-                cols = field.vadd(cols, field.vmul(span[:, :, i], coef[:, :, i]))
+            span = basis[s0 : s0 + per_state, None].swapaxes(2, 3)  # (states, 1, w, r)
+            cols = _matmul(span, coef, field)
             old = np.broadcast_to(rest[s0 : s0 + len(span), None], cols.shape[:3] + (k - outs,))
-            M, rank = _eliminate(np.concatenate([old, cols], axis=3).reshape(-1, w, k), field, full=True)
+            M = np.concatenate([old, cols], axis=3, dtype=np.int32).reshape(-1, w, k)
+            M, rank = _eliminate(M, field, full=True)
             yield np.repeat(np.arange(s0, s0 + len(span)), q**low), M, rank
 
 

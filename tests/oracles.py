@@ -17,7 +17,7 @@ from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec
 from rlncfail.netmodel import Network
-from rlncfail.rlncsim import _batch_kernels, _batch_rank, _compile, coefficient_slots
+from rlncfail.rlncsim import _batch_rank, _kernels, coefficient_count, coefficient_slots
 
 
 @dataclass(frozen=True)
@@ -502,22 +502,19 @@ def naive_enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) ->
 
 def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
     """Failing assignments among all q^N, by the library's Monte Carlo
-    engine (`_batch_kernels`, `_batch_rank`) run over a mixed-radix counter
-    of the canonical slot order in blocks of 2^16 rows."""
-    program = _compile(net, w)
-    n, q = program.num_slots, field.q
+    engine (`_kernels` on the integer view, every channel computed, then
+    `_batch_rank`) run over a mixed-radix counter of the canonical slot order
+    in blocks of 2^16 rows."""
+    n, q = coefficient_count(net, w), field.q
     total = q**n
     if total > 1 << 62:
         raise ValueError(f"q^N = {total} overflows the int64 assignment index")
     places = [q ** (n - 1 - j) for j in range(n)]
+    sink_cols = list(net.ins[net.index[t]])
     failures = 0
     for start in range(0, total, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
         coeffs = np.stack([idx // place % q for place in places], axis=1)
-        kern = _batch_kernels(program, field, coeffs)
-        cols = [kern[c] for c in program.sink_inputs[t]]
-        if not cols:
-            failures += len(idx)
-            continue
-        failures += int((_batch_rank(np.stack(cols, axis=2), field) < w).sum())
+        kern = _kernels(net, w, field, coeffs, [True] * len(net.order))
+        failures += int((_batch_rank(kern[:, :, sink_cols], field) < w).sum())
     return failures

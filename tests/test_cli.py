@@ -129,6 +129,20 @@ class TestSizeChecks:
             assert code == 2 and out == "", argv
             assert err == f"error: --workers must be >= 1, got {workers}\n", argv
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exit_2_before_loading(self, capsys, monkeypatch, budget):
+        import rlncfail.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the network was loaded before --budget was checked")
+
+        monkeypatch.setattr(cli, "parse_gen_spec", never)
+        for cmd in (("exact", "--field", "4"), ("sweep", "--fields", "4")):
+            code, out, err = run_cli(capsys, *cmd, "--gen", "butterfly", "--sink", "t1",
+                                     "--budget", budget)
+            assert code == 2 and out == "", cmd
+            assert err == f"error: --budget must be >= 1, got {budget}\n", cmd
+
     def test_trials_checked_before_loading(self, capsys, monkeypatch):
         import rlncfail.bounds as bounds
         import rlncfail.cli as cli

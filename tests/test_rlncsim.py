@@ -38,25 +38,26 @@ from rlncfail.rlncsim import (
 
 
 def engine_kernels(net, w, field, rows):
-    """(program, kernels) from the batch engine: rows is a list of
-    {(in_id, out_id): value} assignments, each mapped to one coefficient row
-    in `coefficient_slots` order; kernels[cid] is a (B, w) array.  The engine
-    indexes kernels by integer, d1..dw first and then the channels in id
-    order; kernels keeps that order, keyed by id."""
-    program = rlncsim._compile(net, w)
+    """(K, kernels) from the batch engine with every channel computed: rows
+    is a list of {(in_id, out_id): value} assignments, each mapped to one
+    coefficient row in `coefficient_slots` order.  K is the engine's
+    (B, w, E) array, channel j in column j; kernels maps d1..dw and every
+    channel id to its (B, w) kernels."""
     coeffs = np.array(
         [[values[(s.in_id, s.out_id)] for s in coefficient_slots(net, w)] for values in rows],
         dtype=np.int64,
     )
-    ids = imaginary_inputs(w).ids + tuple(c.id for c in net.channels)
-    return program, dict(zip(ids, rlncsim._batch_kernels(program, field, coeffs), strict=True))
+    K = rlncsim._kernels(net, w, field, coeffs, [True] * len(net.order))
+    eye = np.eye(w, dtype=np.uint16)
+    kernels = {d: np.broadcast_to(eye[a], (len(rows), w))
+               for a, d in enumerate(imaginary_inputs(w).ids)}
+    kernels.update((c.id, K[:, :, j]) for j, c in enumerate(net.channels))
+    return K, kernels
 
 
-def sink_ranks(program, kernels, field, t):
+def sink_ranks(net, K, field, t):
     """Rank of the decoding matrix of sink t, one per coefficient row."""
-    by_index = list(kernels.values())
-    F = np.stack([by_index[k] for k in program.sink_inputs[t]], axis=2)
-    return rlncsim._batch_rank(F, field).tolist()
+    return rlncsim._batch_rank(K[:, :, list(net.ins[net.index[t]])], field).tolist()
 
 
 def drawn_values(net, w, field, rng):
@@ -123,19 +124,20 @@ class TestPropagate:
 
     def test_classic_butterfly_code(self):
         f2 = make_field(2)
-        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
+        net = butterfly()
+        K, kern = engine_kernels(net, 2, f2, [classic_butterfly_values()])
         assert kern["e5"].tolist() == [[1, 1]]
-        assert sink_ranks(program, kern, f2, "t1") == [2]
-        assert sink_ranks(program, kern, f2, "t2") == [2]
+        assert sink_ranks(net, K, f2, "t1") == [2]
+        assert sink_ranks(net, K, f2, "t2") == [2]
 
     def test_all_ones_over_gf2_cancels_at_the_mix(self):
         # with every coefficient 1, b1 adds two equal kernels: (1,1)+(1,1)=0
         f2 = make_field(2)
         net = butterfly()
         values = {(s.in_id, s.out_id): 1 for s in coefficient_slots(net, 2)}
-        program, kern = engine_kernels(net, 2, f2, [values])
+        K, kern = engine_kernels(net, 2, f2, [values])
         assert kern["e5"].tolist() == [[0, 0]]
-        assert sink_ranks(program, kern, f2, "t1") == [1]
+        assert sink_ranks(net, K, f2, "t1") == [1]
 
     def test_kernel_recursion_holds(self):
         # f_e equals the coefficient-weighted sum of the kernels into tail(e)
@@ -172,6 +174,35 @@ class TestPropagate:
             for xi, fi in zip(x, kern[c.id][0].tolist()):
                 via_kernel = naive.add(via_kernel, naive.mul(xi, fi))
             assert symbols[c.id] == via_kernel
+
+
+class TestMatmul:
+    @staticmethod
+    def naive_product(A, C, c, naive):
+        """A (r, a) times C (a, c), one scalar at a time."""
+        out = [[0] * c for _ in A]
+        for i, row in enumerate(A):
+            for j in range(c):
+                for k, x in enumerate(row):
+                    out[i][j] = naive.add(out[i][j], naive.mul(x, C[k][j]))
+        return out
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_matches_naive_product(self, q):
+        # batch shapes (5, 1) and (1, 3) broadcast to (5, 3); a = 0 is the
+        # DP's rank-0 states, whose products are zero matrices
+        field = make_field_of_order(q)
+        naive = NaiveField(field)
+        rng = RandomStream(q, stream=1)
+        for r, a, c in [(1, 1, 1), (2, 3, 4), (3, 2, 1), (2, 0, 3)]:
+            A = np.array([[uniform_int(q, rng) for _ in range(5 * r * a)]]).reshape(5, 1, r, a)
+            C = np.array([[uniform_int(q, rng) for _ in range(3 * a * c)]]).reshape(1, 3, a, c)
+            got = rlncsim._matmul(A, C, field)
+            assert got.shape == (5, 3, r, c)
+            for i in range(5):
+                for j in range(3):
+                    expect = self.naive_product(A[i, 0].tolist(), C[0, j].tolist(), c, naive)
+                    assert got[i, j].tolist() == expect
 
 
 class TestRank:
@@ -211,26 +242,25 @@ class TestRank:
 class TestDecodingMatrix:
     def test_shapes(self):
         f2 = make_field(2)
-        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
-        by_index = list(kern.values())
-        F = np.stack([by_index[k] for k in program.sink_inputs["t1"]], axis=2)
-        assert F.shape == (1, 2, 2)
+        net = butterfly()
+        K, _ = engine_kernels(net, 2, f2, [classic_butterfly_values()])
+        assert K.shape == (1, 2, 9)
+        assert K[:, :, list(net.ins[net.index["t1"]])].shape == (1, 2, 2)
 
     def test_columns_ordered_by_channel_id(self):
         f2 = make_field(2)
-        program, kern = engine_kernels(butterfly(), 2, f2, [classic_butterfly_values()])
-        # In(t1) = {e6, e7}: channels 5 and 6, kernels w + 5 and w + 6;
+        net = butterfly()
+        K, _ = engine_kernels(net, 2, f2, [classic_butterfly_values()])
+        # In(t1) = {e6, e7}: channels 5 and 6, columns 5 and 6 of K;
         # e6 carries X1 = (1,0), e7 carries X1+X2 = (1,1)
-        assert program.sink_inputs["t1"] == (7, 8)
-        assert list(kern)[7:9] == ["e6", "e7"]
-        assert kern["e6"].tolist() == [[1, 0]]
-        assert kern["e7"].tolist() == [[1, 1]]
+        assert net.ins[net.index["t1"]] == (5, 6)
+        assert [c.id for c in net.channels[5:7]] == ["e6", "e7"]
+        assert K[:, :, 5].tolist() == [[1, 0]]
+        assert K[:, :, 6].tolist() == [[1, 1]]
 
     def test_non_sink_rejected(self):
-        net = butterfly()
-        assert set(rlncsim._compile(net, 2).sink_inputs) == {"t1", "t2"}
         with pytest.raises(ValueError):
-            exact_failure(net, 2, make_field(2), "b1")
+            exact_failure(butterfly(), 2, make_field(2), "b1")
 
 
 class TestSimulateOnce:
@@ -242,9 +272,9 @@ class TestSimulateOnce:
         for seed, w, q, density in corpus_params(15):
             net = corpus_network(seed, w, density)
             rows = [drawn_values(net, w, f2, RandomStream(seed, stream=i)) for i in range(8)]
-            program, kern = engine_kernels(net, w, f2, rows)
+            K, _ = engine_kernels(net, w, f2, rows)
             for t in net.sinks:
-                for rank in sink_ranks(program, kern, f2, t):
+                for rank in sink_ranks(net, K, f2, t):
                     assert 0 <= rank <= min(w, min_cut(net, t))
 
     def test_deterministic_per_trial(self):
@@ -253,8 +283,8 @@ class TestSimulateOnce:
 
         def ranks():
             rows = [drawn_values(net, 2, f2, RandomStream(3, stream=i)) for i in range(10)]
-            program, kern = engine_kernels(net, 2, f2, rows)
-            return [sink_ranks(program, kern, f2, t) for t in ("t1", "t2")]
+            K, _ = engine_kernels(net, 2, f2, rows)
+            return [sink_ranks(net, K, f2, t) for t in ("t1", "t2")]
 
         assert ranks() == ranks()
 
@@ -263,8 +293,8 @@ class TestSimulateOnce:
         net = plait(1, 0)
         n = 4000
         rows = [drawn_values(net, 1, f2, RandomStream(12, stream=i)) for i in range(n)]
-        program, kern = engine_kernels(net, 1, f2, rows)
-        fails = sum(rank < 1 for rank in sink_ranks(program, kern, f2, "t"))
+        K, _ = engine_kernels(net, 1, f2, rows)
+        fails = sum(rank < 1 for rank in sink_ranks(net, K, f2, "t"))
         lo, hi = wilson_interval(fails, n)
         assert lo <= 0.5 <= hi
 
@@ -286,17 +316,28 @@ class TestEstimate:
         # e8 and e9 feed only t2: their kernels are not computed for t1,
         # but their slots are still drawn, so the count equals the oracle's
         computed = []
-        batch_kernels = rlncsim._batch_kernels
+        kernels = rlncsim._kernels
 
-        def recording(program, field, coeffs):
-            computed.append(sorted(k for k, _ in program.channels))
-            return batch_kernels(program, field, coeffs)
+        def recording(net, w, field, coeffs, live):
+            K = kernels(net, w, field, coeffs, live)
+            computed.append([c.id for j, c in enumerate(net.channels) if K[:, :, j].any()])
+            return K
 
-        monkeypatch.setattr(rlncsim, "_batch_kernels", recording)
+        monkeypatch.setattr(rlncsim, "_kernels", recording)
         f2 = make_field(2)
         est = estimate_failure(butterfly(), 2, f2, "t1", 500, seed=9)
-        assert computed == [[2, 3, 4, 5, 6, 7, 8]]  # kernel index w + j for e1..e7
+        assert computed == [["e1", "e2", "e3", "e4", "e5", "e6", "e7"]]
         assert est.failures == naive_mc_failures(butterfly(), 2, f2, "t1", 500, seed=9)
+
+    @pytest.mark.parametrize("t", ["t", "v"])
+    def test_sink_without_a_path_always_fails(self, t):
+        # t's only in-channel leaves x, which has no in-channel; v has none
+        net = Network(
+            {"s": "source", "x": "internal", "t": "sink", "u": "sink", "v": "sink"},
+            [Channel("e1", "s", "u"), Channel("e2", "x", "t")],
+        )
+        est = estimate_failure(net, 1, make_field(3), t, 200, seed=6)
+        assert est.failures == est.trials == naive_mc_failures(net, 1, make_field(3), t, 200, seed=6)
 
     @pytest.mark.parametrize("p,m", [(2, 10), (3, 5)])
     def test_extension_field_matches_per_trial_oracle(self, p, m):
@@ -337,19 +378,6 @@ class TestEstimate:
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [3, 2]
 
-    def test_compiles_once_per_call(self, monkeypatch):
-        compiled = []
-
-        def counting_compile(net, w):
-            compiled.append(w)
-            return real_compile(net, w)
-
-        real_compile = rlncsim._compile
-        monkeypatch.setattr(rlncsim, "_compile", counting_compile)
-        trials = 2 * rlncsim._BLOCK + 1  # three blocks
-        estimate_failure(plait(2, 1), 2, make_field(2), "t", trials, seed=1, workers=1)
-        assert compiled == [2]
-
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
         net = plait(2, 1)
@@ -377,11 +405,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate_failure(butterfly(), 2, f2, "b1", 10, seed=1)
 
-    def test_trials_above_max_rejected_before_compiling(self, monkeypatch):
-        def no_compile(net, w):
-            raise AssertionError("compiled a run that should be refused")
+    def test_trials_above_max_rejected_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew coefficients for a run that should be refused")
 
-        monkeypatch.setattr(rlncsim, "_compile", no_compile)
+        monkeypatch.setattr(rlncsim, "uniform_rows", no_draw)
         assert rlncsim.MAX_TRIALS == 1 << 32
         with pytest.raises(ValueError, match=r"trials must be in 1\.\.4294967296, got 4294967297"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", (1 << 32) + 1, seed=1)
