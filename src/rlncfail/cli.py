@@ -125,13 +125,8 @@ def _cmd_gen(args) -> int:
     build, _, params = _GENERATORS[args.kind]
     net = getattr(netmodel, build)(*(getattr(args, k) for k, _ in params))
     netmodel.write_network(net, args.out or sys.stdout)
-    cuts = " ".join(
-        f"min_cut[{t}]={min_cut(net, t)}" for t in sorted(net.sinks)
-    )
-    print(
-        f"nodes={len(net.nodes)} channels={len(net.channels)} {cuts}",
-        file=sys.stderr,
-    )
+    cuts = " ".join(f"min_cut[{t}]={min_cut(net, t)}" for t in sorted(net.sinks))
+    print(f"nodes={len(net.nodes)} channels={len(net.channels)} {cuts}", file=sys.stderr)
     return 0
 
 
@@ -177,9 +172,7 @@ def _cmd_simulate(args) -> int:
     sink = _resolve_sink(net, args.sink)
     w = _resolve_rate(net, sink, args.rate)
     field = make_field_of_order(args.field)
-    est = rlncsim.estimate_failure(
-        net, w, field, sink, args.trials, args.seed, workers=args.workers
-    )
+    est = rlncsim.estimate_failure(net, w, field, sink, args.trials, args.seed, workers=args.workers)
     if args.format == "json":
         doc = _report_header(name, sink, field.q, w)
         doc["estimate"] = dataclasses.asdict(est)  # trials, failures, p_hat, ci_low, ci_high, seed
@@ -217,10 +210,7 @@ def _cmd_exact(args) -> int:
     print(f"sink: {sink}")
     print(f"q: {field.q}  w: {w}")
     print(f"exact: {frac_str(frac)} = {decimal_str(frac)}")
-    print(
-        f"slots: {result.num_slots}  assignments: {result.assignments}"
-        f"  failing: {result.failures}"
-    )
+    print(f"slots: {result.num_slots}  assignments: {result.assignments}  failing: {result.failures}")
     return 0
 
 
@@ -274,9 +264,7 @@ def _cmd_sweep(args) -> int:
         except EnumerationBudgetError:
             pass
         if args.trials is not None:
-            est = rlncsim.estimate_failure(
-                net, w, field, sink, args.trials, args.seed, workers=args.workers
-            )
+            est = rlncsim.estimate_failure(net, w, field, sink, args.trials, args.seed, args.workers)
             row["estimate"] = decimal_str(Fraction(est.failures, est.trials))
             row["ci_low"] = f"{est.ci_low:.10g}"
             row["ci_high"] = f"{est.ci_high:.10g}"

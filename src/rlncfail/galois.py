@@ -140,10 +140,11 @@ class FieldSpec:
 
     Arithmetic runs through log/antilog tables over a generator g of the
     multiplicative group, built on first use: `exp[i] = g^i` (uint16) and
-    `log[exp[i]] = i` (int32).  `log[0]` is a sentinel that lands every
-    product or quotient involving 0 in a zero tail of `exp`, so the array
-    methods `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks; they take ints
-    or integer arrays of canonical values and broadcast like numpy.
+    `log[exp[i]] = i` (intp, so sums of logs index `exp` without a cast).
+    `log[0]` is a sentinel that lands every product or quotient involving 0
+    in a zero tail of `exp`, so `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no
+    masks; they take ints or integer arrays of canonical values and
+    broadcast like numpy.
     """
 
     def __init__(self, p: int, m: int):
@@ -243,7 +244,7 @@ class FieldSpec:
         # that log[0] = 2n reaches from any offset up to 2n
         exp = np.zeros(4 * n + 1, dtype=np.uint16)
         exp[:n] = exp[n : 2 * n] = cycle
-        log = np.empty(self.q, dtype=np.int32)
+        log = np.empty(self.q, dtype=np.intp)
         log[exp[:n]] = np.arange(n)
         log[0] = 2 * n
         return exp, log

@@ -200,12 +200,8 @@ def plait(w: int, r: int) -> Network:
     nodes = {n: INTERNAL for n in names}
     nodes["s"] = SOURCE
     nodes["t"] = SINK
-    channels = []
-    idx = 0
-    for k in range(r + 1):
-        for _ in range(w):
-            channels.append(Channel(f"e{idx:03d}", names[k], names[k + 1]))
-            idx += 1
+    channels = [Channel(f"e{k * w + i:03d}", names[k], names[k + 1])
+                for k in range(r + 1) for i in range(w)]
     return Network(nodes, channels, rate_hint=w)
 
 

@@ -12,10 +12,11 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
   between processed and unprocessed nodes one node at a time.
 
 Both run on the network's integer view and the field's log/antilog tables
-through numpy.  `_kernels` propagates a (B, N) block of coefficient rows node
-by node: each node's out-kernels are its in-kernels times its block of local
-coefficients, one `_matmul`, which also spans the DP's branches.
-`_eliminate` reduces batches of decoding or frontier matrices.
+through numpy, batch axis last, so every elementwise pass runs along a whole
+batch.  `_kernels` propagates an (N, B) block of B trials' coefficients node
+by node: each node's out-kernels are its in-kernels times its (in-kernel,
+out-channel, B) block, one `_matmul`, which also spans the DP's branches.
+`_eliminate` reduces (r, c, B) batches of decoding or frontier matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -39,6 +39,7 @@ MAX_TRIALS = 1 << 32  # 2^18 blocks; the block list is built before any work sta
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
+_SUB_BATCH_BYTES = 64 << 20  # a block's draw, coefficient and kernel bytes at once
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -90,86 +91,103 @@ def coefficient_count(net: Network, w: int) -> int:
 # --- vectorized engine ----------------------------------------------------------
 
 def _eliminate(M: np.ndarray, field: FieldSpec, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Batched elimination of a (B, r, c) int32 batch M (modified): the echelon
-    forms, whose first rank rows span each row space, and the ranks.
-    full=True also clears above the pivots: the RREF, canonical per row space."""
-    B, w, c = M.shape
+    """Batched elimination of an (r, c, B) int32 batch M (modified), batch
+    last: the echelon forms, whose first rank rows span each row space, and
+    the ranks.  full=True also clears above the pivots: the RREF, canonical
+    per row space."""
+    w, c, B = M.shape
     piv = np.zeros(B, dtype=np.int64)
-    rows = np.arange(w)
+    rows = np.arange(w)[:, None]
     for col in range(c):
         if (piv >= w).all():
             break
-        colv = M[:, :, col]
-        elig = (colv != 0) & (rows[None, :] >= piv[:, None])
-        has = elig.any(axis=1)
-        if not has.any():
-            continue
-        src = elig.argmax(axis=1)
+        elig = (M[:, col] != 0) & (rows >= piv)
+        has = elig.any(axis=0)
         sel = np.nonzero(has)[0]
-        r0, r1 = piv[sel], src[sel]
-        M[sel, r0, :], M[sel, r1, :] = M[sel, r1, :], M[sel, r0, :]
-        pinv = field.vinv(M[sel, r0, col])
-        M[sel, r0, :] = field.vmul(M[sel, r0, :], pinv[:, None])
-        pivrow = np.zeros((B, c), dtype=np.int32)
-        pivrow[sel] = M[sel, r0, :]
-        f = M[:, :, col]
-        others = rows[None, :] != piv[:, None] if full else rows[None, :] > piv[:, None]
-        clear = others & (f != 0) & has[:, None]
+        r0, r1 = piv[sel], elig.argmax(axis=0)[sel]
+        M[r0, :, sel], M[r1, :, sel] = M[r1, :, sel], M[r0, :, sel]
+        M[r0, :, sel] = field.vmul(M[r0, :, sel], field.vinv(M[r0, col, sel])[:, None])
+        pivrow = np.zeros((c - col, B), dtype=np.int32)  # zero before col
+        pivrow[:, sel] = M[r0, col:, sel].T
+        f = M[:, col]
+        clear = ((rows != piv) if full else (rows > piv)) & (f != 0) & has
         if clear.any():
-            delta = field.vmul(f[:, :, None], pivrow[:, None, :])
-            M = np.where(clear[:, :, None], field.vsub(M, delta), M)
-        piv = piv + has.astype(np.int64)
+            right = M[:, col:]
+            np.copyto(right, field.vsub(right, field.vmul(f[:, None], pivrow)), where=clear[:, None])
+        piv = piv + has
     return M, piv
 
 
 def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Ranks of a (B, w, c) batch of matrices by batched elimination."""
+    """Ranks of a (w, c, B) batch of matrices by batched elimination."""
     return _eliminate(mats.astype(np.int32), field)[1]
 
 
 def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """(..., r, a) x (..., a, c) matrix products over the field; the batch
-    dimensions broadcast like numpy's, and a = 0 gives zero matrices."""
-    shape = np.broadcast_shapes(A.shape[:-1] + (1,), C.shape[:-2] + (1, C.shape[-1]))
-    out = np.zeros(shape, dtype=np.uint16)
-    for k in range(A.shape[-1]):
-        out = field.vadd(out, field.vmul(A[..., :, k, None], C[..., None, k, :]))
+    """(r, a, ...) x (a, c, ...) matrix products over the field; the batch
+    dimensions come last and broadcast like numpy's, and a = 0 gives zero
+    matrices."""
+    batch = np.broadcast_shapes(A.shape[2:], C.shape[2:])
+    out = np.zeros((A.shape[0], C.shape[1]) + batch, dtype=np.uint16)
+    for k in range(A.shape[1]):
+        out = field.vadd(out, field.vmul(A[:, k, None], C[None, k]))
     return out
 
 
-def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: list[bool]) -> np.ndarray:
-    """Global kernels of the channels, a (B, w, E) array, for each row of the
-    (B, N) coefficient matrix.  Node i's slots are one (in-kernel, out-channel)
-    block of the row, so its out-kernels are its in-kernels times that block;
-    the source's in-kernels are the identity, so its block is its out-kernels.
-    Only channels whose head is live are computed; the others stay 0."""
-    B = coeffs.shape[0]
+def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: list[int]) -> np.ndarray:
+    """Global kernels of the live channels, a (w, L, B) array whose column c
+    is channel live[c] (ascending indices), for each column of the (N, B)
+    coefficient block.  Node i's slots are one (in-kernel, out-channel, B)
+    block, so its out-kernels are its in-kernels times that block; the
+    source's in-kernels are the identity, so its block is its out-kernels.
+    The in-channels of a live channel's tail must be live too."""
+    B, col = coeffs.shape[1], {j: c for c, j in enumerate(live)}
     src = net.index[net.source]
-    kern = np.zeros((B, w, len(net.channels)), dtype=np.uint16)
+    kern = np.zeros((w, len(col), B), dtype=np.uint16)
     n = 0  # slots of the nodes before this one
     for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
-        block = coeffs[:, n : n + a * len(outs)].reshape(B, a, len(outs))
+        block = coeffs[n : n + a * len(outs)].reshape(a, len(outs), B)
         n += a * len(outs)
-        cols = [b for b, j in enumerate(outs) if live[net.head[j]]]
-        if cols:
-            block = block[:, :, cols]
-            out = block if i == src else _matmul(kern[:, :, list(net.ins[i])], block, field)
-            kern[:, :, [outs[b] for b in cols]] = out
+        keep = [b for b, j in enumerate(outs) if j in col]
+        if keep:
+            block = block[:, keep]
+            out = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
+            kern[:, [col[outs[b]] for b in keep]] = out
     return kern
 
 
-def _mc_block_failures(
-    net: Network, w: int, field: FieldSpec, t: str, seed: int, trials: int, start: int
-) -> int:
-    """Failure count over trials [start, min(start + _BLOCK, trials)); a pure
-    function of its arguments, which is what makes worker scheduling
-    irrelevant.  A channel whose head cannot reach t cannot change t's rank,
-    so its kernel is not computed; its slots are still drawn."""
-    ti = net.index[t]
-    rows = np.arange(start, min(start + _BLOCK, trials))
-    coeffs = uniform_rows(field.q, seed, rows, coefficient_count(net, w))
-    kern = _kernels(net, w, field, coeffs, net.reaching(ti))
-    return int((_batch_rank(kern[:, :, list(net.ins[ti])], field) < w).sum())
+def _mc_block_failures(start: int, job: tuple = ()) -> int:
+    """Failure count over trials [start, min(start + _BLOCK, trials)) of the
+    job (net, w, field, t, seed, trials), by default the one this pool worker
+    was sent; a pure function of the two, which is what makes worker
+    scheduling irrelevant.  Only channels whose head reaches t can change
+    t's rank, so only theirs are kept; every slot is still drawn.  Trials run
+    in sub-batches whose draw, coefficient and kernel bytes stay under
+    _SUB_BATCH_BYTES (one trial at least)."""
+    net, w, field, t, seed, trials = job or _job
+    ti, n = net.index[t], coefficient_count(net, w)
+    reach = net.reaching(ti)
+    live = [j for j, h in enumerate(net.head) if reach[h]]
+    sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
+    end = min(start + _BLOCK, trials)
+    # per trial: the int64 draw and the two uint64 arrays that hash it, its
+    # uint16 copy, the kernels
+    step = max(1, _SUB_BATCH_BYTES // (26 * n + 2 * w * len(live)))
+    failures = 0
+    for lo in range(start, end, step):
+        rows = np.arange(lo, min(lo + step, end))
+        coeffs = np.ascontiguousarray(uniform_rows(field.q, seed, rows, n).T, dtype=np.uint16)
+        kern = _kernels(net, w, field, coeffs, live)
+        failures += int((_batch_rank(kern[:, sink], field) < w).sum())
+    return failures
+
+
+_job: tuple = ()  # a pool worker's job, sent once by its initializer
+
+
+def _set_job(*job) -> None:
+    global _job
+    _job = job
 
 
 # --- failure probability, estimated and exact -----------------------------------
@@ -213,30 +231,23 @@ def estimate_failure(
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
-    worker count.  At most min(workers, blocks, CPU count) processes start.
+    worker count.  At most min(workers, blocks, CPU count) processes start,
+    and each is sent the arguments once; a work item is one block start.
     More than MAX_TRIALS trials raise ValueError before any work.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
-    starts = range(0, trials, _BLOCK)
-    block = partial(_mc_block_failures, net, w, field, t, seed, trials)
+    starts, job = range(0, trials, _BLOCK), (net, w, field, t, seed, trials)
     workers = min(workers, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        failures = sum(map(block, starts))
+        failures = sum(_mc_block_failures(start, job) for start in starts)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures = sum(pool.map(block, starts))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_job, initargs=job) as pool:
+            failures = sum(pool.map(_mc_block_failures, starts))
     lo, hi = wilson_interval(failures, trials)
-    return FailureEstimate(
-        trials=trials,
-        failures=failures,
-        p_hat=failures / trials,
-        ci_low=lo,
-        ci_high=hi,
-        seed=seed,
-    )
+    return FailureEstimate(trials, failures, failures / trials, lo, hi, seed)
 
 
 @dataclass(frozen=True)
@@ -254,13 +265,14 @@ class ExactProbability:
         return Fraction(self.numerator, self.denominator)
 
 
-def _branches(basis, rest, outs: int, field: FieldSpec):
-    """(parent state, RREF, rank) of every branch, in batches: basis (g, r, w)
-    spans each state's in-columns, rest (g, w, k) holds its other columns, and
-    each of the q^(r*outs) choices appends outs vectors of the span to rest."""
+def _branches(span, rest, outs: int, field: FieldSpec):
+    """(parent state, RREF, rank) of every branch, in batches, batch last:
+    span (w, r, g) spans each state's in-columns, rest (w, k, g) holds its
+    other columns, and each of the q^(r*outs) choices appends outs vectors of
+    the span to rest."""
     q = field.q
-    g, r, w = basis.shape
-    k = rest.shape[2] + outs
+    w, r, g = span.shape
+    k = rest.shape[1] + outs
     per_batch = max(q, (1 << 20) // (w * k))  # matrices per batch: 2^20 entries, or q
     low = 0  # choice digits enumerated by numpy; the others by the loop
     while low < r * outs and q ** (low + 1) <= per_batch:
@@ -270,14 +282,14 @@ def _branches(basis, rest, outs: int, field: FieldSpec):
     per_state = max(1, per_batch // q**low)
     for high in itertools.product(range(q), repeat=r * outs - low):
         choices[:, low:] = high
-        coef = choices.reshape(q**low, r, outs)
+        coef = choices.T.reshape(r, outs, 1, q**low)
         for s0 in range(0, g, per_state):
-            span = basis[s0 : s0 + per_state, None].swapaxes(2, 3)  # (states, 1, w, r)
-            cols = _matmul(span, coef, field)
-            old = np.broadcast_to(rest[s0 : s0 + len(span), None], cols.shape[:3] + (k - outs,))
-            M = np.concatenate([old, cols], axis=3, dtype=np.int32).reshape(-1, w, k)
+            part = slice(s0, s0 + per_state)
+            cols = _matmul(span[:, :, part, None], coef, field)  # (w, outs, states, q^low)
+            old = np.broadcast_to(rest[:, :, part, None], (w, k - outs) + cols.shape[2:])
+            M = np.concatenate([old, cols], axis=1, dtype=np.int32).reshape(w, k, -1)
             M, rank = _eliminate(M, field, full=True)
-            yield np.repeat(np.arange(s0, s0 + len(span)), q**low), M, rank
+            yield np.repeat(np.arange(g)[part], q**low), M, rank
 
 
 def exact_failure(
@@ -311,7 +323,7 @@ def exact_failure(
         rest = [i for i, h in enumerate(frontier) if h != v]
         heads = [net.head[j] for j in net.outs[v] if reach[net.head[j]]]
         a, b = len(ins), len(heads)
-        basis, rho = _eliminate(states[:, :, ins].transpose(0, 2, 1).astype(np.int32), field)
+        basis, rho = _eliminate(states[:, :, ins].T.astype(np.int32, order="C"), field)
         per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
         spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
         if spent > budget:
@@ -319,9 +331,11 @@ def exact_failure(
         merged: dict[bytes, int] = {}
         for r in (r for r, c in enumerate(per_rank) if c):
             sel, mult = np.flatnonzero(rho == r), q ** ((a - r) * b)
-            for parent, M, rank in _branches(basis[sel, :r], states[sel][:, :, rest], b, field):
+            span, others = basis[:r, :, sel].swapaxes(0, 1), states[sel][:, :, rest].transpose(1, 2, 0)
+            for parent, M, rank in _branches(span, others, b, field):
                 full = rank == w
-                keys = M[full].astype(np.uint16).reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
+                M = np.ascontiguousarray(M[:, :, full].transpose(2, 0, 1), dtype=np.uint16)
+                keys = M.reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
                 for key, p in zip(keys.ravel().tolist(), sel[parent[full]].tolist()):
                     merged[key] = merged.get(key, 0) + weights[p] * mult
         kept += a * b

@@ -502,9 +502,9 @@ def naive_enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) ->
 
 def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
     """Failing assignments among all q^N, by the library's Monte Carlo
-    engine (`_kernels` on the integer view, every channel computed, then
-    `_batch_rank`) run over a mixed-radix counter of the canonical slot order
-    in blocks of 2^16 rows."""
+    engine (`_kernels` on the integer view, every channel passed as live,
+    then `_batch_rank`) run over a mixed-radix counter of the canonical slot
+    order in blocks of 2^16 assignments, one per column."""
     n, q = coefficient_count(net, w), field.q
     total = q**n
     if total > 1 << 62:
@@ -514,7 +514,7 @@ def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
     failures = 0
     for start in range(0, total, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
-        coeffs = np.stack([idx // place % q for place in places], axis=1)
-        kern = _kernels(net, w, field, coeffs, [True] * len(net.order))
-        failures += int((_batch_rank(kern[:, :, sink_cols], field) < w).sum())
+        coeffs = np.stack([idx // place % q for place in places]).astype(np.uint16)
+        kern = _kernels(net, w, field, coeffs, list(range(len(net.channels))))
+        failures += int((_batch_rank(kern[:, sink_cols], field) < w).sum())
     return failures

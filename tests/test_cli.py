@@ -101,6 +101,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
 DAG6_W10 = "random:internal=6,w=10,density=0.6,seed=1"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
+SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
+             "--trials", "40000", "--seed", "1")
 
 
 # w = 10 puts the source's imaginary inputs d1..d10 where their string and
@@ -111,6 +113,12 @@ SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "2000
      "exact-plait-w3-r2-q3.json"),
     (SIM_DAG6_W10, "simulate-dag6-w10-q2.txt"),
     (SIM_DAG6_W10 + ("--workers", "2"), "simulate-dag6-w10-q2.txt"),
+    # an odd prime and an extension field over three blocks: the engine's
+    # vsub/vneg path, pinned at 1 and 2 workers
+    (SIM_DAG12 + ("--field", "3"), "simulate-dag12-q3.txt"),
+    (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
+    (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
+    (SIM_DAG12 + ("--field", "9", "--workers", "2"), "simulate-dag12-q9.txt"),
 ])
 def test_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)

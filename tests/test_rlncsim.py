@@ -1,6 +1,8 @@
 """Kernel propagation, rank, Monte Carlo estimation, the exact frontier DP."""
 
+import pickle
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,24 +42,24 @@ from rlncfail.rlncsim import (
 def engine_kernels(net, w, field, rows):
     """(K, kernels) from the batch engine with every channel computed: rows
     is a list of {(in_id, out_id): value} assignments, each mapped to one
-    coefficient row in `coefficient_slots` order.  K is the engine's
-    (B, w, E) array, channel j in column j; kernels maps d1..dw and every
+    coefficient column in `coefficient_slots` order.  K is the engine's
+    (w, E, B) array, channel j in column j; kernels maps d1..dw and every
     channel id to its (B, w) kernels."""
     coeffs = np.array(
-        [[values[(s.in_id, s.out_id)] for s in coefficient_slots(net, w)] for values in rows],
-        dtype=np.int64,
+        [[values[(s.in_id, s.out_id)] for values in rows] for s in coefficient_slots(net, w)],
+        dtype=np.uint16,
     )
-    K = rlncsim._kernels(net, w, field, coeffs, [True] * len(net.order))
+    K = rlncsim._kernels(net, w, field, coeffs, list(range(len(net.channels))))
     eye = np.eye(w, dtype=np.uint16)
     kernels = {d: np.broadcast_to(eye[a], (len(rows), w))
                for a, d in enumerate(imaginary_inputs(w).ids)}
-    kernels.update((c.id, K[:, :, j]) for j, c in enumerate(net.channels))
+    kernels.update((c.id, K[:, j].T) for j, c in enumerate(net.channels))
     return K, kernels
 
 
 def sink_ranks(net, K, field, t):
-    """Rank of the decoding matrix of sink t, one per coefficient row."""
-    return rlncsim._batch_rank(K[:, :, list(net.ins[net.index[t]])], field).tolist()
+    """Rank of the decoding matrix of sink t, one per coefficient column."""
+    return rlncsim._batch_rank(K[:, list(net.ins[net.index[t]])], field).tolist()
 
 
 def drawn_values(net, w, field, rng):
@@ -189,31 +191,31 @@ class TestMatmul:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_matches_naive_product(self, q):
-        # batch shapes (5, 1) and (1, 3) broadcast to (5, 3); a = 0 is the
-        # DP's rank-0 states, whose products are zero matrices
+        # batch shapes (5, 1) and (1, 3), last, broadcast to (5, 3); a = 0 is
+        # the DP's rank-0 states, whose products are zero matrices
         field = make_field_of_order(q)
         naive = NaiveField(field)
         rng = RandomStream(q, stream=1)
         for r, a, c in [(1, 1, 1), (2, 3, 4), (3, 2, 1), (2, 0, 3)]:
             A = np.array([[uniform_int(q, rng) for _ in range(5 * r * a)]]).reshape(5, 1, r, a)
             C = np.array([[uniform_int(q, rng) for _ in range(3 * a * c)]]).reshape(1, 3, a, c)
-            got = rlncsim._matmul(A, C, field)
-            assert got.shape == (5, 3, r, c)
+            got = rlncsim._matmul(A.transpose(2, 3, 0, 1), C.transpose(2, 3, 0, 1), field)
+            assert got.shape == (r, c, 5, 3)
             for i in range(5):
                 for j in range(3):
                     expect = self.naive_product(A[i, 0].tolist(), C[0, j].tolist(), c, naive)
-                    assert got[i, j].tolist() == expect
+                    assert got[:, :, i, j].tolist() == expect
 
 
 class TestRank:
     def test_identity(self):
-        assert rlncsim._batch_rank(np.eye(3, dtype=np.int64)[None], make_field(5)).tolist() == [3]
+        assert rlncsim._batch_rank(np.eye(3, dtype=np.int64)[:, :, None], make_field(5)).tolist() == [3]
 
     def test_zero_matrix(self):
-        assert rlncsim._batch_rank(np.zeros((1, 2, 4), np.int64), make_field(2)).tolist() == [0]
+        assert rlncsim._batch_rank(np.zeros((2, 4, 1), np.int64), make_field(2)).tolist() == [0]
 
     def test_duplicate_rows(self):
-        assert rlncsim._batch_rank(np.ones((1, 2, 2), np.int64), make_field(2)).tolist() == [1]
+        assert rlncsim._batch_rank(np.ones((2, 2, 1), np.int64), make_field(2)).tolist() == [1]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_batch_rank_matches_scalar(self, q):
@@ -228,15 +230,41 @@ class TestRank:
                 ],
                 dtype=np.int64,
             )
-            got = rlncsim._batch_rank(mats, field)
+            got = rlncsim._batch_rank(mats.transpose(1, 2, 0), field)
             for b in range(40):
                 expect = naive_rank(mats[b].tolist(), naive)
                 assert got[b] == expect
 
     def test_batch_rank_zero_and_identity(self):
         f3 = make_field(3)
-        mats = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)])
+        mats = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)], axis=2)
         assert list(rlncsim._batch_rank(mats, f3)) == [0, 3]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9])
+    def test_full_elimination_is_canonical(self, q):
+        # the exact DP merges states by their RREF bytes, so rows replaced by
+        # random invertible combinations of themselves must give the same
+        # bytes; some matrices have a duplicate row, a zero row, or both
+        field = make_field_of_order(q)
+        naive = NaiveField(field)
+        rng = RandomStream(q, stream=2)
+        for r, c in [(2, 3), (3, 3), (3, 5), (4, 2)]:
+            mats, mixed = [], []
+            for b in range(30):
+                M = [[uniform_int(q, rng) for _ in range(c)] for _ in range(r)]
+                if b % 3 == 0:
+                    M[-1] = list(M[0])
+                if b % 4 == 0:
+                    M[1] = [0] * c
+                P = [[1]]
+                while naive_rank(P, naive) < r:
+                    P = [[uniform_int(q, rng) for _ in range(r)] for _ in range(r)]
+                mats.append(M)
+                mixed.append(TestMatmul.naive_product(P, M, c, naive))
+            got, rank = rlncsim._eliminate(np.array(mats, np.int32).transpose(1, 2, 0).copy(), field, True)
+            via, rank_via = rlncsim._eliminate(np.array(mixed, np.int32).transpose(1, 2, 0).copy(), field, True)
+            assert got.tobytes() == via.tobytes()
+            assert rank.tolist() == rank_via.tolist() == [naive_rank(M, naive) for M in mats]
 
 
 class TestDecodingMatrix:
@@ -244,8 +272,8 @@ class TestDecodingMatrix:
         f2 = make_field(2)
         net = butterfly()
         K, _ = engine_kernels(net, 2, f2, [classic_butterfly_values()])
-        assert K.shape == (1, 2, 9)
-        assert K[:, :, list(net.ins[net.index["t1"]])].shape == (1, 2, 2)
+        assert K.shape == (2, 9, 1)
+        assert K[:, list(net.ins[net.index["t1"]])].shape == (2, 2, 1)
 
     def test_columns_ordered_by_channel_id(self):
         f2 = make_field(2)
@@ -255,8 +283,8 @@ class TestDecodingMatrix:
         # e6 carries X1 = (1,0), e7 carries X1+X2 = (1,1)
         assert net.ins[net.index["t1"]] == (5, 6)
         assert [c.id for c in net.channels[5:7]] == ["e6", "e7"]
-        assert K[:, :, 5].tolist() == [[1, 0]]
-        assert K[:, :, 6].tolist() == [[1, 1]]
+        assert K[:, 5].T.tolist() == [[1, 0]]
+        assert K[:, 6].T.tolist() == [[1, 1]]
 
     def test_non_sink_rejected(self):
         with pytest.raises(ValueError):
@@ -313,14 +341,16 @@ class TestEstimate:
         assert fast.failures == naive_mc_failures(net, 2, f2, "t1", 500, seed=9)
 
     def test_channels_that_cannot_reach_the_sink_are_skipped(self, monkeypatch):
-        # e8 and e9 feed only t2: their kernels are not computed for t1,
-        # but their slots are still drawn, so the count equals the oracle's
+        # e8 and e9 feed only t2: their kernels are neither stored nor
+        # computed for t1, but their slots are still drawn, so the count
+        # equals the oracle's
         computed = []
         kernels = rlncsim._kernels
 
         def recording(net, w, field, coeffs, live):
             K = kernels(net, w, field, coeffs, live)
-            computed.append([c.id for j, c in enumerate(net.channels) if K[:, :, j].any()])
+            assert K.shape == (w, len(live), coeffs.shape[1])
+            computed.append([net.channels[j].id for c, j in enumerate(live) if K[:, c].any()])
             return K
 
         monkeypatch.setattr(rlncsim, "_kernels", recording)
@@ -350,11 +380,13 @@ class TestEstimate:
         assert estimate_failure(butterfly(), 2, make_field(2, 10), "t1", 2000, seed=1).failures == 7
 
     def test_workers_clamped_to_blocks_and_cpus(self, monkeypatch):
-        started = []
+        started, sent = [], []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                sent.append(initargs)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -363,20 +395,57 @@ class TestEstimate:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                sent.append((fn, list(items)))
+                return map(fn, sent[-1][1])
 
         monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(rlncsim, "_job", ())
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
-        f2 = make_field(2)
+        net, f2 = butterfly(), make_field(2)
         trials = 2 * rlncsim._BLOCK + 1  # three blocks
-        est = estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6)
+        est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6)
         assert started == [3]
+        # the job goes to each worker once; a work item is the function, by
+        # name, and one block start
+        initargs, (fn, starts) = sent
+        assert initargs[0] is net and initargs[1:] == (2, f2, "t1", 3, trials)
+        assert pickle.loads(pickle.dumps(fn)) is fn is rlncsim._mc_block_failures
+        assert starts == [0, rlncsim._BLOCK, 2 * rlncsim._BLOCK]
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 2)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [3, 2]
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [3, 2]
+
+    def test_block_memory_bounded_by_bytes(self, monkeypatch):
+        # N = 2,928 slots and 403 live channels: 2,000 trials in one batch
+        # would take about 159 MB at 79,352 B per trial.  With 4 MiB
+        # sub-batches the traced peak stays under 4 MiB plus 1 MiB of slack
+        # for what the budget leaves out: the rank's int32 copy and its
+        # elimination temporaries, index lists and Python objects
+        net, f2 = random_dag(40, 4, 0.5, seed=1), make_field(2)
+        assert coefficient_count(net, 4) == 2928
+        whole = estimate_failure(net, 4, f2, "t", 2000, seed=1)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
+        tracemalloc.start()
+        try:
+            part = estimate_failure(net, 4, f2, "t", 2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 << 20) + (1 << 20)
+        assert part == whole
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
+        # dag12 fails often; 20,000 B is 8 trials of 2,458 B, so 1,001
+        # trials end in a one-trial sub-batch
+        net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
+        whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 20_000)
+        assert estimate_failure(net, 4, field, "t", 1001, seed=2) == whole
+        assert 0 < whole.failures < whole.trials
 
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
