@@ -100,13 +100,8 @@ class BoundReport:
             "r": self.r,
             "R_t": {"value": self.r_min, "mode": "exact" if self.r_min_exact else "heuristic"},
             "J": self.j_count,
-            "bounds": {
-                "thm1": _frac_obj(self.thm1),
-                "thm2": _frac_obj(self.thm2),
-                "cor1": _frac_obj(self.cor1),
-                "thm3": _frac_obj(self.thm3),
-                "lower": _frac_obj(self.lower),
-            },
+            "bounds": {k: _frac_obj(getattr(self, k))
+                       for k in ("thm1", "thm2", "cor1", "thm3", "lower")},
         }
 
 

@@ -10,11 +10,12 @@ Every field multiplies and inverts through log/antilog tables of length
 O(q), built on first use, and adds digit-wise in base p; its array methods
 serve the bulk simulation and the exact evaluator.
 
-Sampling is deterministic: `uniform_rows` draws uniform elements from
+Sampling is deterministic: `uniform_columns` draws uniform elements from
 counter-based streams keyed by (seed, stream), rejecting from a power-of-two
 range so that every value has probability exactly 1/q regardless of q.  It is
-the package's only random draw: Monte Carlo trial i reads stream i, and
-`netmodel.random_dag` reads stream 0.
+the package's only random draw, counter-major: column i of its uint16
+result is stream i, so Monte Carlo trial i is column i of the coefficient
+block the engine propagates, and `netmodel.random_dag` reads stream 0.
 """
 
 from __future__ import annotations
@@ -29,50 +30,58 @@ MAX_ORDER = 1 << 16
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD2B74407B1CE6E93
-_CHUNK_WORDS = 1 << 18  # words drawn per numpy pass of `uniform_rows`
+_CHUNK_WORDS = 1 << 15  # words hashed per numpy pass of `uniform_columns`
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array: bijective, full avalanche."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer over a uint64 array, in place: bijective, full avalanche."""
+    tmp = np.empty_like(x)
+    for s, c in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= np.right_shift(x, np.uint64(s), out=tmp)
+        x *= np.uint64(c)
+    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
 
 
-def uniform_rows(q: int, seed: int, streams, n: int) -> np.ndarray:
-    """(len(streams), n) int64 array: row i holds the first n uniform draws
-    from 0..q-1 of the counter stream (seed, streams[i]).
+def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
+    """(n, len(streams)) array, uint16 for q <= MAX_ORDER and uint64 above:
+    column i holds the first n uniform draws from 0..q-1 of the counter
+    stream (seed, streams[i]).
 
     Word c = 1, 2, ... of a stream with key k is mix64(k + GOLDEN * c), so a
     stream is a pure function of (seed, stream).  A draw takes the top
     b + 16 bits of the stream's next word, b the bit length of q - 1, and
-    rejects candidates at or above the largest multiple of q in that range,
-    so each value has probability exactly 1/q.
+    rejects candidates at or above the largest multiple of q in that range
+    (none when q is a power of two), so each value has probability exactly 1/q.
     """
     bits = max(1, (q - 1).bit_length()) + 16
     shift, limit = np.uint64(64 - bits), np.uint64((1 << bits) - (1 << bits) % q)
-    q_u = np.uint64(q)
     # one-element arrays throughout: numpy warns on uint64 scalar overflow
     seed_key = _mix64(np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64))
     salted = (np.asarray(streams).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
     keys = _mix64(seed_key ^ salted)
     steps = _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
-    out = np.empty((len(keys), n), dtype=np.int64)
+    out = np.empty((n, len(keys)), dtype=np.uint16 if q <= MAX_ORDER else np.uint64)
     per_chunk = max(1, _CHUNK_WORDS // max(n, 1))
-    for r0 in range(0, len(keys), per_chunk):
-        cand = _mix64(keys[r0 : r0 + per_chunk, None] + steps) >> shift
-        ok = cand < limit
-        out[r0 : r0 + per_chunk] = cand % q_u
-        # rejections are rare (< 2^-16 per word): redo those rows word by word
-        for i in np.flatnonzero(~ok.all(axis=1)):
-            row, c = cand[i][ok[i]], np.array([n], dtype=np.uint64)
-            while row.size < n:
-                c += 1
-                more = _mix64(keys[r0 + i : r0 + i + 1] + _GOLDEN_U64 * c) >> shift
-                row = np.append(row, more[more < limit])
-            out[r0 + i] = row % q_u
+    for c0 in range(0, len(keys), per_chunk):
+        cand = _mix64(steps[:, None] + keys[c0 : c0 + per_chunk])
+        cand >>= shift
+        if q & (q - 1):
+            ok = cand < limit
+            # rejections are rare (< 2^-16 per word): redo those columns word by word
+            for i in np.flatnonzero(~ok.all(axis=0)):
+                col, c = cand[ok[:, i], i], np.array([n], dtype=np.uint64)
+                while col.size < n:
+                    c += 1
+                    more = _mix64(keys[c0 + i : c0 + i + 1] + _GOLDEN_U64 * c) >> shift
+                    col = np.append(col, more[more < limit])
+                cand[:, i] = col
+            cand %= np.uint64(q)
+        else:
+            cand &= np.uint64(q - 1)
+        out[:, c0 : c0 + per_chunk] = cand
     return out
 
 

@@ -23,7 +23,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .galois import uniform_rows
+from .galois import uniform_columns
 
 SOURCE = "source"
 INTERNAL = "internal"
@@ -207,26 +207,9 @@ def plait(w: int, r: int) -> Network:
 
 def butterfly() -> Network:
     """The standard single-source two-sink butterfly (9 channels, min-cut 2)."""
-    nodes = {
-        "s": SOURCE,
-        "u1": INTERNAL,
-        "u2": INTERNAL,
-        "b1": INTERNAL,
-        "b2": INTERNAL,
-        "t1": SINK,
-        "t2": SINK,
-    }
-    channels = [
-        Channel("e1", "s", "u1"),
-        Channel("e2", "s", "u2"),
-        Channel("e3", "u1", "b1"),
-        Channel("e4", "u2", "b1"),
-        Channel("e5", "b1", "b2"),
-        Channel("e6", "u1", "t1"),
-        Channel("e7", "b2", "t1"),
-        Channel("e8", "u2", "t2"),
-        Channel("e9", "b2", "t2"),
-    ]
+    nodes = dict(s=SOURCE, u1=INTERNAL, u2=INTERNAL, b1=INTERNAL, b2=INTERNAL, t1=SINK, t2=SINK)
+    ends = ("s u1", "s u2", "u1 b1", "u2 b1", "b1 b2", "u1 t1", "b2 t1", "u2 t2", "b2 t2")
+    channels = [Channel(f"e{k}", *pair.split()) for k, pair in enumerate(ends, start=1)]
     return Network(nodes, channels, rate_hint=2)
 
 
@@ -250,7 +233,7 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
     nodes["t"] = SINK
     # density threshold in 2^-32 units, against one 32-bit draw per pair
     thresh = int(channel_density * (1 << 32))
-    draws = iter(uniform_rows(1 << 32, seed, [0], pairs)[0].tolist())
+    draws = iter(uniform_columns(1 << 32, seed, [0], pairs)[:, 0].tolist())
     channels: list[Channel] = []
     for a in range(len(names)):
         for b in range(a + 1, len(names)):

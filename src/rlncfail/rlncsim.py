@@ -13,8 +13,9 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 
 Both run on the network's integer view and the field's log/antilog tables
 through numpy, batch axis last, so every elementwise pass runs along a whole
-batch.  `_kernels` propagates an (N, B) block of B trials' coefficients node
-by node: each node's out-kernels are its in-kernels times its (in-kernel,
+batch.  `_kernels` propagates an (N, B) uint16 block of B trials'
+coefficients, which `galois.uniform_columns` draws in that layout, node by
+node: each node's out-kernels are its in-kernels times its (in-kernel,
 out-channel, B) block, one `_matmul`, which also spans the DP's branches.
 `_eliminate` reduces (r, c, B) batches of decoding or frontier matrices.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .galois import FieldSpec, uniform_rows
+from .galois import FieldSpec, uniform_columns
 from .netmodel import Network
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -39,7 +40,7 @@ MAX_TRIALS = 1 << 32  # 2^18 blocks; the block list is built before any work sta
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
-_SUB_BATCH_BYTES = 64 << 20  # a block's draw, coefficient and kernel bytes at once
+_SUB_BATCH_BYTES = 64 << 20  # a sub-batch's coefficient, kernel and temporary bytes at once
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -127,9 +128,11 @@ def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
     """(r, a, ...) x (a, c, ...) matrix products over the field; the batch
     dimensions come last and broadcast like numpy's, and a = 0 gives zero
     matrices."""
-    batch = np.broadcast_shapes(A.shape[2:], C.shape[2:])
-    out = np.zeros((A.shape[0], C.shape[1]) + batch, dtype=np.uint16)
-    for k in range(A.shape[1]):
+    if not A.shape[1]:
+        batch = np.broadcast_shapes(A.shape[2:], C.shape[2:])
+        return np.zeros((A.shape[0], C.shape[1]) + batch, dtype=np.uint16)
+    out = field.vmul(A[:, 0, None], C[None, 0])
+    for k in range(1, A.shape[1]):
         out = field.vadd(out, field.vmul(A[:, k, None], C[None, k]))
     return out
 
@@ -162,7 +165,7 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     was sent; a pure function of the two, which is what makes worker
     scheduling irrelevant.  Only channels whose head reaches t can change
     t's rank, so only theirs are kept; every slot is still drawn.  Trials run
-    in sub-batches whose draw, coefficient and kernel bytes stay under
+    in sub-batches whose coefficient, kernel and temporary bytes stay under
     _SUB_BATCH_BYTES (one trial at least)."""
     net, w, field, t, seed, trials = job or _job
     ti, n = net.index[t], coefficient_count(net, w)
@@ -170,15 +173,18 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     live = [j for j, h in enumerate(net.head) if reach[h]]
     sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
     end = min(start + _BLOCK, trials)
-    # per trial: the int64 draw and the two uint64 arrays that hash it, its
-    # uint16 copy, the kernels
-    step = max(1, _SUB_BATCH_BYTES // (26 * n + 2 * w * len(live)))
+    # per trial: the uint16 draw, the kernels, and under 32 B an entry of
+    # field-operation temporaries (int32 copies, intp log sums) on the widest
+    # matrix, a node's in-kernels times its out-channels or t's decoding
+    # matrix; the draw's hashing scratch is a fixed few _CHUNK_WORDS words
+    width = max(len(net.ins[ti]), *map(len, net.outs))
+    step = max(1, _SUB_BATCH_BYTES // (2 * n + 2 * w * len(live) + 32 * w * width))
     failures = 0
     for lo in range(start, end, step):
+        # unnamed, the draw and the kernels are freed before the rank and the next draw
         rows = np.arange(lo, min(lo + step, end))
-        coeffs = np.ascontiguousarray(uniform_rows(field.q, seed, rows, n).T, dtype=np.uint16)
-        kern = _kernels(net, w, field, coeffs, live)
-        failures += int((_batch_rank(kern[:, sink], field) < w).sum())
+        decoding = _kernels(net, w, field, uniform_columns(field.q, seed, rows, n), live)[:, sink]
+        failures += int((_batch_rank(decoding, field) < w).sum())
     return failures
 
 

@@ -352,7 +352,7 @@ class RandomStream:
 def uniform_int(q: int, rng: RandomStream) -> int:
     """One uniform draw from 0..q-1: the top (b + 16) bits of the next word,
     b the bit length of q - 1, rejected at or above the largest multiple of
-    q in range.  The reference for `galois.uniform_rows`."""
+    q in range.  The reference for `galois.uniform_columns`."""
     bits = max(1, (q - 1).bit_length()) + 16
     limit = (1 << bits) - (1 << bits) % q
     while True:

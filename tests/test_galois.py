@@ -1,5 +1,6 @@
 """Field construction, arithmetic axioms, and uniform sampling."""
 
+import hashlib
 import math
 import pickle
 import warnings
@@ -16,8 +17,9 @@ from rlncfail.galois import (
     make_field,
     make_field_of_order,
     parse_prime_power,
-    uniform_rows,
+    uniform_columns,
 )
+from rlncfail.netmodel import random_dag
 
 
 def smallest_irreducible_quadratic_oracle(p: int) -> tuple[int, ...]:
@@ -140,7 +142,7 @@ class TestAgainstNaiveOracle:
     def test_ops_match_schoolbook_arithmetic(self, q):
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        values = sorted({0, 1, q - 1} | set(uniform_rows(q, q, [0], 9)[0].tolist()))
+        values = sorted({0, 1, q - 1} | set(uniform_columns(q, q, [0], 9)[:, 0].tolist()))
         for a in values:
             for b in values:
                 assert f.vadd(a, b) == naive.add(a, b), (a, b)
@@ -158,7 +160,7 @@ class TestAgainstNaiveOracle:
         # wrap; the oracle must compute in Python ints all the same
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        values = np.array(uniform_rows(q, q, [0], 40)[0].tolist() + [0, 1, q - 1], np.uint16)
+        values = np.array(uniform_columns(q, q, [0], 40)[:, 0].tolist() + [0, 1, q - 1], np.uint16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in values:
@@ -172,7 +174,7 @@ class TestAgainstNaiveOracle:
     def test_array_ops_match_scalar_ops(self, q):
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        a, b = uniform_rows(q, 7, [0, 1], 64)
+        a, b = uniform_columns(q, 7, [0, 1], 64).T
         # uint16 is the engine's own element dtype, where a + b would wrap
         a = np.array(a.tolist() + [0, 1, q - 1, 0], np.uint16)
         b = np.array(b.tolist() + [0, q - 1, 1, q - 1], np.uint16)
@@ -184,7 +186,8 @@ class TestAgainstNaiveOracle:
 
 
 def oracle_rows(q, seed, streams, n):
-    """uniform_rows one draw at a time, and the words each stream rejected."""
+    """uniform_columns one draw at a time, one row per stream, and the words
+    each stream rejected."""
     rows, rejected = [], []
     for s in streams:
         rng = RandomStream(seed, stream=s)
@@ -195,56 +198,81 @@ def oracle_rows(q, seed, streams, n):
 
 class TestSampling:
     def test_support_binary(self):
-        assert set(uniform_rows(2, 0, [0], 64)[0].tolist()) == {0, 1}
+        assert set(uniform_columns(2, 0, [0], 64)[:, 0].tolist()) == {0, 1}
 
     def test_frequency_within_4_sigma(self):
         # 3e5 draws over F_3: binomial sigma = sqrt(N * (1/3)(2/3)) ~= 258.2
         n = 300_000
         sigma = math.sqrt(n * (1 / 3) * (2 / 3))
-        counts = np.bincount(uniform_rows(3, 2024, [0], n)[0], minlength=3)
+        counts = np.bincount(uniform_columns(3, 2024, [0], n)[:, 0], minlength=3)
         assert counts.sum() == n
         for c in counts:
             assert abs(c - n / 3) <= 4 * sigma
 
     def test_fixed_seed_repeats(self):
-        draws = lambda: uniform_rows(7, 99, range(20), 1)
+        draws = lambda: uniform_columns(7, 99, range(20), 1)
         assert (draws() == draws()).all()
-        assert uniform_rows(7, 5, [0], 50).tolist() == uniform_rows(7, 5, [0], 50).tolist()
+        assert uniform_columns(7, 5, [0], 50).tolist() == uniform_columns(7, 5, [0], 50).tolist()
 
     def test_distinct_streams_differ(self):
-        seqs = {tuple(row) for row in uniform_rows(1 << 16, 1, range(8), 8).tolist()}
+        seqs = {tuple(col) for col in uniform_columns(1 << 16, 1, range(8), 8).T.tolist()}
         assert len(seqs) == 8
 
     @given(q=st.integers(2, 1 << 16), seed=st.integers(-(2**63), 2**63 - 1))
     @settings(max_examples=60, deadline=None)
     def test_draws_always_in_range(self, q, seed):
-        draws = uniform_rows(q, seed, [0, 1], 8)
-        assert draws.shape == (2, 8)
+        draws = uniform_columns(q, seed, [0, 1], 8)
+        assert draws.shape == (8, 2) and draws.dtype == np.uint16
         assert ((0 <= draws) & (draws < q)).all()
 
     def test_matches_scalar_stream_where_words_are_rejected(self):
         rows, rejected = oracle_rows(4057, 7, range(4096), 64)
         assert sum(rejected) == 6  # in streams 69, 713, 850, 1710, 2114, 3163
-        assert uniform_rows(4057, 7, range(4096), 64).tolist() == rows
+        assert uniform_columns(4057, 7, range(4096), 64).T.tolist() == rows
 
     def test_matches_scalar_stream_at_any_start(self):
         rows, rejected = oracle_rows(3, 7, range(2100, 2130), 64)
         assert rejected[2114 - 2100] == 1 and sum(rejected) == 1
-        assert uniform_rows(3, 7, np.arange(2100, 2130), 64).tolist() == rows
+        assert uniform_columns(3, 7, np.arange(2100, 2130), 64).T.tolist() == rows
 
-    @pytest.mark.parametrize("q,n", [(2, 1), (5, 17), (65521, 3), (1 << 32, 40)])
+    @pytest.mark.parametrize(
+        "q,n",
+        # powers of two reduce by a mask and never reject; the others use % and may
+        [(2, 1), (4, 9), (1024, 5), (1 << 16, 3), (1 << 32, 40), (3, 11), (5, 17), (9, 6), (65521, 3)],
+    )
     def test_matches_scalar_stream(self, q, n):
         for seed in (0, -1, 2**64 + 5):
             rows, _ = oracle_rows(q, seed, [0, 1, 999], n)
-            assert uniform_rows(q, seed, [0, 1, 999], n).tolist() == rows
+            draws = uniform_columns(q, seed, [0, 1, 999], n)
+            assert draws.dtype == (np.uint16 if q <= 1 << 16 else np.uint64)
+            assert draws.T.tolist() == rows
 
     def test_chunking_invisible(self, monkeypatch):
-        whole = uniform_rows(4057, 7, range(4096), 64)
-        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1000)  # 15 rows per pass
-        assert (uniform_rows(4057, 7, range(4096), 64) == whole).all()
-        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1)  # one row per pass
-        assert (uniform_rows(4057, 7, range(4096), 64) == whole).all()
+        whole = uniform_columns(4057, 7, range(4096), 64)
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1000)  # 15 columns per pass
+        assert (uniform_columns(4057, 7, range(4096), 64) == whole).all()
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", 1)  # one column per pass
+        assert (uniform_columns(4057, 7, range(4096), 64) == whole).all()
+
+    @pytest.mark.parametrize("per_pass", [69, 70, 713, 714])
+    def test_rejecting_column_on_a_chunk_boundary(self, monkeypatch, per_pass):
+        # streams 69 and 713 reject a word; with 69 or 713 columns per pass
+        # they open a pass, with 70 or 714 they close one
+        rows, rejected = oracle_rows(4057, 7, range(1000), 64)
+        assert rejected[69] == rejected[713] == 1
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", per_pass * 64)
+        assert uniform_columns(4057, 7, range(1000), 64).T.tolist() == rows
+
+    def test_random_dag_networks_unchanged(self):
+        # channels of 48 networks, digested; pinned when random_dag drew
+        # through a row-major draw, before the column layout
+        h = hashlib.sha256()
+        for seed in [*range(-10, 11), 2**40, -(2**63), 2**64 + 5]:
+            for k, w, density in ((6, 3, 0.45), (15, 4, 0.3)):
+                net = random_dag(k, w, density, seed=seed)
+                h.update(repr([(c.id, c.tail, c.head) for c in net.channels]).encode())
+        assert h.hexdigest()[:16] == "9012781de0f25b0b"
 
     def test_empty(self):
-        assert uniform_rows(5, 1, [], 3).shape == (0, 3)
-        assert uniform_rows(5, 1, [0, 1], 0).shape == (2, 0)
+        assert uniform_columns(5, 1, [], 3).shape == (3, 0)
+        assert uniform_columns(5, 1, [0, 1], 0).shape == (0, 2)

@@ -224,7 +224,7 @@ class TestGenerators:
 
     def test_generator_sizes_capped_before_building(self, monkeypatch):
         assert MAX_GENERATED == 1 << 20
-        monkeypatch.setattr(netmodel, "uniform_rows", None)  # calling it would raise TypeError
+        monkeypatch.setattr(netmodel, "uniform_columns", None)  # calling it would raise TypeError
         for args in ((MAX_GENERATED + 1, 0), (1 << 10, 1 << 10), (1 << 40, 1 << 40)):
             with pytest.raises(ValueError, match="channels, above 1048576"):
                 plait(*args)

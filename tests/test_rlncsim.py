@@ -419,11 +419,11 @@ class TestEstimate:
         assert started == [3, 2]
 
     def test_block_memory_bounded_by_bytes(self, monkeypatch):
-        # N = 2,928 slots and 403 live channels: 2,000 trials in one batch
-        # would take about 159 MB at 79,352 B per trial.  With 4 MiB
-        # sub-batches the traced peak stays under 4 MiB plus 1 MiB of slack
-        # for what the budget leaves out: the rank's int32 copy and its
-        # elimination temporaries, index lists and Python objects
+        # N = 2,928 slots, 403 live channels and 26 columns at the widest:
+        # 2,000 trials in one batch would take about 25 MB at 12,408 B per
+        # trial.  With 4 MiB sub-batches the traced peak stays under 4 MiB
+        # plus 1 MiB of slack for what the budget leaves out: the draw's
+        # fixed hashing scratch, index lists and Python objects
         net, f2 = random_dag(40, 4, 0.5, seed=1), make_field(2)
         assert coefficient_count(net, 4) == 2928
         whole = estimate_failure(net, 4, f2, "t", 2000, seed=1)
@@ -437,13 +437,30 @@ class TestEstimate:
         assert peak < (4 << 20) + (1 << 20)
         assert part == whole
 
+    def test_block_memory_counts_field_temporaries(self, monkeypatch):
+        # w = 10 over GF(9) on N = 140 slots: the draw and kernels take 540 B
+        # a trial, the field operations' int32 and intp temporaries on up to
+        # 10 x 13 matrices several times that.  Counted, a 1 MiB budget keeps
+        # the peak near 0.6 MiB; left out, the peak was 4.5 MiB
+        net, f9 = random_dag(6, 10, 0.6, seed=1), make_field_of_order(9)
+        whole = estimate_failure(net, 10, f9, "t", 3000, seed=1)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            part = estimate_failure(net, 10, f9, "t", 3000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 << 20) + (1 << 20)
+        assert part == whole
+
     @pytest.mark.parametrize("q", [3, 4])
     def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
-        # dag12 fails often; 20,000 B is 8 trials of 2,458 B, so 1,001
+        # dag12 fails often; 10,000 B is 8 trials of 1,186 B, so 1,001
         # trials end in a one-trial sub-batch
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 20_000)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 10_000)
         assert estimate_failure(net, 4, field, "t", 1001, seed=2) == whole
         assert 0 < whole.failures < whole.trials
 
@@ -478,7 +495,7 @@ class TestEstimate:
         def no_draw(*args):
             raise AssertionError("drew coefficients for a run that should be refused")
 
-        monkeypatch.setattr(rlncsim, "uniform_rows", no_draw)
+        monkeypatch.setattr(rlncsim, "uniform_columns", no_draw)
         assert rlncsim.MAX_TRIALS == 1 << 32
         with pytest.raises(ValueError, match=r"trials must be in 1\.\.4294967296, got 4294967297"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", (1 << 32) + 1, seed=1)
