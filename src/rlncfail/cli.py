@@ -31,10 +31,10 @@ class UsageError(ValueError):
     pass
 
 
-def decimal_str(x: Fraction, digits: int = 10) -> str:
-    """x rendered with the given number of significant digits."""
+def decimal_str(x: Fraction) -> str:
+    """x rendered with 10 significant digits."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 10
         d = Decimal(x.numerator) / Decimal(x.denominator)
     return str(d)
 
@@ -84,39 +84,44 @@ def parse_gen_spec(spec: str) -> Network:
         raise UsageError(f"bad generator spec {spec!r}: {exc}") from None
 
 
-def _load_network(args) -> tuple[Network, str]:
+def _setup(args) -> tuple[Network, str, str, int]:
+    """The network, its display name, the sink and the rate of a report
+    command.  The rate is --rate, else the file's hint, and never above the
+    sink's min-cut, which also bounds every per-rate allocation downstream."""
     if bool(args.network) == bool(args.gen):
         raise UsageError("provide exactly one of --network FILE or --gen SPEC")
     if args.network:
-        return netmodel.read_network(args.network), args.network
-    return parse_gen_spec(args.gen), args.gen
-
-
-def _resolve_sink(net: Network, sink: str | None) -> str:
-    if sink is not None:
-        if sink not in net.sinks:
-            raise UsageError(f"{sink} is not a sink of this network")
-        return sink
-    if len(net.sinks) == 1:
-        return next(iter(net.sinks))
-    raise UsageError(f"network has sinks {sorted(net.sinks)}; choose one with --sink")
-
-
-def _resolve_rate(net: Network, sink: str, rate: int | None) -> int:
-    """--rate, else the file's hint; never above the sink's min-cut, which
-    also bounds every per-rate allocation downstream."""
-    if rate is not None:
-        if rate < 1:
-            raise UsageError("--rate must be >= 1")
-        w = rate
-    elif net.rate_hint:
-        w = net.rate_hint
+        net, name = netmodel.read_network(args.network), args.network
     else:
+        net, name = parse_gen_spec(args.gen), args.gen
+    sink = args.sink
+    if sink is None:
+        if len(net.sinks) != 1:
+            raise UsageError(f"network has sinks {sorted(net.sinks)}; choose one with --sink")
+        sink = next(iter(net.sinks))
+    elif sink not in net.sinks:
+        raise UsageError(f"{sink} is not a sink of this network")
+    if args.rate is not None and args.rate < 1:
+        raise UsageError("--rate must be >= 1")
+    w = args.rate or net.rate_hint
+    if not w:
         raise UsageError("network carries no rate hint; set --rate")
     c_t = min_cut(net, sink)
     if w > c_t:
         raise InfeasibleRateError(w, c_t, sink)
-    return w
+    return net, name, sink, w
+
+
+def _print_report(args, name: str, sink: str, q: int, w: int, lines: list[str], body: dict) -> int:
+    """Text: `network:` and `sink:`, then the report's lines.  JSON: the
+    {network, sink, q, w} header, then the report's body."""
+    if args.format == "json":
+        doc = {"network": name, "sink": sink, "q": q, "w": w}
+        doc.update(body)
+        print(json.dumps(doc, indent=2))
+    else:
+        print("\n".join([f"network: {name}", f"sink: {sink}", *lines]))
+    return 0
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -134,33 +139,19 @@ def _cmd_gen(args) -> int:
 _BOUND_LABELS = ("lower", "thm1", "thm2", "cor1", "thm3")
 
 
-def _report_header(name: str, sink: str, q: int, w: int) -> dict:
-    return {"network": name, "sink": sink, "q": q, "w": w}
-
-
 def _cmd_bounds(args) -> int:
-    net, name = _load_network(args)
-    sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, sink, args.rate)
-    field = make_field_of_order(args.field)
-    report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
-    if args.format == "json":
-        doc = _report_header(name, sink, field.q, w)
-        doc.update({k: v for k, v in report.as_dict().items() if k not in doc})
-        print(json.dumps(doc, indent=2))
-        return 0
+    net, name, sink, w = _setup(args)
+    report = bnd.full_report(net, sink, w, make_field_of_order(args.field), rt_mode=args.rt)
     rt_tag = "exact" if report.r_min_exact else "heuristic"
-    print(f"network: {name}")
-    print(f"sink: {sink}")
-    print(f"q: {report.q}  w: {report.w}  C_t: {report.c_t}  delta_t: {report.delta_t}")
-    print(f"r: {report.r}  R_t: {report.r_min} ({rt_tag})  J: {report.j_count}")
-    # the profile lists the path set's internal nodes in topological order
-    print(f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical")
-    print("bounds:")
-    for label in _BOUND_LABELS:
-        value = getattr(report, label)
-        print(f"  {label:<6} {frac_str(value):<16} {decimal_str(value)}")
-    return 0
+    values = {label: getattr(report, label) for label in _BOUND_LABELS}
+    return _print_report(args, name, sink, report.q, w, [
+        f"q: {report.q}  w: {report.w}  C_t: {report.c_t}  delta_t: {report.delta_t}",
+        f"r: {report.r}  R_t: {report.r_min} ({rt_tag})  J: {report.j_count}",
+        # the profile lists the path set's internal nodes in topological order
+        f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical",
+        "bounds:",
+        *(f"  {label:<6} {frac_str(v):<16} {decimal_str(v)}" for label, v in values.items()),
+    ], report.as_dict())
 
 
 def _cmd_simulate(args) -> int:
@@ -168,50 +159,34 @@ def _cmd_simulate(args) -> int:
         raise UsageError("simulate requires an explicit --seed")
     if args.trials is None:
         raise UsageError("simulate requires --trials >= 1")
-    net, name = _load_network(args)
-    sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, sink, args.rate)
+    net, name, sink, w = _setup(args)
     field = make_field_of_order(args.field)
     est = rlncsim.estimate_failure(net, w, field, sink, args.trials, args.seed, workers=args.workers)
-    if args.format == "json":
-        doc = _report_header(name, sink, field.q, w)
-        doc["estimate"] = dataclasses.asdict(est)  # trials, failures, p_hat, ci_low, ci_high, seed
-        print(json.dumps(doc, indent=2))
-        return 0
     p_hat = Fraction(est.failures, est.trials)
-    print(f"network: {name}")
-    print(f"sink: {sink}")
-    print(f"q: {field.q}  w: {w}")
-    print(f"trials: {est.trials}  failures: {est.failures}  p_hat: {decimal_str(p_hat)}")
-    print(f"wilson99: [{est.ci_low:.10g}, {est.ci_high:.10g}]")
-    print(f"seed: {est.seed}")
-    return 0
+    return _print_report(args, name, sink, field.q, w, [
+        f"q: {field.q}  w: {w}",
+        f"trials: {est.trials}  failures: {est.failures}  p_hat: {decimal_str(p_hat)}",
+        f"wilson99: [{est.ci_low:.10g}, {est.ci_high:.10g}]",
+        f"seed: {est.seed}",
+    ], {"estimate": dataclasses.asdict(est)})  # trials, failures, p_hat, ci_low, ci_high, seed
 
 
 def _cmd_exact(args) -> int:
-    net, name = _load_network(args)
-    sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, sink, args.rate)
+    net, name, sink, w = _setup(args)
     field = make_field_of_order(args.field)
     result = rlncsim.exact_failure(net, w, field, sink, budget=args.budget)
-    if args.format == "json":
-        doc = _report_header(name, sink, field.q, w)
-        doc["exact"] = {
-            "num": str(result.numerator),
-            "den": str(result.denominator),
-            "failures": str(result.failures),
-            "assignments": str(result.assignments),
-            "slots": result.num_slots,
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
     frac = result.fraction
-    print(f"network: {name}")
-    print(f"sink: {sink}")
-    print(f"q: {field.q}  w: {w}")
-    print(f"exact: {frac_str(frac)} = {decimal_str(frac)}")
-    print(f"slots: {result.num_slots}  assignments: {result.assignments}  failing: {result.failures}")
-    return 0
+    return _print_report(args, name, sink, field.q, w, [
+        f"q: {field.q}  w: {w}",
+        f"exact: {frac_str(frac)} = {decimal_str(frac)}",
+        f"slots: {result.num_slots}  assignments: {result.assignments}  failing: {result.failures}",
+    ], {"exact": {
+        "num": str(result.numerator),
+        "den": str(result.denominator),
+        "failures": str(result.failures),
+        "assignments": str(result.assignments),
+        "slots": result.num_slots,
+    }})
 
 
 SWEEP_COLUMNS = [
@@ -234,9 +209,7 @@ def _cmd_sweep(args) -> int:
     if not orders:
         raise UsageError("sweep requires a nonempty --fields list")
     fields = [make_field_of_order(q) for q in orders]
-    net, name = _load_network(args)
-    sink = _resolve_sink(net, args.sink)
-    w = _resolve_rate(net, sink, args.rate)
+    net, name, sink, w = _setup(args)
 
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
@@ -342,8 +315,11 @@ def _check_sizes(args) -> None:
     """Bound the sizes a user sets before any network is loaded."""
     if getattr(args, "workers", 1) < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "budget", 1) < 1:
-        raise UsageError(f"--budget must be >= 1, got {args.budget}")
+    budget = getattr(args, "budget", 1)
+    if budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {budget}")
+    if budget > rlncsim.MAX_ENUMERATION_BUDGET:
+        raise UsageError(f"--budget must be at most {rlncsim.MAX_ENUMERATION_BUDGET}, got {budget}")
     trials = getattr(args, "trials", None)
     if trials is not None and not 1 <= trials <= rlncsim.MAX_TRIALS:
         raise UsageError(f"trials must be in 1..{rlncsim.MAX_TRIALS}, got {trials}")

@@ -38,6 +38,7 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 MAX_TRIALS = 1 << 32  # 2^18 blocks; the block list is built before any work starts
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
+MAX_ENUMERATION_BUDGET = 1 << 22  # the CLI's cap: states kept can reach the budget, ~1.3 GB
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
 _SUB_BATCH_BYTES = 64 << 20  # a sub-batch's coefficient, kernel and temporary bytes at once
@@ -198,13 +199,13 @@ def _set_job(*job) -> None:
 
 # --- failure probability, estimated and exact -----------------------------------
 
-def wilson_interval(failures: int, trials: int, z: float = WILSON_Z99) -> tuple[float, float]:
-    """Wilson score interval; stays inside [0, 1] even for extreme rates."""
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """Wilson 99% score interval; stays inside [0, 1] even for extreme rates."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= failures <= trials:
         raise ValueError("failures must be in 0..trials")
-    p = failures / trials
+    p, z = failures / trials, WILSON_Z99
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom

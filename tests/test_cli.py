@@ -100,6 +100,7 @@ class TestGenSpec:
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
 DAG6_W10 = "random:internal=6,w=10,density=0.6,seed=1"
+RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
 SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
              "--trials", "40000", "--seed", "1")
@@ -119,6 +120,13 @@ SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
     (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
     (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
     (SIM_DAG12 + ("--field", "9", "--workers", "2"), "simulate-dag12-q9.txt"),
+    (("sweep", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--fields", "2,3,4",
+      "--trials", "2000", "--seed", "1"), "sweep-butterfly-t1.csv"),
+    # the exact columns are blank at q = 3, where the DP passes the budget
+    (("sweep", "--gen", RANDOM5, "--fields", "2,3", "--budget", "524288"),
+     "sweep-random5-q2q3.csv"),
+    (("simulate", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--trials", "1000",
+      "--seed", "3", "--format", "json"), "simulate-butterfly-t1-q2.json"),
 ])
 def test_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -150,6 +158,25 @@ class TestSizeChecks:
                                      "--budget", budget)
             assert code == 2 and out == "", cmd
             assert err == f"error: --budget must be >= 1, got {budget}\n", cmd
+
+    def test_budget_above_cap_exit_2_before_loading(self, capsys, monkeypatch):
+        import rlncfail.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("the network was loaded before --budget was checked")
+
+        monkeypatch.setattr(cli, "parse_gen_spec", never)
+        for cmd in (("exact", "--field", "4"), ("sweep", "--fields", "4")):
+            code, out, err = run_cli(capsys, *cmd, "--gen", "butterfly", "--sink", "t1",
+                                     "--budget", "4194305")
+            assert code == 2 and out == "", cmd
+            assert err == "error: --budget must be at most 4194304, got 4194305\n", cmd
+
+    def test_budget_at_cap_accepted(self, capsys):
+        for cmd in (("exact", "--field", "2"), ("sweep", "--fields", "2")):
+            code, out, err = run_cli(capsys, *cmd, "--gen", "butterfly", "--sink", "t1",
+                                     "--budget", "4194304")
+            assert code == 0 and err == "" and "125/128" in out, cmd
 
     def test_trials_checked_before_loading(self, capsys, monkeypatch):
         import rlncfail.bounds as bounds
@@ -406,6 +433,26 @@ class TestSweep:
         _, out, _ = run_cli(capsys, "sweep", "--gen", "butterfly", "--sink", "t1",
                             "--fields", "2", "--budget", "37")
         assert next(csv.DictReader(io.StringIO(out)))["exact"] == ""
+
+    def test_exact_against_thm1_on_paper_networks(self, capsys):
+        """Theorem 1 is tight on the butterfly and on plaits; on a random DAG
+        the exact value fits the budget at q = 2 and not at q = 3."""
+        for spec, sink, tight in (
+            ("butterfly", "t1", True),
+            ("plait:w=2,r=1", "t", True),
+            ("plait:w=3,r=2", "t", True),
+            (RANDOM5, "t", False),
+        ):
+            code, out, err = run_cli(capsys, "sweep", "--gen", spec, "--sink", sink,
+                                     "--fields", "2,3", "--budget", "524288")
+            assert code == 0, err
+            rows = list(csv.DictReader(io.StringIO(out)))
+            assert [r["q"] for r in rows] == ["2", "3"], spec
+            if tight:
+                assert all(r["exact_frac"] == r["thm1_frac"] != "" for r in rows), spec
+            else:
+                assert [r["exact_frac"] for r in rows] == ["71837/131072", ""]
+                assert rows[1]["exact"] == ""
 
     def test_estimate_included_when_requested(self, capsys):
         rows = self.run_sweep(capsys, "--trials", "2000", "--seed", "9")
