@@ -6,8 +6,9 @@ Elements are canonical integers in 0..q-1; for extension fields (m > 1) the
 integer packs the residue polynomial's coefficients in base p, i.e.
 value = sum(c_i * p**i) for the residue c_0 + c_1 x + ... + c_{m-1} x^{m-1}.
 
-Every field multiplies and inverts through log/antilog tables of length
-O(q), built on first use, and adds digit-wise in base p; its array methods
+GF(2) multiplies by AND and adds by XOR.  Every other field multiplies and
+inverts through log/antilog tables of length O(q), built on first use, and
+adds digit-wise in base p (XOR in characteristic 2).  The array methods
 serve the bulk simulation and the exact evaluator.
 
 Sampling is deterministic: `uniform_columns` draws uniform elements from
@@ -35,9 +36,10 @@ _CHUNK_WORDS = 1 << 15  # words hashed per numpy pass of `uniform_columns`
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a uint64 array, in place: bijective, full avalanche."""
-    tmp = np.empty_like(x)
+def _mix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array, in place: bijective, full
+    avalanche.  tmp, if given, is scratch of x's shape."""
+    tmp = np.empty_like(x) if tmp is None else tmp
     for s, c in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         x ^= np.right_shift(x, np.uint64(s), out=tmp)
         x *= np.uint64(c)
@@ -48,7 +50,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
     """(n, len(streams)) array, uint16 for q <= MAX_ORDER and uint64 above:
     column i holds the first n uniform draws from 0..q-1 of the counter
-    stream (seed, streams[i]).
+    stream (seed, streams[i]).  Above MAX_ORDER q must be a power of two.
 
     Word c = 1, 2, ... of a stream with key k is mix64(k + GOLDEN * c), so a
     stream is a pure function of (seed, stream).  A draw takes the top
@@ -56,17 +58,27 @@ def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
     rejects candidates at or above the largest multiple of q in that range
     (none when q is a power of two), so each value has probability exactly 1/q.
     """
+    if q > MAX_ORDER and q & (q - 1):
+        raise ValueError(f"draws modulo {q} need q <= {MAX_ORDER} or a power of two")
     bits = max(1, (q - 1).bit_length()) + 16
     shift, limit = np.uint64(64 - bits), np.uint64((1 << bits) - (1 << bits) % q)
     # one-element arrays throughout: numpy warns on uint64 scalar overflow
     seed_key = _mix64(np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64))
-    salted = (np.asarray(streams).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
-    keys = _mix64(seed_key ^ salted)
     steps = _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
-    out = np.empty((n, len(keys)), dtype=np.uint16 if q <= MAX_ORDER else np.uint64)
+    out = np.empty((n, len(streams)), dtype=np.uint16 if q <= MAX_ORDER else np.uint64)
     per_chunk = max(1, _CHUNK_WORDS // max(n, 1))
-    for c0 in range(0, len(keys), per_chunk):
-        cand = _mix64(steps[:, None] + keys[c0 : c0 + per_chunk])
+    # the only chunk-sized arrays, reused by every chunk: the candidates, and
+    # scratch for the counters, the hash's shifts and the reduction modulo q.
+    # Broadcasting ufuncs would add numpy's own buffers; copyto adds none
+    buf, tmp = (np.empty(n * min(per_chunk, len(streams)), dtype=np.uint64) for _ in range(2))
+    for c0 in range(0, len(streams), per_chunk):
+        salted = (np.asarray(streams[c0 : c0 + per_chunk]).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
+        keys = _mix64(seed_key ^ salted)
+        shape = (n, len(keys))
+        cand, scratch = buf[: n * len(keys)].reshape(shape), tmp[: n * len(keys)].reshape(shape)
+        np.copyto(cand, keys)
+        np.copyto(scratch, steps[:, None])
+        _mix64(np.add(cand, scratch, out=cand), scratch)
         cand >>= shift
         if q & (q - 1):
             ok = cand < limit
@@ -75,13 +87,19 @@ def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
                 col, c = cand[ok[:, i], i], np.array([n], dtype=np.uint64)
                 while col.size < n:
                     c += 1
-                    more = _mix64(keys[c0 + i : c0 + i + 1] + _GOLDEN_U64 * c) >> shift
+                    more = _mix64(keys[i : i + 1] + _GOLDEN_U64 * c) >> shift
                     col = np.append(col, more[more < limit])
                 cand[:, i] = col
-            cand %= np.uint64(q)
+            # every candidate has at most 32 bits here; numpy divides uint32
+            # by a scalar with a multiply, but its % divides in hardware
+            low, quo = tmp.view(np.uint32)[: 2 * cand.size].reshape((2,) + shape)
+            np.copyto(low, cand, casting="unsafe")
+            np.floor_divide(low, np.uint32(q), out=quo)
+            low -= np.multiply(quo, np.uint32(q), out=quo)
+            out[:, c0 : c0 + per_chunk] = low
         else:
             cand &= np.uint64(q - 1)
-        out[:, c0 : c0 + per_chunk] = cand
+            out[:, c0 : c0 + per_chunk] = cand
     return out
 
 
@@ -147,13 +165,15 @@ class FieldSpec:
     Use `make_field` rather than constructing directly; equal (p, m) always
     yields the identical field (same reduction polynomial, same tables).
 
-    Arithmetic runs through log/antilog tables over a generator g of the
-    multiplicative group, built on first use: `exp[i] = g^i` (uint16) and
-    `log[exp[i]] = i` (intp, so sums of logs index `exp` without a cast).
-    `log[0]` is a sentinel that lands every product or quotient involving 0
-    in a zero tail of `exp`, so `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no
-    masks; they take ints or integer arrays of canonical values and
-    broadcast like numpy.
+    For q > 2, products and inverses run through log/antilog tables over a
+    generator g of the multiplicative group, built on first use:
+    `exp[i] = g^i` (uint16) and `log[exp[i]] = i` (intp, so sums of logs
+    index `exp` without a cast).  `log[0]` is a sentinel that lands every
+    product or quotient involving 0 in a zero tail of `exp`, so
+    `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks.  GF(2) needs no
+    tables: a product is AND and 1 is its own inverse.  The methods take
+    ints or integer arrays of canonical values and broadcast like numpy;
+    `vmul` and `vinv` of uint16 arrays are uint16 arrays.
     """
 
     def __init__(self, p: int, m: int):
@@ -284,11 +304,16 @@ class FieldSpec:
         return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
+        """a * b: AND for q = 2."""
+        if self.q == 2:
+            return a & b
         exp, log = self._tables
         return exp[log[a] + log[b]]
 
     def vinv(self, a):
-        """Inverse of nonzero values (0 maps to 0)."""
+        """Inverse of nonzero values (0 maps to 0); 1 is the only unit for q = 2."""
+        if self.q == 2:
+            return a
         exp, log = self._tables
         return exp[(self.q - 1) - log[a]]
 

@@ -11,13 +11,14 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
   adjacent channel pairs), by a dynamic program that advances the cut
   between processed and unprocessed nodes one node at a time.
 
-Both run on the network's integer view and the field's log/antilog tables
-through numpy, batch axis last, so every elementwise pass runs along a whole
-batch.  `_kernels` propagates an (N, B) uint16 block of B trials'
-coefficients, which `galois.uniform_columns` draws in that layout, node by
-node: each node's out-kernels are its in-kernels times its (in-kernel,
-out-channel, B) block, one `_matmul`, which also spans the DP's branches.
-`_eliminate` reduces (r, c, B) batches of decoding or frontier matrices.
+Both run on the network's integer view and the field's array arithmetic
+(AND and XOR at q = 2, log/antilog tables above) through numpy, batch axis
+last, so every elementwise pass runs along a whole batch.  `_kernels`
+propagates an (N, B) uint16 block of B trials' coefficients, which
+`galois.uniform_columns` draws in that layout, node by node: each node's
+out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
+one `_matmul`, which also spans the DP's branches.  `_eliminate` reduces
+(r, c, B) batches of decoding or frontier matrices.
 """
 
 from __future__ import annotations
@@ -93,36 +94,43 @@ def coefficient_count(net: Network, w: int) -> int:
 # --- vectorized engine ----------------------------------------------------------
 
 def _eliminate(M: np.ndarray, field: FieldSpec, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Batched elimination of an (r, c, B) int32 batch M (modified), batch
-    last: the echelon forms, whose first rank rows span each row space, and
-    the ranks.  full=True also clears above the pivots: the RREF, canonical
-    per row space."""
+    """Batched elimination of an (r, c, B) batch M (consumed) of canonical
+    values, uint16 or wider, batch last: the echelon forms, of M's dtype,
+    whose first rank rows span each row space, and the ranks.
+    full=True also clears above the pivots: the RREF, canonical per row
+    space.
+
+    Each column's pivot is the first row of M nonzero there, picked by a
+    one-hot mask; every row of M is cleared against it, the pivot row to
+    zero, and the normalized pivot row is appended to the echelon form at
+    row rank.  Every pass runs over whole rows of the batch, with no
+    per-trial row swap; a trial with no pivot in a column has that column
+    zero in M, so its updates add zero."""
     w, c, B = M.shape
+    out = np.zeros_like(M)
     piv = np.zeros(B, dtype=np.int64)
     rows = np.arange(w)[:, None]
     for col in range(c):
         if (piv >= w).all():
             break
-        elig = (M[:, col] != 0) & (rows >= piv)
-        has = elig.any(axis=0)
-        sel = np.nonzero(has)[0]
-        r0, r1 = piv[sel], elig.argmax(axis=0)[sel]
-        M[r0, :, sel], M[r1, :, sel] = M[r1, :, sel], M[r0, :, sel]
-        M[r0, :, sel] = field.vmul(M[r0, :, sel], field.vinv(M[r0, col, sel])[:, None])
-        pivrow = np.zeros((c - col, B), dtype=np.int32)  # zero before col
-        pivrow[:, sel] = M[r0, col:, sel].T
         f = M[:, col]
-        clear = ((rows != piv) if full else (rows > piv)) & (f != 0) & has
-        if clear.any():
-            right = M[:, col:]
-            np.copyto(right, field.vsub(right, field.vmul(f[:, None], pivrow)), where=clear[:, None])
-        piv = piv + has
-    return M, piv
+        nz, seen = f != 0, np.zeros(B, dtype=bool)
+        pivrow = np.zeros((c - col, B), dtype=M.dtype)  # zero before col, as M is
+        for i in range(w):
+            pivrow += M[i, col:] * (nz[i] & ~seen)
+            seen |= nz[i]
+        pivrow = field.vmul(pivrow, field.vinv(pivrow[0]))
+        M[:, col:] = field.vsub(M[:, col:], field.vmul(f[:, None], pivrow))
+        if full:
+            out[:, col:] = field.vsub(out[:, col:], field.vmul(out[:, col, None], pivrow))
+        out[:, col:] += (rows == piv)[:, None] * pivrow
+        piv += seen
+    return out, piv
 
 
 def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Ranks of a (w, c, B) batch of matrices by batched elimination."""
-    return _eliminate(mats.astype(np.int32), field)[1]
+    return _eliminate(mats.astype(np.uint16), field)[1]
 
 
 def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -177,7 +185,7 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     # per trial: the uint16 draw, the kernels, and under 32 B an entry of
     # field-operation temporaries (int32 copies, intp log sums) on the widest
     # matrix, a node's in-kernels times its out-channels or t's decoding
-    # matrix; the draw's hashing scratch is a fixed few _CHUNK_WORDS words
+    # matrix; the draw's hashing scratch is two fixed _CHUNK_WORDS-word buffers
     width = max(len(net.ins[ti]), *map(len, net.outs))
     step = max(1, _SUB_BATCH_BYTES // (2 * n + 2 * w * len(live) + 32 * w * width))
     failures = 0
@@ -284,7 +292,7 @@ def _branches(span, rest, outs: int, field: FieldSpec):
     low = 0  # choice digits enumerated by numpy; the others by the loop
     while low < r * outs and q ** (low + 1) <= per_batch:
         low += 1
-    choices = np.zeros((q**low, r * outs), dtype=np.int64)
+    choices = np.zeros((q**low, r * outs), dtype=np.uint16)
     choices[:, :low] = np.arange(q**low)[:, None] // q ** np.arange(low) % q
     per_state = max(1, per_batch // q**low)
     for high in itertools.product(range(q), repeat=r * outs - low):
@@ -294,7 +302,7 @@ def _branches(span, rest, outs: int, field: FieldSpec):
             part = slice(s0, s0 + per_state)
             cols = _matmul(span[:, :, part, None], coef, field)  # (w, outs, states, q^low)
             old = np.broadcast_to(rest[:, :, part, None], (w, k - outs) + cols.shape[2:])
-            M = np.concatenate([old, cols], axis=1, dtype=np.int32).reshape(w, k, -1)
+            M = np.concatenate([old, cols], axis=1).reshape(w, k, -1)
             M, rank = _eliminate(M, field, full=True)
             yield np.repeat(np.arange(g)[part], q**low), M, rank
 
@@ -330,7 +338,7 @@ def exact_failure(
         rest = [i for i, h in enumerate(frontier) if h != v]
         heads = [net.head[j] for j in net.outs[v] if reach[net.head[j]]]
         a, b = len(ins), len(heads)
-        basis, rho = _eliminate(states[:, :, ins].T.astype(np.int32, order="C"), field)
+        basis, rho = _eliminate(np.ascontiguousarray(states[:, :, ins].T), field)
         per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
         spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
         if spent > budget:

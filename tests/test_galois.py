@@ -3,6 +3,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -184,6 +185,26 @@ class TestAgainstNaiveOracle:
         assert [naive.mul(x, y) for x, y in zip(nz, f.vinv(nz))] == [1] * len(nz)
         assert f.vneg(a).tolist() == [naive.sub(0, x) for x in a]
 
+    def test_gf2_bit_operations_match_oracle(self):
+        # q = 2 multiplies by AND and inverts by the identity, with no tables;
+        # every pair of {0, 1}, as Python ints and as the engine's integer dtypes
+        f, naive = FieldSpec(2, 1), NaiveField(make_field(2))
+        pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
+        for a, b in pairs:
+            assert f.vadd(a, b) == naive.add(a, b)
+            assert f.vsub(a, b) == naive.sub(a, b)
+            assert f.vmul(a, b) == naive.mul(a, b)
+        assert f.vinv(1) == naive.inv(1) and f.vinv(0) == 0
+        a, b = (np.array(x) for x in zip(*pairs))
+        for dtype in (np.uint16, np.int32, np.int64):
+            x, y = a.astype(dtype), b.astype(dtype)
+            for vec, scalar in [(f.vadd, naive.add), (f.vsub, naive.sub), (f.vmul, naive.mul)]:
+                got = vec(x, y)
+                assert got.dtype == dtype
+                assert got.tolist() == [scalar(u, v) for u, v in pairs]
+            assert f.vinv(x).dtype == dtype and f.vinv(x).tolist() == a.tolist()
+        assert "_tables" not in vars(f)  # never built at q = 2
+
 
 def oracle_rows(q, seed, streams, n):
     """uniform_columns one draw at a time, one row per stream, and the words
@@ -272,6 +293,26 @@ class TestSampling:
                 net = random_dag(k, w, density, seed=seed)
                 h.update(repr([(c.id, c.tail, c.head) for c in net.channels]).encode())
         assert h.hexdigest()[:16] == "9012781de0f25b0b"
+
+    def test_draw_scratch_is_two_chunk_buffers(self):
+        # beyond its output a draw holds two chunk-sized uint64 buffers,
+        # reused by every chunk, plus one chunk's keys and numpy's own small
+        # temporaries (at most one ufunc buffer); a third chunk-sized array,
+        # as when a chunk was built while the previous one was still bound,
+        # exceeds this by about 200 KiB
+        uniform_columns(2, 1, range(16384), 85)
+        tracemalloc.start()
+        try:
+            out = uniform_columns(2, 1, range(16384), 85)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2 * galois._CHUNK_WORDS * 8 + np.getbufsize() * 8
+
+    def test_non_power_of_two_above_max_order_rejected(self):
+        # such a draw's candidates would not fit the 32-bit reduction
+        with pytest.raises(ValueError, match="power of two"):
+            uniform_columns(galois.MAX_ORDER + 1, 1, [0], 1)
 
     def test_empty(self):
         assert uniform_columns(5, 1, [], 3).shape == (3, 0)

@@ -206,6 +206,21 @@ class TestMatmul:
                     expect = self.naive_product(A[i, 0].tolist(), C[0, j].tolist(), c, naive)
                     assert got[:, :, i, j].tolist() == expect
 
+    def test_gf2_product_matches_table_product(self):
+        # q = 2 multiplies by AND; the tables the engine no longer uses at
+        # q = 2 still give the reference product
+        field = make_field(2)
+        exp, log = field._tables
+        rng = np.random.default_rng(2)
+        A = rng.integers(0, 2, (4, 3, 64)).astype(np.uint16)
+        C = rng.integers(0, 2, (3, 5, 64)).astype(np.uint16)
+        expect = np.zeros((4, 5, 64), dtype=np.uint16)
+        for k in range(3):
+            expect ^= exp[log[A[:, k, None]] + log[C[None, k]]]
+        got = rlncsim._matmul(A, C, field)
+        assert got.dtype == np.uint16
+        assert (got == expect).all()
+
 
 class TestRank:
     def test_identity(self):
@@ -265,6 +280,42 @@ class TestRank:
             via, rank_via = rlncsim._eliminate(np.array(mixed, np.int32).transpose(1, 2, 0).copy(), field, True)
             assert got.tobytes() == via.tobytes()
             assert rank.tolist() == rank_via.tolist() == [naive_rank(M, naive) for M in mats]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 1024])
+    def test_echelon_rows_span_the_row_space(self, q):
+        # full=False, as the DP's span step and _batch_rank use it: the first
+        # rank rows are in echelon form, and they and M share one RREF.
+        # Batches mix ranks: zero matrices, zero rows, duplicate rows and
+        # rows that are sums of others
+        field = make_field_of_order(q)
+        naive = NaiveField(field)
+        rng = RandomStream(q, stream=3)
+        for r, c in [(2, 3), (3, 3), (4, 5), (4, 2), (3, 6)]:
+            mats = []
+            for b in range(40):
+                M = [[uniform_int(q, rng) for _ in range(c)] for _ in range(r)]
+                if b % 10 == 0:
+                    M = [[0] * c for _ in range(r)]
+                if b % 3 == 1:
+                    M[-1] = list(M[0])
+                if b % 4 == 2:
+                    M[b % r] = [0] * c
+                if b % 5 == 3:
+                    M[-1] = [naive.add(x, y) for x, y in zip(M[0], M[1])]
+                mats.append(M)
+            batch = np.array(mats, np.uint16).transpose(1, 2, 0)
+            E, rank = rlncsim._eliminate(batch.copy(), field)
+            assert len(set(rank.tolist())) > 1
+            top = np.where(np.arange(r)[:, None, None] < rank, E, 0)
+            rref, _ = rlncsim._eliminate(batch.copy(), field, True)
+            rref_top, _ = rlncsim._eliminate(top.copy(), field, True)
+            assert rref_top.tobytes() == rref.tobytes()
+            for b, M in enumerate(mats):
+                rows = E[: rank[b], :, b].tolist()
+                assert rank[b] == naive_rank(M, naive) == naive_rank(rows, naive)
+                assert naive_rank(M + rows, naive) == rank[b]
+                leads = [next(j for j, x in enumerate(row) if x) for row in rows]
+                assert leads == sorted(set(leads))  # echelon: leading columns rise
 
 
 class TestDecodingMatrix:
