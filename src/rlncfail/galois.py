@@ -7,9 +7,9 @@ integer packs the residue polynomial's coefficients in base p, i.e.
 value = sum(c_i * p**i) for the residue c_0 + c_1 x + ... + c_{m-1} x^{m-1}.
 
 GF(2) multiplies by AND and adds by XOR.  Every other field multiplies and
-inverts through log/antilog tables of length O(q), built on first use, and
-adds digit-wise in base p (XOR in characteristic 2).  The array methods
-serve the bulk simulation and the exact evaluator.
+inverts through log/antilog tables of length O(q), built on first use from
+one table of base-p digits, and adds digit-wise (XOR in characteristic 2).
+The array methods serve the bulk simulation and the exact evaluator.
 
 Sampling is deterministic: `uniform_columns` draws uniform elements from
 counter-based streams keyed by (seed, stream), rejecting from a power-of-two
@@ -165,28 +165,30 @@ class FieldSpec:
     Use `make_field` rather than constructing directly; equal (p, m) always
     yields the identical field (same reduction polynomial, same tables).
 
-    For q > 2, products and inverses run through log/antilog tables over a
-    generator g of the multiplicative group, built on first use:
-    `exp[i] = g^i` (uint16) and `log[exp[i]] = i` (intp, so sums of logs
-    index `exp` without a cast).  `log[0]` is a sentinel that lands every
-    product or quotient involving 0 in a zero tail of `exp`, so
-    `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks.  GF(2) needs no
-    tables: a product is AND and 1 is its own inverse.  The methods take
-    ints or integer arrays of canonical values and broadcast like numpy;
-    `vmul` and `vinv` of uint16 arrays are uint16 arrays.
+    For q > 2, products and inverses run through log/antilog tables over the
+    smallest generator g of the multiplicative group, built on first use
+    from the elements' digits: `exp[i] = g^i` (uint16) and `log[exp[i]] = i`
+    (intp, so sums of logs index `exp` without a cast).  `log[0]` is a
+    sentinel that lands every product or quotient involving 0 in a zero
+    tail of `exp`, so `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks.
+    GF(2) needs no tables: a product is AND and 1 is its own inverse.  The
+    methods take ints or integer arrays of canonical values and broadcast
+    like numpy; `vmul` and `vinv` of uint16 arrays are uint16 arrays.
     """
 
     def __init__(self, p: int, m: int):
-        if _prime_factors(p) != [p]:
-            raise ValueError(f"characteristic must be prime, got {p}")
+        # sizes first, so that no input factors a huge p or computes a huge p**m
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > MAX_ORDER:
-            raise ValueError(f"field order {q} exceeds the supported maximum {MAX_ORDER}")
+        if p < 2:
+            raise ValueError(f"characteristic must be prime, got {p}")
+        if p > MAX_ORDER or m >= MAX_ORDER.bit_length() or p**m > MAX_ORDER:  # p^m >= 2^m
+            raise ValueError(f"field order {p}^{m} exceeds the supported maximum {MAX_ORDER}")
+        if _prime_factors(p) != [p]:
+            raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         self.reduction_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, m) if m > 1 else None
         )
@@ -213,69 +215,46 @@ class FieldSpec:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.m})"
 
-    # -- digit packing -----------------------------------------------------
-
-    def _digits(self, value: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            value, r = divmod(value, self.p)
-            out.append(r)
-        return out
-
-    def _pack(self, digits: list[int]) -> int:
-        v = 0
-        for c in reversed(digits):
-            v = v * self.p + c
-        return v
-
     # -- log/antilog tables ------------------------------------------------
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        """Schoolbook product; only used while building the tables."""
-        conv = [0] * (2 * self.m - 1)
-        for i, x in enumerate(self._digits(a)):
-            for j, y in enumerate(self._digits(b)):
-                conv[i + j] += x * y
-        conv = [c % self.p for c in conv]
-        if self.m == 1:
-            return conv[0]
-        rem = _poly_mod(conv, self.reduction_poly, self.p)
-        return self._pack(rem + [0] * (self.m - len(rem)))
-
-    def _poly_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._poly_mul(r, a)
-            a = self._poly_mul(a, a)
-            e >>= 1
-        return r
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        p, m, n = self.p, self.m, self.q - 1
-        # g generates the multiplicative group iff g^(n/r) != 1 for every prime r | n
-        factors = _prime_factors(n)
-        g = next(
-            g for g in range(1, self.q)
-            if all(self._poly_pow(g, n // r) != 1 for r in factors)
-        )
-        # value -> value * g for every value at once: g * x^j, row j, is
-        # the image of the j-th digit's unit
+        p, m, q, n = self.p, self.m, self.q, self.q - 1
+        # digit table: row v holds v's m base-p digits, lowest first
         powers = p ** np.arange(m, dtype=np.int64)
-        digits = np.arange(self.q, dtype=np.int64)[:, None] // powers % p
-        g_rows = np.array([self._digits(self._poly_mul(g, p**j)) for j in range(m)])
-        times_g = ((digits @ g_rows) % p @ powers).tolist()
-        cycle = [1]
-        for _ in range(n - 1):
-            cycle.append(times_g[cycle[-1]])
-        # powers of g twice over (log a + log b < 2n), then the zero tail
-        # that log[0] = 2n reaches from any offset up to 2n
+        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
+        poly = np.array(self.reduction_poly or (), dtype=np.int64)  # unused when m = 1
+
+        def times(g: int) -> np.ndarray:
+            # multiplication by g as an (m, m) map on digit rows: row j is g * x^j,
+            # and row j + 1 is row j shifted up one digit with x^m reduced by poly
+            rows = [digits[g]]
+            for _ in range(m - 1):
+                rows.append((np.concatenate(([0], rows[-1])) - rows[-1][-1] * poly)[:m] % p)
+            return np.array(rows)
+
+        def power(a: np.ndarray, e: int) -> np.ndarray:  # a^e, by square-and-multiply
+            out = one
+            while e:
+                if e & 1:
+                    out = out @ a % p
+                a, e = a @ a % p, e >> 1
+            return out
+
+        # g generates the group iff g^(n/r) != 1 for every prime r | n; take the smallest
+        one, factors = times(1), _prime_factors(n)  # the map of 1 is the identity
+        g_k = next(t for t in map(times, range(1, q))
+                   if all(power(t, n // r)[0] @ powers != 1 for r in factors))
+        # powers of g twice over (log a + log b < 2n), exp[k:2k] = g^k * exp[:k] with g_k
+        # the map of g^k, then the zero tail that log[0] = 2n reaches from any offset <= 2n
         exp = np.zeros(4 * n + 1, dtype=np.uint16)
-        exp[:n] = exp[n : 2 * n] = cycle
-        log = np.empty(self.q, dtype=np.intp)
+        exp[0], k = 1, 1
+        while k < n:
+            exp[k : 2 * k] = digits[exp[:k]] @ g_k % p @ powers
+            g_k, k = g_k @ g_k % p, 2 * k
+        exp[n : 2 * n] = exp[:n]
+        log = np.full(q, 2 * n, dtype=np.intp)
         log[exp[:n]] = np.arange(n)
-        log[0] = 2 * n
         return exp, log
 
     # -- array arithmetic on canonical integers ------------------------------

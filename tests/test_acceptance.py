@@ -170,6 +170,7 @@ def test_criterion_5_monte_carlo_calibration():
     cases = [
         (butterfly(), 2, "t1", butterfly_failure_law(2)),
         (plait(2, 1), 2, "t", plait_failure_law(2, 2, 1)),
+        (plait(1, 2), 1, "t", plait_failure_law(2, 1, 2)),  # 7/8
     ]
     for net, w, sink, exact in cases:
         contained = 0
@@ -177,12 +178,12 @@ def test_criterion_5_monte_carlo_calibration():
             est = estimate_failure(net, w, f2, sink, 100_000, seed=seed)
             if est.ci_low <= float(exact) <= est.ci_high:
                 contained += 1
-        assert contained >= 18, f"{sink}: only {contained}/20 intervals contained the value"
+        assert contained >= 18, f"{sink}, exact {exact}: only {contained}/20 intervals contained it"
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0, f"calibration took {elapsed:.2f}s"
     print(
         f"\nACCEPTANCE 5 PASS: Wilson 99% intervals contained the exact value "
-        f">= 18/20 seeds for both networks ({elapsed:.2f}s)"
+        f">= 18/20 seeds for all three networks ({elapsed:.2f}s)"
     )
 
 

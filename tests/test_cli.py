@@ -104,6 +104,8 @@ RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
 SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
              "--trials", "40000", "--seed", "1")
+SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
+            "--trials", "40000", "--seed", "1")
 
 
 # w = 10 puts the source's imaginary inputs d1..d10 where their string and
@@ -127,6 +129,9 @@ SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
      "sweep-random5-q2q3.csv"),
     (("simulate", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--trials", "1000",
       "--seed", "3", "--format", "json"), "simulate-butterfly-t1-q2.json"),
+    # GF(5^4): an odd prime with m > 2
+    (SIM_Q625, "simulate-butterfly-t1-q625.txt"),
+    (SIM_Q625 + ("--workers", "2"), "simulate-butterfly-t1-q625.txt"),
 ])
 def test_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)

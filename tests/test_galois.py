@@ -71,6 +71,17 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(2, 0)
 
+    @pytest.mark.parametrize("p,m", [(2**61 - 1, 1), (3, 10**7)])
+    def test_sizes_checked_before_any_work(self, monkeypatch, p, m):
+        # factoring 2^61 - 1 by trial division, or computing 3^(10^7), would
+        # take seconds to hours before the order was ever compared
+        def never(n):
+            raise AssertionError(f"factored {n} before checking the order")
+
+        monkeypatch.setattr(galois, "_prime_factors", never)
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            make_field(p, m)
+
     def test_order_cap_inclusive(self):
         assert make_field(2, 16).q == 1 << 16
 
@@ -139,6 +150,26 @@ class TestArithmetic:
 
 
 class TestAgainstNaiveOracle:
+    def test_tables_of_every_order_up_to_1024(self):
+        # every prime power, so the odd-characteristic extension fields
+        # (25, 49, 125, 343, 625, ...) are covered too
+        orders = []
+        for q in range(2, 1025):
+            try:
+                orders.append(parse_prime_power(q))
+            except ValueError:
+                pass
+        assert len(orders) == 198
+        for p, m in orders:
+            f = make_field(p, m)
+            naive, (exp, log), n = NaiveField(f), f._tables, f.q - 1
+            assert sorted(exp[:n].tolist()) == list(range(1, f.q)), f
+            assert (exp[n : 2 * n] == exp[:n]).all(), f
+            assert (log[exp[:n]] == np.arange(n)).all(), f
+            assert log[0] == 2 * n and not exp[2 * n :].any(), f
+            g = int(exp[1])
+            assert [naive.mul(x, g) for x in exp[:n].tolist()] == exp[1 : n + 1].tolist(), f
+
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27, 256, 729, 1024, 59049, 65521, 65536])
     def test_ops_match_schoolbook_arithmetic(self, q):
         f = make_field_of_order(q)
