@@ -36,14 +36,16 @@ _CHUNK_WORDS = 1 << 15  # words hashed per numpy pass of `uniform_columns`
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 
 
-def _mix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def _mix64(x: np.ndarray, tmp: np.ndarray | None = None, top: int = 64) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array, in place: bijective, full
-    avalanche.  tmp, if given, is scratch of x's shape."""
+    avalanche.  tmp, if given, is scratch of x's shape.  The last step changes
+    only bits 0-32, so it is skipped when only the top `top` <= 31 bits count."""
     tmp = np.empty_like(x) if tmp is None else tmp
     for s, c in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         x ^= np.right_shift(x, np.uint64(s), out=tmp)
         x *= np.uint64(c)
-    x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    if top > 31:
+        x ^= np.right_shift(x, np.uint64(31), out=tmp)
     return x
 
 
@@ -78,7 +80,7 @@ def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
         cand, scratch = buf[: n * len(keys)].reshape(shape), tmp[: n * len(keys)].reshape(shape)
         np.copyto(cand, keys)
         np.copyto(scratch, steps[:, None])
-        _mix64(np.add(cand, scratch, out=cand), scratch)
+        _mix64(np.add(cand, scratch, out=cand), scratch, bits)
         cand >>= shift
         if q & (q - 1):
             ok = cand < limit
@@ -173,7 +175,7 @@ class FieldSpec:
     tail of `exp`, so `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks.
     GF(2) needs no tables: a product is AND and 1 is its own inverse.  The
     methods take ints or integer arrays of canonical values and broadcast
-    like numpy; `vmul` and `vinv` of uint16 arrays are uint16 arrays.
+    like numpy; `vmul`, `vinv` and a prime field's `vadd` keep uint16 arrays uint16.
     """
 
     def __init__(self, p: int, m: int):
@@ -264,9 +266,11 @@ class FieldSpec:
         p = self.p
         if p == 2:
             return a ^ b
+        if self.m == 1:  # a + b = a - d, plus p where a < d, in the inputs' dtype
+            d = p - b
+            s = np.subtract(a, d)  # a ufunc call wraps silently, on numpy scalars too
+            return np.add(s, (a < d) * s.dtype.type(p))
         out = np.add(a, b, dtype=np.int32)
-        if self.m == 1:
-            return out % p
         for j in range(self.m):  # drop the carry out of each digit
             pw = p**j
             out -= (a // pw % p + b // pw % p >= p) * (pw * p)

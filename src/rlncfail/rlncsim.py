@@ -18,7 +18,9 @@ propagates an (N, B) uint16 block of B trials' coefficients, which
 `galois.uniform_columns` draws in that layout, node by node: each node's
 out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
 one `_matmul`, which also spans the DP's branches.  `_eliminate` reduces
-(r, c, B) batches of decoding or frontier matrices.
+(r, c, B) batches of decoding or frontier matrices.  At q = 2, where AND and
+XOR act on each bit alone, the Monte Carlo packs eight trials a byte through
+the same `_kernels` and decides full rank bit by bit in `_gf2_full_rank`.
 """
 
 from __future__ import annotations
@@ -133,6 +135,24 @@ def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
     return _eliminate(mats.astype(np.uint16), field)[1]
 
 
+def _gf2_full_rank(M: np.ndarray) -> np.ndarray:
+    """Which trials of a bit-packed (w, c, P) GF(2) batch M (consumed) have
+    rank w, packed alike: bit k of M[i, j, b] is entry (i, j) of trial 8b + k.
+    `_eliminate` bit by bit; rank w means every row served as a pivot."""
+    w, c, P = M.shape
+    used = np.zeros((w, P), dtype=M.dtype)
+    for col in range(c):
+        f, seen = M[:, col], np.zeros(P, dtype=M.dtype)
+        pivrow = np.zeros((c - col, P), dtype=M.dtype)
+        for i in range(w):
+            sel = f[i] & ~seen
+            pivrow |= M[i, col:] & sel
+            used[i] |= sel
+            seen |= f[i]
+        M[:, col:] ^= f[:, None] & pivrow
+    return np.bitwise_and.reduce(used, axis=0)
+
+
 def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
     """(r, a, ...) x (a, c, ...) matrix products over the field; the batch
     dimensions come last and broadcast like numpy's, and a = 0 gives zero
@@ -155,7 +175,7 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
     The in-channels of a live channel's tail must be live too."""
     B, col = coeffs.shape[1], {j: c for c, j in enumerate(live)}
     src = net.index[net.source]
-    kern = np.zeros((w, len(col), B), dtype=np.uint16)
+    kern = np.zeros((w, len(col), B), dtype=coeffs.dtype)
     n = 0  # slots of the nodes before this one
     for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
         block = coeffs[n : n + a * len(outs)].reshape(a, len(outs), B)
@@ -182,18 +202,23 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     live = [j for j, h in enumerate(net.head) if reach[h]]
     sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
     end = min(start + _BLOCK, trials)
-    # per trial: the uint16 draw, the kernels, and under 32 B an entry of
-    # field-operation temporaries (int32 copies, intp log sums) on the widest
-    # matrix, a node's in-kernels times its out-channels or t's decoding
-    # matrix; the draw's hashing scratch is two fixed _CHUNK_WORDS-word buffers
+    # per trial: the uint16 draw (and at q = 2 its bool mask), the kernels, and
+    # under 32 B an entry of field-operation temporaries (int32 copies, intp log
+    # sums) on the widest matrix, a node's in-kernels times its out-channels or
+    # t's decoding matrix; the draw's hashing scratch is two fixed chunk buffers
     width = max(len(net.ins[ti]), *map(len, net.outs))
-    step = max(1, _SUB_BATCH_BYTES // (2 * n + 2 * w * len(live) + 32 * w * width))
+    step = max(1, _SUB_BATCH_BYTES // ((2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width))
     failures = 0
     for lo in range(start, end, step):
         # unnamed, the draw and the kernels are freed before the rank and the next draw
         rows = np.arange(lo, min(lo + step, end))
-        decoding = _kernels(net, w, field, uniform_columns(field.q, seed, rows, n), live)[:, sink]
-        failures += int((_batch_rank(decoding, field) < w).sum())
+        if field.q == 2:  # AND and XOR act bit by bit: eight trials a byte
+            coeffs = np.packbits(uniform_columns(2, seed, rows, n) != 0, axis=1)
+            full = _gf2_full_rank(_kernels(net, w, field, coeffs, live)[:, sink])
+            failures += len(rows) - int(np.unpackbits(full, count=len(rows)).sum())
+        else:
+            decoding = _kernels(net, w, field, uniform_columns(field.q, seed, rows, n), live)[:, sink]
+            failures += int((_batch_rank(decoding, field) < w).sum())
     return failures
 
 

@@ -104,6 +104,8 @@ RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
 SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
              "--trials", "40000", "--seed", "1")
+SIM_Q2_1001 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "2",
+               "--trials", "1001", "--seed", "1")
 SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
             "--trials", "40000", "--seed", "1")
 
@@ -132,6 +134,9 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     # GF(5^4): an odd prime with m > 2
     (SIM_Q625, "simulate-butterfly-t1-q625.txt"),
     (SIM_Q625 + ("--workers", "2"), "simulate-butterfly-t1-q625.txt"),
+    # GF(2) eight trials a byte, 1,001 of them: the last byte has seven padding bits
+    (SIM_Q2_1001, "simulate-butterfly-t1-q2-1001.txt"),
+    (SIM_Q2_1001 + ("--workers", "2"), "simulate-butterfly-t1-q2-1001.txt"),
 ])
 def test_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)

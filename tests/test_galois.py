@@ -216,6 +216,25 @@ class TestAgainstNaiveOracle:
         assert [naive.mul(x, y) for x, y in zip(nz, f.vinv(nz))] == [1] * len(nz)
         assert f.vneg(a).tolist() == [naive.sub(0, x) for x in a]
 
+    @pytest.mark.parametrize("q", [3, 5, 7, 65521])
+    def test_prime_vadd_by_one_correction(self, q):
+        # a prime field adds in the inputs' own dtype, with no % p: every
+        # pair at small q, and at 65521 sampled pairs, many of whose uint16
+        # sums wrap
+        f, naive = make_field(q), NaiveField(make_field(q))
+        values = list(range(q)) if q < 10 else sorted(
+            {0, 1, q // 2, q // 2 + 1, q - 2, q - 1} | set(uniform_columns(q, 5, [0], 30)[:, 0].tolist()))
+        pairs = [(a, b) for a in values for b in values]
+        a, b = (np.array(x) for x in zip(*pairs))
+        for dtype in (np.uint16, np.int32, np.int64):
+            got = f.vadd(a.astype(dtype), b.astype(dtype))
+            assert got.dtype == dtype
+            assert got.tolist() == [naive.add(x, y) for x, y in pairs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy scalars must not overflow
+            for x, y in pairs[:: max(1, len(pairs) // 50)]:
+                assert f.vadd(np.uint16(x), np.uint16(y)) == f.vadd(x, np.uint16(y)) == naive.add(x, y)
+
     def test_gf2_bit_operations_match_oracle(self):
         # q = 2 multiplies by AND and inverts by the identity, with no tables;
         # every pair of {0, 1}, as Python ints and as the engine's integer dtypes
@@ -290,7 +309,9 @@ class TestSampling:
     @pytest.mark.parametrize(
         "q,n",
         # powers of two reduce by a mask and never reject; the others use % and may
-        [(2, 1), (4, 9), (1024, 5), (1 << 16, 3), (1 << 32, 40), (3, 11), (5, 17), (9, 6), (65521, 3)],
+        # q <= 2^15 keeps at most 31 bits of a word and skips the hash's last step
+        [(2, 1), (4, 9), (1024, 5), (1 << 15, 4), (1 << 16, 3), (1 << 32, 40), (3, 11), (5, 17),
+         (9, 6), (65521, 3)],
     )
     def test_matches_scalar_stream(self, q, n):
         for seed in (0, -1, 2**64 + 5):
@@ -298,6 +319,16 @@ class TestSampling:
             draws = uniform_columns(q, seed, [0, 1, 999], n)
             assert draws.dtype == (np.uint16 if q <= 1 << 16 else np.uint64)
             assert draws.T.tolist() == rows
+
+    def test_mix64_top_bits_without_its_last_step(self):
+        # the last step, x ^= x >> 31, changes only bits 0-32: skipped for
+        # top <= 31, it leaves the top bits exact, and it does run at 32
+        x = galois._GOLDEN_U64 * np.arange(1, 2001, dtype=np.uint64)
+        full = galois._mix64(x.copy())
+        for top in (17, 31, 32):
+            shift = np.uint64(64 - top)
+            assert (galois._mix64(x.copy(), top=top) >> shift == full >> shift).all()
+        assert (galois._mix64(x.copy(), top=31) != full).any()
 
     def test_chunking_invisible(self, monkeypatch):
         whole = uniform_columns(4057, 7, range(4096), 64)

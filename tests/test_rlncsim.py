@@ -25,7 +25,7 @@ from oracles import (
     uniform_int,
 )
 from rlncfail.flowpaths import min_cut
-from rlncfail.galois import make_field, make_field_of_order
+from rlncfail.galois import make_field, make_field_of_order, uniform_columns
 from rlncfail.netmodel import Channel, Network, butterfly, plait, random_dag
 from rlncfail.bounds import full_report
 from rlncfail.rlncsim import (
@@ -156,6 +156,16 @@ class TestPropagate:
                 expect = [naive.add(acc, term) for acc, term in zip(expect, terms)]
             assert expect == kern[c.id][0].tolist()
 
+    def test_packed_gf2_kernels_are_the_kernels_packed(self):
+        # the Monte Carlo runs q = 2 eight trials a byte through the same
+        # propagation, 61 trials here so the last byte has padding bits
+        net, f2 = random_dag(12, 4, 0.5, seed=5), make_field(2)
+        coeffs = uniform_columns(2, 3, np.arange(61), coefficient_count(net, 4))
+        live = list(range(len(net.channels)))
+        packed = rlncsim._kernels(net, 4, f2, np.packbits(coeffs != 0, axis=1), live)
+        assert packed.dtype == np.uint8
+        assert (packed == np.packbits(rlncsim._kernels(net, 4, f2, coeffs, live) != 0, axis=2)).all()
+
     def test_message_forwarding_matches_kernels(self):
         # forwarding symbols U_e = sum k * U_d gives exactly X . f_e
         f3 = make_field(3)
@@ -254,6 +264,23 @@ class TestRank:
         f3 = make_field(3)
         mats = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)], axis=2)
         assert list(rlncsim._batch_rank(mats, f3)) == [0, 3]
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 10])
+    def test_gf2_full_rank_matches_batch_rank(self, w):
+        # the Monte Carlo's GF(2) rank, eight trials a byte: batch sizes that
+        # are not multiples of 8 leave padding bits in the last byte; trial 0
+        # is the zero matrix and trial 1 an identity (of rank min(w, c))
+        f2, rng = make_field(2), np.random.default_rng(w)
+        for c in (w - 1, w, w + 3):
+            for B in (2, 13, 203):
+                mats = rng.integers(0, 2, (w, c, B), dtype=np.uint16)
+                mats[:, :, 0] = 0
+                mats[:, :, 1] = np.eye(w, c, dtype=np.uint16)
+                full = rlncsim._gf2_full_rank(np.packbits(mats != 0, axis=2))
+                assert full.shape == (-(-B // 8),)
+                expect = rlncsim._batch_rank(mats, f2) == w
+                assert np.unpackbits(full, count=B).tolist() == expect.tolist()
+                assert expect[1] == (c >= w) and not expect[0]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_full_elimination_is_canonical(self, q):
@@ -488,6 +515,24 @@ class TestEstimate:
         assert peak < (4 << 20) + (1 << 20)
         assert part == whole
 
+    def test_gf2_block_memory_counts_the_packing_mask(self, monkeypatch):
+        # at q = 2 the draw is packed through a bool mask of N bytes a trial.
+        # Here N = 31,117 slots outweigh the kernels and temporaries (72,598 B
+        # a trial without the mask); left out of the budget, the mask took
+        # the traced peak to about 5.4 MiB under a 4 MiB budget
+        net, f2 = random_dag(60, 2, 0.9, seed=1), make_field(2)
+        assert coefficient_count(net, 2) == 31117
+        whole = estimate_failure(net, 2, f2, "t", 300, seed=1)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
+        tracemalloc.start()
+        try:
+            part = estimate_failure(net, 2, f2, "t", 300, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 << 20) + (1 << 20)
+        assert part == whole
+
     def test_block_memory_counts_field_temporaries(self, monkeypatch):
         # w = 10 over GF(9) on N = 140 slots: the draw and kernels take 540 B
         # a trial, the field operations' int32 and intp temporaries on up to
@@ -505,10 +550,12 @@ class TestEstimate:
         assert peak < (1 << 20) + (1 << 20)
         assert part == whole
 
-    @pytest.mark.parametrize("q", [3, 4])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
         # dag12 fails often; 10,000 B is 8 trials of 1,186 B, so 1,001
-        # trials end in a one-trial sub-batch
+        # trials end in a one-trial sub-batch.  At q = 2 the draw's bool mask
+        # adds 85 B a trial: 143 sub-batches of 7 trials, each packed into
+        # one byte with a padding bit
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
         monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 10_000)
