@@ -17,15 +17,15 @@ last, so every elementwise pass runs along a whole batch.  `_kernels`
 propagates an (N, B) uint16 block of B trials' coefficients, which
 `galois.uniform_columns` draws in that layout, node by node: each node's
 out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
-one `_matmul`, which also spans the DP's branches.  `_eliminate` reduces
-(r, c, B) batches of decoding or frontier matrices.  At q = 2, where AND and
-XOR act on each bit alone, the Monte Carlo packs eight trials a byte through
-the same `_kernels` and decides full rank bit by bit in `_gf2_full_rank`.
+one `_matmul`, which also spans the DP's branches.  The Monte Carlo decides
+full rank with `_full_rank`, one bitwise pivot mask per column; at q = 2,
+where AND and XOR act on each bit alone, it packs eight trials a byte
+through the same `_kernels` and `_full_rank`.  The DP reduces (r, c, B)
+batches of frontier matrices to their RREFs with `_eliminate`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -45,6 +45,7 @@ MAX_ENUMERATION_BUDGET = 1 << 22  # the CLI's cap: states kept can reach the bud
 _BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
                   # depend on how blocks are scheduled across workers)
 _SUB_BATCH_BYTES = 64 << 20  # a sub-batch's coefficient, kernel and temporary bytes at once
+_BRANCH_BATCH = 1 << 20  # matrix entries in one batch of the exact DP's branches
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -95,17 +96,16 @@ def coefficient_count(net: Network, w: int) -> int:
 
 # --- vectorized engine ----------------------------------------------------------
 
-def _eliminate(M: np.ndarray, field: FieldSpec, full: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Batched elimination of an (r, c, B) batch M (consumed) of canonical
-    values, uint16 or wider, batch last: the echelon forms, of M's dtype,
-    whose first rank rows span each row space, and the ranks.
-    full=True also clears above the pivots: the RREF, canonical per row
-    space.
+def _eliminate(M: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Batched reduction of an (r, c, B) batch M (consumed) of canonical
+    values, uint16 or wider, batch last: the RREFs, of M's dtype, whose first
+    rank rows span each row space and which are canonical per row space, and
+    the ranks.
 
     Each column's pivot is the first row of M nonzero there, picked by a
-    one-hot mask; every row of M is cleared against it, the pivot row to
-    zero, and the normalized pivot row is appended to the echelon form at
-    row rank.  Every pass runs over whole rows of the batch, with no
+    one-hot mask; every row of M and of the RREF is cleared against it, the
+    pivot row of M to zero, and the normalized pivot row is appended to the
+    RREF at row rank.  Every pass runs over whole rows of the batch, with no
     per-trial row swap; a trial with no pivot in a column has that column
     zero in M, so its updates add zero."""
     w, c, B = M.shape
@@ -122,34 +122,33 @@ def _eliminate(M: np.ndarray, field: FieldSpec, full: bool = False) -> tuple[np.
             pivrow += M[i, col:] * (nz[i] & ~seen)
             seen |= nz[i]
         pivrow = field.vmul(pivrow, field.vinv(pivrow[0]))
-        M[:, col:] = field.vsub(M[:, col:], field.vmul(f[:, None], pivrow))
-        if full:
-            out[:, col:] = field.vsub(out[:, col:], field.vmul(out[:, col, None], pivrow))
+        neg = field.vneg(pivrow)
+        M[:, col:] = field.vadd(M[:, col:], field.vmul(f[:, None], neg))
+        out[:, col:] = field.vadd(out[:, col:], field.vmul(out[:, col, None], neg))
         out[:, col:] += (rows == piv)[:, None] * pivrow
         piv += seen
     return out, piv
 
 
-def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Ranks of a (w, c, B) batch of matrices by batched elimination."""
-    return _eliminate(mats.astype(np.uint16), field)[1]
-
-
-def _gf2_full_rank(M: np.ndarray) -> np.ndarray:
-    """Which trials of a bit-packed (w, c, P) GF(2) batch M (consumed) have
-    rank w, packed alike: bit k of M[i, j, b] is entry (i, j) of trial 8b + k.
-    `_eliminate` bit by bit; rank w means every row served as a pivot."""
-    w, c, P = M.shape
-    used = np.zeros((w, P), dtype=M.dtype)
+def _full_rank(M: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Which trials of a (w, c, B) batch M (consumed) have rank w: a (B,)
+    mask, nonzero where they do.  At q = 2, M may be bit-packed (bit k of
+    M[i, j, b] is entry (i, j) of trial 8b + k), and the mask is packed alike.
+    Pivots are picked as in `_eliminate`, by bitwise masks that are all ones
+    where an entry is nonzero; rank w means every row served as a pivot."""
+    w, c, B = M.shape
+    used = np.zeros((w, B), dtype=M.dtype)
     for col in range(c):
-        f, seen = M[:, col], np.zeros(P, dtype=M.dtype)
-        pivrow = np.zeros((c - col, P), dtype=M.dtype)
+        f, seen = M[:, col], np.zeros(B, dtype=M.dtype)
+        nz = f if field.q == 2 else np.negative(f != 0, dtype=M.dtype)
+        pivrow = np.zeros((c - col, B), dtype=M.dtype)
         for i in range(w):
-            sel = f[i] & ~seen
+            sel = nz[i] & ~seen
             pivrow |= M[i, col:] & sel
             used[i] |= sel
-            seen |= f[i]
-        M[:, col:] ^= f[:, None] & pivrow
+            seen |= nz[i]
+        neg = field.vneg(field.vmul(pivrow, field.vinv(pivrow[0])))
+        M[:, col:] = field.vadd(M[:, col:], field.vmul(f[:, None], neg))
     return np.bitwise_and.reduce(used, axis=0)
 
 
@@ -210,15 +209,16 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     step = max(1, _SUB_BATCH_BYTES // ((2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width))
     failures = 0
     for lo in range(start, end, step):
-        # unnamed, the draw and the kernels are freed before the rank and the next draw
         rows = np.arange(lo, min(lo + step, end))
+        coeffs = uniform_columns(field.q, seed, rows, n)
         if field.q == 2:  # AND and XOR act bit by bit: eight trials a byte
-            coeffs = np.packbits(uniform_columns(2, seed, rows, n) != 0, axis=1)
-            full = _gf2_full_rank(_kernels(net, w, field, coeffs, live)[:, sink])
-            failures += len(rows) - int(np.unpackbits(full, count=len(rows)).sum())
-        else:
-            decoding = _kernels(net, w, field, uniform_columns(field.q, seed, rows, n), live)[:, sink]
-            failures += int((_batch_rank(decoding, field) < w).sum())
+            coeffs = np.packbits(coeffs != 0, axis=1)
+        decoding = _kernels(net, w, field, coeffs, live)[:, sink]
+        del coeffs  # the budget has no room for this draw beside the next
+        full = _full_rank(decoding, field)
+        if field.q == 2:
+            full = np.unpackbits(full, count=len(rows))
+        failures += len(rows) - int(np.count_nonzero(full))
     return failures
 
 
@@ -306,30 +306,23 @@ class ExactProbability:
 
 
 def _branches(span, rest, outs: int, field: FieldSpec):
-    """(parent state, RREF, rank) of every branch, in batches, batch last:
-    span (w, r, g) spans each state's in-columns, rest (w, k, g) holds its
-    other columns, and each of the q^(r*outs) choices appends outs vectors of
-    the span to rest."""
+    """(parent state, RREF, rank) of every branch, in batches of at most
+    _BRANCH_BATCH matrix entries (one matrix at least), batch last: span
+    (w, r, g) spans each state's in-columns, rest (w, k, g) holds its other
+    columns, and each of the q^(r*outs) choices appends outs vectors of the
+    span to rest.  Branch i is state i // q^(r*outs) with the choice whose
+    base-q digits are those of i % q^(r*outs)."""
     q = field.q
     w, r, g = span.shape
     k = rest.shape[1] + outs
-    per_batch = max(q, (1 << 20) // (w * k))  # matrices per batch: 2^20 entries, or q
-    low = 0  # choice digits enumerated by numpy; the others by the loop
-    while low < r * outs and q ** (low + 1) <= per_batch:
-        low += 1
-    choices = np.zeros((q**low, r * outs), dtype=np.uint16)
-    choices[:, :low] = np.arange(q**low)[:, None] // q ** np.arange(low) % q
-    per_state = max(1, per_batch // q**low)
-    for high in itertools.product(range(q), repeat=r * outs - low):
-        choices[:, low:] = high
-        coef = choices.T.reshape(r, outs, 1, q**low)
-        for s0 in range(0, g, per_state):
-            part = slice(s0, s0 + per_state)
-            cols = _matmul(span[:, :, part, None], coef, field)  # (w, outs, states, q^low)
-            old = np.broadcast_to(rest[:, :, part, None], (w, k - outs) + cols.shape[2:])
-            M = np.concatenate([old, cols], axis=1).reshape(w, k, -1)
-            M, rank = _eliminate(M, field, full=True)
-            yield np.repeat(np.arange(g)[part], q**low), M, rank
+    per_state, step = q ** (r * outs), max(1, _BRANCH_BATCH // (w * k))
+    places = q ** np.arange(r * outs, dtype=np.int64)[:, None]
+    for lo in range(0, g * per_state, step):
+        i = np.arange(lo, min(lo + step, g * per_state), dtype=np.int64)
+        parent, choice = np.divmod(i, per_state)
+        coef = (choice // places % q).astype(np.uint16).reshape(r, outs, len(choice))
+        cols = _matmul(span.take(parent, axis=2), coef, field)  # (w, outs, batch)
+        yield parent, *_eliminate(np.concatenate([rest.take(parent, axis=2), cols], axis=1), field)
 
 
 def exact_failure(
@@ -347,7 +340,10 @@ def exact_failure(
 
     `budget` bounds the branches summed over the nodes; it is checked before
     each node is expanded, and EnumerationBudgetError is raised above it.
+    A budget above 2^62 (branch indices are int64) raises ValueError first.
     """
+    if budget > 1 << 62:
+        raise ValueError(f"budget must be at most 2^62, got {budget}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     q, n = field.q, coefficient_count(net, w)

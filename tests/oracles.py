@@ -17,7 +17,7 @@ from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec
 from rlncfail.netmodel import Network
-from rlncfail.rlncsim import _batch_rank, _kernels, coefficient_count, coefficient_slots
+from rlncfail.rlncsim import _eliminate, _kernels, coefficient_count, coefficient_slots
 
 
 @dataclass(frozen=True)
@@ -500,10 +500,15 @@ def naive_enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) ->
     return sum(failed(combo) for combo in product(range(field.q), repeat=n))
 
 
+def _batch_rank(mats: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Ranks of a (w, c, B) batch of matrices, by the library's `_eliminate`."""
+    return _eliminate(mats.astype(np.uint16), field)[1]
+
+
 def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
-    """Failing assignments among all q^N, by the library's Monte Carlo
-    engine (`_kernels` on the integer view, every channel passed as live,
-    then `_batch_rank`) run over a mixed-radix counter of the canonical slot
+    """Failing assignments among all q^N, by the library's engine
+    (`_kernels` on the integer view, every channel passed as live, then
+    `_eliminate`'s ranks) run over a mixed-radix counter of the canonical slot
     order in blocks of 2^16 assignments, one per column."""
     n, q = coefficient_count(net, w), field.q
     total = q**n

@@ -12,6 +12,7 @@ import rlncfail.rlncsim as rlncsim
 from oracles import (
     NaiveField,
     RandomStream,
+    _batch_rank,
     butterfly_failure_law,
     corpus_network,
     corpus_params,
@@ -59,7 +60,7 @@ def engine_kernels(net, w, field, rows):
 
 def sink_ranks(net, K, field, t):
     """Rank of the decoding matrix of sink t, one per coefficient column."""
-    return rlncsim._batch_rank(K[:, list(net.ins[net.index[t]])], field).tolist()
+    return _batch_rank(K[:, list(net.ins[net.index[t]])], field).tolist()
 
 
 def drawn_values(net, w, field, rng):
@@ -234,13 +235,13 @@ class TestMatmul:
 
 class TestRank:
     def test_identity(self):
-        assert rlncsim._batch_rank(np.eye(3, dtype=np.int64)[:, :, None], make_field(5)).tolist() == [3]
+        assert _batch_rank(np.eye(3, dtype=np.int64)[:, :, None], make_field(5)).tolist() == [3]
 
     def test_zero_matrix(self):
-        assert rlncsim._batch_rank(np.zeros((2, 4, 1), np.int64), make_field(2)).tolist() == [0]
+        assert _batch_rank(np.zeros((2, 4, 1), np.int64), make_field(2)).tolist() == [0]
 
     def test_duplicate_rows(self):
-        assert rlncsim._batch_rank(np.ones((2, 2, 1), np.int64), make_field(2)).tolist() == [1]
+        assert _batch_rank(np.ones((2, 2, 1), np.int64), make_field(2)).tolist() == [1]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
     def test_batch_rank_matches_scalar(self, q):
@@ -255,7 +256,7 @@ class TestRank:
                 ],
                 dtype=np.int64,
             )
-            got = rlncsim._batch_rank(mats.transpose(1, 2, 0), field)
+            got = _batch_rank(mats.transpose(1, 2, 0), field)
             for b in range(40):
                 expect = naive_rank(mats[b].tolist(), naive)
                 assert got[b] == expect
@@ -263,24 +264,33 @@ class TestRank:
     def test_batch_rank_zero_and_identity(self):
         f3 = make_field(3)
         mats = np.stack([np.zeros((3, 3), np.int64), np.eye(3, dtype=np.int64)], axis=2)
-        assert list(rlncsim._batch_rank(mats, f3)) == [0, 3]
+        assert list(_batch_rank(mats, f3)) == [0, 3]
 
     @pytest.mark.parametrize("w", [1, 2, 4, 10])
-    def test_gf2_full_rank_matches_batch_rank(self, w):
-        # the Monte Carlo's GF(2) rank, eight trials a byte: batch sizes that
-        # are not multiples of 8 leave padding bits in the last byte; trial 0
-        # is the zero matrix and trial 1 an identity (of rank min(w, c))
-        f2, rng = make_field(2), np.random.default_rng(w)
-        for c in (w - 1, w, w + 3):
-            for B in (2, 13, 203):
-                mats = rng.integers(0, 2, (w, c, B), dtype=np.uint16)
-                mats[:, :, 0] = 0
-                mats[:, :, 1] = np.eye(w, c, dtype=np.uint16)
-                full = rlncsim._gf2_full_rank(np.packbits(mats != 0, axis=2))
-                assert full.shape == (-(-B // 8),)
-                expect = rlncsim._batch_rank(mats, f2) == w
-                assert np.unpackbits(full, count=B).tolist() == expect.tolist()
-                assert expect[1] == (c >= w) and not expect[0]
+    def test_full_rank_matches_eliminate(self, w):
+        # the Monte Carlo's rank test against the DP's elimination; at q = 2
+        # eight trials a byte, where batch sizes that are not multiples of 8
+        # leave padding bits in the last byte.  Trial 0 is the zero matrix,
+        # trial 1 an identity (of rank min(w, c)) and trial 2 has a duplicate row
+        rng = np.random.default_rng(w)
+        for q in (2, 3, 4, 9, 625, 1024, 65521):
+            field = make_field_of_order(q)
+            for c in (w - 1, w, w + 3):
+                for B in (3, 13, 203):
+                    mats = rng.integers(0, q, (w, c, B), dtype=np.uint16)
+                    mats[:, :, 0] = 0
+                    mats[:, :, 1] = np.eye(w, c, dtype=np.uint16)
+                    mats[-1, :, 2] = mats[0, :, 2]
+                    expect = rlncsim._eliminate(mats.copy(), field)[1] == w
+                    if q == 2:
+                        full = rlncsim._full_rank(np.packbits(mats != 0, axis=2), field)
+                        assert full.shape == (-(-B // 8),)
+                        full = np.unpackbits(full, count=B)
+                    else:
+                        full = rlncsim._full_rank(mats, field)
+                        assert full.shape == (B,)
+                    assert (full != 0).tolist() == expect.tolist()
+                    assert expect[1] == (c >= w) and not expect[0] and (w == 1 or not expect[2])
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9])
     def test_full_elimination_is_canonical(self, q):
@@ -303,17 +313,17 @@ class TestRank:
                     P = [[uniform_int(q, rng) for _ in range(r)] for _ in range(r)]
                 mats.append(M)
                 mixed.append(TestMatmul.naive_product(P, M, c, naive))
-            got, rank = rlncsim._eliminate(np.array(mats, np.int32).transpose(1, 2, 0).copy(), field, True)
-            via, rank_via = rlncsim._eliminate(np.array(mixed, np.int32).transpose(1, 2, 0).copy(), field, True)
+            got, rank = rlncsim._eliminate(np.array(mats, np.int32).transpose(1, 2, 0).copy(), field)
+            via, rank_via = rlncsim._eliminate(np.array(mixed, np.int32).transpose(1, 2, 0).copy(), field)
             assert got.tobytes() == via.tobytes()
             assert rank.tolist() == rank_via.tolist() == [naive_rank(M, naive) for M in mats]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 1024])
     def test_echelon_rows_span_the_row_space(self, q):
-        # full=False, as the DP's span step and _batch_rank use it: the first
-        # rank rows are in echelon form, and they and M share one RREF.
-        # Batches mix ranks: zero matrices, zero rows, duplicate rows and
-        # rows that are sums of others
+        # the DP's span step takes the first rank rows as a basis: they are
+        # in reduced echelon form, the rows below them are zero, and the form
+        # is its own RREF.  Batches mix ranks: zero matrices, zero rows,
+        # duplicate rows and rows that are sums of others
         field = make_field_of_order(q)
         naive = NaiveField(field)
         rng = RandomStream(q, stream=3)
@@ -333,16 +343,16 @@ class TestRank:
             batch = np.array(mats, np.uint16).transpose(1, 2, 0)
             E, rank = rlncsim._eliminate(batch.copy(), field)
             assert len(set(rank.tolist())) > 1
-            top = np.where(np.arange(r)[:, None, None] < rank, E, 0)
-            rref, _ = rlncsim._eliminate(batch.copy(), field, True)
-            rref_top, _ = rlncsim._eliminate(top.copy(), field, True)
-            assert rref_top.tobytes() == rref.tobytes()
+            assert not np.where(np.arange(r)[:, None, None] < rank, 0, E).any()
+            again, _ = rlncsim._eliminate(E.copy(), field)
+            assert again.tobytes() == E.tobytes()
             for b, M in enumerate(mats):
                 rows = E[: rank[b], :, b].tolist()
                 assert rank[b] == naive_rank(M, naive) == naive_rank(rows, naive)
                 assert naive_rank(M + rows, naive) == rank[b]
                 leads = [next(j for j, x in enumerate(row) if x) for row in rows]
                 assert leads == sorted(set(leads))  # echelon: leading columns rise
+                assert [[row[j] for row in rows] for j in leads] == np.eye(len(rows)).tolist()
 
 
 class TestDecodingMatrix:
@@ -533,6 +543,21 @@ class TestEstimate:
         assert peak < (4 << 20) + (1 << 20)
         assert part == whole
 
+    def test_block_memory_frees_each_draw_before_the_next(self, monkeypatch):
+        # at q = 3 the uint16 draw of N = 31,117 slots is most of a sub-batch;
+        # held while the next one is drawn, the traced peak here was 15.7 MiB
+        net, f3 = random_dag(60, 2, 0.9, seed=1), make_field(3)
+        whole = estimate_failure(net, 2, f3, "t", 300, seed=1)
+        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 8 << 20)
+        tracemalloc.start()
+        try:
+            part = estimate_failure(net, 2, f3, "t", 300, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << 20) + (1 << 20)
+        assert part == whole
+
     def test_block_memory_counts_field_temporaries(self, monkeypatch):
         # w = 10 over GF(9) on N = 140 slots: the draw and kernels take 540 B
         # a trial, the field operations' int32 and intp temporaries on up to
@@ -652,6 +677,18 @@ class TestExact:
             f"above the budget {DEFAULT_ENUMERATION_BUDGET}"
         )
 
+    def test_budget_above_2_62_raises_before_any_work(self, monkeypatch):
+        # the DP's branch indices are int64
+        def no_work(*args):
+            raise AssertionError("work started before the budget was checked")
+
+        monkeypatch.setattr(rlncsim, "_branches", no_work)
+        monkeypatch.setattr(rlncsim, "_eliminate", no_work)
+        with pytest.raises(ValueError, match=r"budget must be at most 2\^62, got 4611686018427387905"):
+            exact_failure(butterfly(), 2, make_field(2), "t1", budget=(1 << 62) + 1)
+        monkeypatch.undo()
+        assert exact_failure(butterfly(), 2, make_field(2), "t1", budget=1 << 62).failures == 4000
+
     def test_custom_budget(self):
         # butterfly t1 over GF(2) takes 16 + 4 + 6 + 10 + 2 branches at s, u1, u2, b1, b2
         with pytest.raises(EnumerationBudgetError) as err:
@@ -727,6 +764,28 @@ class TestFrontierDP:
         assert res.failures == enumerated_failures(butterfly(), 2, field, sink)
         if q == 2:
             assert res.failures == naive_enumerated_failures(butterfly(), 2, field, sink)
+
+    @pytest.mark.parametrize("net,w,q,t", [(butterfly(), 2, 3, "t1"), (plait(2, 1), 2, 4, "t")],
+                             ids=["butterfly-q3", "plait21-q4"])
+    def test_small_branch_batches_split_states(self, monkeypatch, net, w, q, t):
+        # batches of a few matrices end in the middle of a state's choices
+        field = make_field_of_order(q)
+        whole = exact_failure(net, w, field, t)
+        calls, branches = [], rlncsim._branches
+
+        def recorded(*args):
+            calls.append([])
+            for parent, M, rank in branches(*args):
+                calls[-1].append(parent)
+                yield parent, M, rank
+
+        monkeypatch.setattr(rlncsim, "_branches", recorded)
+        monkeypatch.setattr(rlncsim, "_BRANCH_BATCH", 20)
+        small = exact_failure(net, w, field, t)
+        assert any(a[-1] == b[0] for c in calls for a, b in zip(c, c[1:]))
+        assert max(len(p) for c in calls for p in c) <= 5
+        assert (small.failures, small.fraction) == (whole.failures, whole.fraction)
+        assert small.failures == enumerated_failures(net, w, field, t)
 
     @pytest.mark.parametrize("sink", ["t1", "t2"])
     def test_butterfly_q4_pinned(self, sink):
