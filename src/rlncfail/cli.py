@@ -206,8 +206,8 @@ def _cmd_sweep(args) -> int:
         orders = [int(x) for x in args.fields.split(",") if x]
     except ValueError as exc:
         raise UsageError(f"bad --fields list: {exc}") from None
-    if not orders:
-        raise UsageError("sweep requires a nonempty --fields list")
+    if not orders or len(set(orders)) < len(orders):
+        raise UsageError(f"sweep requires --fields orders, none repeated, got {args.fields!r}")
     fields = [make_field_of_order(q) for q in orders]
     net, name, sink, w = _setup(args)
 

@@ -17,11 +17,12 @@ last, so every elementwise pass runs along a whole batch.  `_kernels`
 propagates an (N, B) uint16 block of B trials' coefficients, which
 `galois.uniform_columns` draws in that layout, node by node: each node's
 out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
-one `_matmul`, which also spans the DP's branches.  The Monte Carlo decides
-full rank with `_full_rank`, one bitwise pivot mask per column; at q = 2,
-where AND and XOR act on each bit alone, it packs eight trials a byte
-through the same `_kernels` and `_full_rank`.  The DP reduces (r, c, B)
-batches of frontier matrices to their RREFs with `_eliminate`.
+one `_matmul`.  The Monte Carlo decides full rank with `_full_rank`, one
+bitwise pivot mask per column; at q = 2, where AND and XOR act on each bit
+alone, it packs eight trials a byte through the same `_kernels` and
+`_full_rank`.  The DP keeps its frontier in head order, writes each branch's
+choice into the first rows of a state's RREF, and reduces (r, c, B) batches
+of frontier matrices to their RREFs with `_eliminate`.
 """
 
 from __future__ import annotations
@@ -153,12 +154,8 @@ def _full_rank(M: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """(r, a, ...) x (a, c, ...) matrix products over the field; the batch
-    dimensions come last and broadcast like numpy's, and a = 0 gives zero
-    matrices."""
-    if not A.shape[1]:
-        batch = np.broadcast_shapes(A.shape[2:], C.shape[2:])
-        return np.zeros((A.shape[0], C.shape[1]) + batch, dtype=np.uint16)
+    """(r, a, ...) x (a, c, ...) matrix products over the field, a >= 1; the
+    batch dimensions come last and broadcast like numpy's."""
     out = field.vmul(A[:, 0, None], C[None, 0])
     for k in range(1, A.shape[1]):
         out = field.vadd(out, field.vmul(A[:, k, None], C[None, k]))
@@ -169,9 +166,9 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
     """Global kernels of the live channels, a (w, L, B) array whose column c
     is channel live[c] (ascending indices), for each column of the (N, B)
     coefficient block.  Node i's slots are one (in-kernel, out-channel, B)
-    block, so its out-kernels are its in-kernels times that block; the
-    source's in-kernels are the identity, so its block is its out-kernels.
-    The in-channels of a live channel's tail must be live too."""
+    block, so its out-kernels are its in-kernels times that block (zero with
+    no in-kernel); the source's block is its out-kernels.  The in-channels
+    of a live channel's tail must be live too."""
     B, col = coeffs.shape[1], {j: c for c, j in enumerate(live)}
     src = net.index[net.source]
     kern = np.zeros((w, len(col), B), dtype=coeffs.dtype)
@@ -180,7 +177,7 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
         block = coeffs[n : n + a * len(outs)].reshape(a, len(outs), B)
         n += a * len(outs)
         keep = [b for b, j in enumerate(outs) if j in col]
-        if keep:
+        if keep and a:
             block = block[:, keep]
             out = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
             kern[:, [col[outs[b]] for b in keep]] = out
@@ -204,9 +201,11 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     # per trial: the uint16 draw (and at q = 2 its bool mask), the kernels, and
     # under 32 B an entry of field-operation temporaries (int32 copies, intp log
     # sums) on the widest matrix, a node's in-kernels times its out-channels or
-    # t's decoding matrix; the draw's hashing scratch is two fixed chunk buffers
+    # t's decoding matrix; per draw, up to seven uint64 columns of N words of
+    # hashing and rejection scratch beside two fixed chunk buffers
     width = max(len(net.ins[ti]), *map(len, net.outs))
-    step = max(1, _SUB_BATCH_BYTES // ((2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width))
+    per_trial = (2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width
+    step = max(1, (_SUB_BATCH_BYTES - 56 * n) // per_trial)
     failures = 0
     for lo in range(start, end, step):
         rows = np.arange(lo, min(lo + step, end))
@@ -305,24 +304,23 @@ class ExactProbability:
         return Fraction(self.numerator, self.denominator)
 
 
-def _branches(span, rest, outs: int, field: FieldSpec):
+def _branches(rest, r: int, outs: int, order, field: FieldSpec):
     """(parent state, RREF, rank) of every branch, in batches of at most
-    _BRANCH_BATCH matrix entries (one matrix at least), batch last: span
-    (w, r, g) spans each state's in-columns, rest (w, k, g) holds its other
-    columns, and each of the q^(r*outs) choices appends outs vectors of the
-    span to rest.  Branch i is state i // q^(r*outs) with the choice whose
-    base-q digits are those of i % q^(r*outs)."""
-    q = field.q
-    w, r, g = span.shape
-    k = rest.shape[1] + outs
-    per_state, step = q ** (r * outs), max(1, _BRANCH_BATCH // (w * k))
+    _BRANCH_BATCH matrix entries (one matrix at least), batch last: rest
+    (w, k, g) holds each state's columns after its node's in-columns.  Branch
+    i is state i // q^(r*outs) with outs new columns, whose rows < r hold the
+    base-q digits of i % q^(r*outs) and the rest zeros; then the columns are
+    permuted by order."""
+    (w, k, g), q = rest.shape, field.q
+    per_state, step = q ** (r * outs), max(1, _BRANCH_BATCH // (w * (k + outs)))
     places = q ** np.arange(r * outs, dtype=np.int64)[:, None]
     for lo in range(0, g * per_state, step):
         i = np.arange(lo, min(lo + step, g * per_state), dtype=np.int64)
         parent, choice = np.divmod(i, per_state)
-        coef = (choice // places % q).astype(np.uint16).reshape(r, outs, len(choice))
-        cols = _matmul(span.take(parent, axis=2), coef, field)  # (w, outs, batch)
-        yield parent, *_eliminate(np.concatenate([rest.take(parent, axis=2), cols], axis=1), field)
+        cols = np.zeros((w, outs, len(i)), dtype=np.uint16)
+        cols[:r] = (choice // places % q).reshape(r, outs, len(i))
+        M = np.concatenate([rest.take(parent, axis=2), cols], axis=1)
+        yield parent, *_eliminate(M.take(order, axis=1), field)  # C order, unlike M[:, order]
 
 
 def exact_failure(
@@ -330,13 +328,15 @@ def exact_failure(
 ) -> ExactProbability:
     """Exact failure probability by a frontier dynamic program over the nodes
     that reach t, in `net.order`.  The frontier is the channels whose tail is
-    processed and whose head is not; a state is the RREF of the w x k matrix
-    of their global kernels, weighted by the number of coefficient
-    assignments that lead to it.  Node v's out-kernels are uniform on the
-    span of its in-kernels (rank rho), each value hit q^(|In| - rho) times,
-    so v branches each state q^(rho*|Out|) ways, and equal successors merge.
-    The frontier's rank never rises, so only states of rank w are kept.
-    Slots of channels that cannot reach t are free: they scale counts by q.
+    processed and whose head is not, stably sorted by head; a state is the
+    RREF of the w x k matrix of their global kernels, weighted by the number
+    of coefficient assignments that lead to it.  Every head is unprocessed,
+    so node v's a in-columns lead and span the first rho coordinates, rho the
+    rows nonzero there: v's out-kernels are uniform over rho x |Out| matrices
+    padded with zero rows, each hit q^((a - rho)*|Out|) times.  So v branches
+    each state q^(rho*|Out|) ways, and equal successors merge.  The rank never
+    rises, so only states of rank w are kept.  Slots of channels that cannot
+    reach t are free: they scale counts by q.
 
     `budget` bounds the branches summed over the nodes; it is checked before
     each node is expanded, and EnumerationBudgetError is raised above it.
@@ -349,33 +349,32 @@ def exact_failure(
     q, n = field.q, coefficient_count(net, w)
     ti, src = net.index[t], net.index[net.source]
     reach = net.reaching(ti)
-    frontier = [src] * w  # the head of each frontier channel
+    frontier = [src] * w  # the head of each frontier channel, in head order
     live = int(reach[src])  # with no path to t every assignment fails
     states = np.broadcast_to(np.eye(w, dtype=np.uint16), (live, w, w))
     weights = [1] * live
     kept = spent = 0
     for v in (v for v in range(len(net.order)) if reach[v] and v != ti):
-        ins = [i for i, h in enumerate(frontier) if h == v]
-        rest = [i for i, h in enumerate(frontier) if h != v]
-        heads = [net.head[j] for j in net.outs[v] if reach[net.head[j]]]
-        a, b = len(ins), len(heads)
-        basis, rho = _eliminate(np.ascontiguousarray(states[:, :, ins].T), field)
+        outs = [net.head[j] for j in net.outs[v] if reach[net.head[j]]]
+        a, b = frontier.count(v), len(outs)  # every head is unprocessed: v's columns lead
+        heads = frontier[a:] + outs
+        rho = np.count_nonzero(states[:, :, :a].any(axis=2), axis=1)
         per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
         spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
         if spent > budget:
             raise EnumerationBudgetError(net.order[v], spent, budget)
+        order = sorted(range(len(heads)), key=heads.__getitem__)  # stable
         merged: dict[bytes, int] = {}
         for r in (r for r, c in enumerate(per_rank) if c):
             sel, mult = np.flatnonzero(rho == r), q ** ((a - r) * b)
-            span, others = basis[:r, :, sel].swapaxes(0, 1), states[sel][:, :, rest].transpose(1, 2, 0)
-            for parent, M, rank in _branches(span, others, b, field):
+            for parent, M, rank in _branches(states[sel, :, a:].transpose(1, 2, 0), r, b, order, field):
                 full = rank == w
                 M = np.ascontiguousarray(M[:, :, full].transpose(2, 0, 1), dtype=np.uint16)
                 keys = M.reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
                 for key, p in zip(keys.ravel().tolist(), sel[parent[full]].tolist()):
                     merged[key] = merged.get(key, 0) + weights[p] * mult
         kept += a * b
-        frontier = [frontier[i] for i in rest] + heads
+        frontier = [heads[i] for i in order]
         states = np.frombuffer(b"".join(merged), dtype=np.uint16).reshape(-1, w, len(frontier))
         weights = list(merged.values())
     # assignments are conserved: those not in a rank-w state fail

@@ -137,6 +137,9 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     # GF(2) eight trials a byte, 1,001 of them: the last byte has seven padding bits
     (SIM_Q2_1001, "simulate-butterfly-t1-q2-1001.txt"),
     (SIM_Q2_1001 + ("--workers", "2"), "simulate-butterfly-t1-q2-1001.txt"),
+    # GF(3^2): the DP over an odd-characteristic extension field
+    (("exact", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "9"),
+     "exact-butterfly-t1-q9.txt"),
 ])
 def test_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -478,6 +481,18 @@ class TestSweep:
     def test_empty_fields_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--gen", "plait:w=2,r=1", "--fields", "")
         assert code == 2
+
+    def test_repeated_order_rejected_before_any_work(self, capsys, monkeypatch):
+        import rlncfail.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(cli, "make_field_of_order", no_work)
+        for fields in ("2,3,2", "4,04"):
+            code, out, err = run_cli(capsys, "sweep", "--gen", "plait:w=2,r=1", "--fields", fields)
+            assert code == 2 and out == ""
+            assert err == f"error: sweep requires --fields orders, none repeated, got {fields!r}\n"
 
     def test_non_prime_power_in_list_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--gen", "plait:w=2,r=1", "--fields", "2,6")
