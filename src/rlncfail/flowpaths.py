@@ -7,22 +7,20 @@ distinct internal nodes, and the out-part sizes of the cut advanced node by
 node along a chosen path set, which are path counts: at internal node v the
 cut channels entering v are exactly the m_v path channels whose head is v.
 
-The fewest-nodes search is a branch-and-bound on an explicit stack.  It
-walks only live channels, whose head reaches the sink: a path through any
-other channel never finishes.  When a path is finished, the paths still
-missing must end on distinct unused channels into the sink and start on
-distinct unused live channels out of the source (after this path's first
-one, as paths are ordered by first channel).  At each end, the fewest new
-internal nodes whose channels, after the free ones, cover the paths missing
-is a lower bound on what the set still adds; the search drops the branch
-when the larger bound brings it to the best count so far.  Both prunes drop
-only branches that hold no better set, so the search finds every
-improvement in the same order and returns the set it would without them.
-Before it starts another path, the channels no path uses yet must still
-carry the paths missing.  A witness proves that: channel-disjoint paths
-avoiding the finished ones, first the heuristic's set, later the
-decomposition of the last feasibility flow.  The search runs a new max-flow
-only when fewer witness paths than are missing avoid the path just finished.
+The fewest-nodes search is a branch-and-bound on an explicit stack over
+live channels, whose head reaches the sink (a path through any other
+channel never finishes).  When a path is finished, the paths still missing
+must end on distinct unused channels into the sink and start on distinct
+unused live channels out of the source after this path's first one (paths
+are ordered by first channel).  At each end, the fewest new internal nodes
+whose channels, after the free ones, cover the paths missing bound what the
+set still adds; the search drops the branch when the larger bound brings it
+to the best count so far.  Both prunes drop only branches that hold no
+better set, so the search finds every improvement in the same order and
+returns the same set.  Before it starts another path, the unused channels
+must still carry the paths missing: witness paths, disjoint and avoiding the
+finished ones (the heuristic's set, later the last feasibility flow), prove
+it.  When too few avoid the path just finished, a max-flow grows from them.
 
 The algorithms run on the network's integer view (see `netmodel.Network`)
 and turn channel indices back into ids only for the public `PathSet`.  All
@@ -34,7 +32,6 @@ runs give identical output.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .netmodel import Network
@@ -89,20 +86,21 @@ def _max_flow(
     t: int,
     limit: int | None = None,
     removed: set[int] | frozenset[int] = frozenset(),
+    start: list[tuple[int, ...]] | tuple[()] = (),
 ) -> tuple[int, set[int]]:
     """Unit-capacity max-flow from the source to node t via augmenting paths,
     in the network without the removed channels, on the integer view.
 
-    Returns (value, flow channel indices).  Each search step tries the
-    unused forward and used reverse channels in channel order, so the result
-    is deterministic.
+    Returns (value, flow channel indices).  The flow grows from `start`,
+    disjoint paths to t avoiding the removed channels (any valid flow reaches
+    the same value), trying forward and reverse channels in channel order.
     """
     s = net.index[net.source]
     if t == s:
         raise ValueError("sink equals source")
     head, tail = net.head, net.tail
-    used: set[int] = set()
-    value = 0
+    used = {j for p in start for j in p}
+    value = len(start)
     while limit is None or value < limit:
         # iterative DFS for one augmenting path in the residual graph
         pred = {s: (s, -1)}  # node -> (previous node, channel); also the visited set
@@ -111,13 +109,8 @@ def _max_flow(
             node = stack.pop()
             if node == t:
                 break
-            moves: list[tuple[int, int]] = []
-            for j in net.outs[node]:
-                if j not in used and j not in removed and head[j] not in pred:
-                    moves.append((j, head[j]))
-            for j in net.ins[node]:
-                if j in used and tail[j] not in pred:
-                    moves.append((j, tail[j]))
+            moves = [(j, head[j]) for j in net.outs[node] if j not in used and j not in removed]
+            moves += [(j, tail[j]) for j in net.ins[node] if j in used]
             # stack is LIFO: push in reverse so the smallest channel pops first
             for j, nxt in sorted(moves, reverse=True):
                 if nxt not in pred:
@@ -218,21 +211,26 @@ def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]
     return _decompose(net, ti, used, w)
 
 
-def _new_ends(ends: list[int], internal: set[int], nodes: frozenset[int], need: int) -> float:
+def _new_ends(ends: list[tuple[int, int]], used: set[int], internal: set[int],
+              nodes: frozenset[int], need: int) -> float:
     """Fewest internal nodes outside `nodes` that, with the free ends, give
-    `need` of the channels whose end nodes are listed in `ends`: a channel
-    ending at s, a sink or a node in `nodes` is free, then new nodes are
-    taken by most channels first.  inf when all of them fall short."""
-    new = [v for v in ends if v in internal and v not in nodes]
-    need -= len(ends) - len(new)
-    taken = 0
-    if need > 0:
-        for c in sorted(Counter(new).values(), reverse=True):
-            need -= c
-            taken += 1
-            if need <= 0:
-                break
-    return taken if need <= 0 else math.inf
+    `need` of the channels outside `used` in the (channel, end node) list
+    `ends`: a channel ending at s, a sink or a node in `nodes` is free, then
+    new nodes go by most channels first; inf when all fall short."""
+    new: dict[int, int] = {}  # new end node -> its unused channels
+    for j, v in ends:
+        if j not in used:
+            if v in internal and v not in nodes:
+                new[v] = new.get(v, 0) + 1
+            else:
+                need -= 1
+    if need <= 0:
+        return 0
+    for taken, c in enumerate(sorted(new.values(), reverse=True), 1):
+        need -= c
+        if need <= 0:
+            return taken
+    return math.inf
 
 
 def min_internal_paths(
@@ -247,12 +245,11 @@ def min_internal_paths(
     mode="exact" runs a branch-and-bound over all channel-disjoint path
     sets (seeded with the heuristic answer); if the step budget runs out,
     the best set found so far is returned with exact=False.  A step is one
-    live channel tried.  The prunes (see the module docstring) cut only
-    branches without a better set, so a search takes fewer steps than it
-    would without them and returns the same set: 12 on the butterfly's t1,
-    42,242 on random_dag(30, 6, 0.3, seed=2).  mode="heuristic"
-    returns the min-cost-flow answer directly (exact=False), whose node
-    count upper-bounds the true minimum.  Both run on the integer view.
+    live channel tried: 12 on the butterfly's t1, 42,242 on
+    random_dag(30, 6, 0.3, seed=2), where 285 feasibility max-flows run.
+    mode="heuristic" returns the min-cost-flow answer directly (exact=False),
+    whose node count upper-bounds the true minimum.  Both run on the integer
+    view.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -264,8 +261,11 @@ def min_internal_paths(
     head, tail = net.head, net.tail
     reach = net.reaching(ti)
     outs = [tuple(j for j in js if reach[head[j]]) for js in net.outs]  # live channels
-    into_t = net.ins[ti]
     internal = {net.index[v] for v in net.internal_nodes}
+    # (channel, end node) lists into t and out of s; s_ends[after[j]:] follow j
+    t_ends = [(j, tail[j]) for j in net.ins[ti]]
+    s_ends = [(j, head[j]) for j in outs[s]]
+    after = {j: k for k, j in enumerate(outs[s], 1)}
     best_r, best_paths = _path_set(net, t, w, heur).r, heur
     used: set[int] = set()  # channels of the finished paths and the current one
     done: list[tuple[int, ...]] = []  # the finished paths
@@ -305,16 +305,14 @@ def min_internal_paths(
                 # and start on distinct unused live channels out of s after
                 # this path's first one: either end may need too many nodes
                 slack > 0
-                and _new_ends([tail[c] for c in into_t if c not in used],
-                              internal, grown, need) < slack
-                and _new_ends([head[c] for c in outs[s] if c > path[0] and c not in used],
-                              internal, grown, need) < slack
+                and _new_ends(t_ends, used, internal, grown, need) < slack
+                and _new_ends(s_ends[after[path[0]] :], used, internal, grown, need) < slack
             ):
                 # feasibility: the unused channels must still carry `need`
-                # paths; enough witness paths avoiding this one prove it
+                # paths; witness paths avoiding this one prove it or seed a flow
                 fits = [p for p in witness[-1] if used.isdisjoint(p)]
                 if len(fits) < need:
-                    value, flow = _max_flow(net, ti, limit=need, removed=used)
+                    value, flow = _max_flow(net, ti, limit=need, removed=used, start=fits)
                     fits = _decompose(net, ti, flow, need) if value == need else []
                 if fits:
                     witness.append(fits)
@@ -345,5 +343,5 @@ def cut_out_profile(net: Network, ps: PathSet) -> tuple[int, ...]:
     out_v = w - m_v with m_v the number of paths through v.  Listed in the
     path set's node order; any admissible order gives the same multiset.
     """
-    through = Counter(net.channel(cid).head for cid in ps.channel_ids)
-    return (0,) + tuple(ps.rate - through[v] for v in ps.internal_nodes)
+    heads = [net.channel(cid).head for cid in ps.channel_ids]
+    return (0,) + tuple(ps.rate - heads.count(v) for v in ps.internal_nodes)

@@ -83,15 +83,17 @@ def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
         _mix64(np.add(cand, scratch, out=cand), scratch, bits)
         cand >>= shift
         if q & (q - 1):
-            ok = cand < limit
-            # rejections are rare (< 2^-16 per word): redo those columns word by word
-            for i in np.flatnonzero(~ok.all(axis=0)):
-                col, c = cand[ok[:, i], i], np.array([n], dtype=np.uint64)
-                while col.size < n:
+            # rejections are rare (< 2^-16 per word): in place, with the mask in
+            # free scratch, slide accepted runs left (1-D, bufferless), then refill
+            for i in np.flatnonzero(cand.max(axis=0, initial=0) >= limit):
+                bad = np.flatnonzero(np.greater_equal(cand[:, i], limit, out=tmp.view(np.bool_)[:n]))
+                col, c, kept = cand[:, i], np.array([n], dtype=np.uint64), n - len(bad)
+                for k, (a, b) in enumerate(zip(bad + 1, [*bad[1:], n])):
+                    col[a - k - 1 : b - k - 1] = col[a:b]
+                while kept < n:
                     c += 1
-                    more = _mix64(keys[i : i + 1] + _GOLDEN_U64 * c) >> shift
-                    col = np.append(col, more[more < limit])
-                cand[:, i] = col
+                    col[kept] = (_mix64(keys[i : i + 1] + _GOLDEN_U64 * c) >> shift)[0]
+                    kept += int(col[kept] < limit)
             # every candidate has at most 32 bits here; numpy divides uint32
             # by a scalar with a multiply, but its % divides in hardware
             low, quo = tmp.view(np.uint32)[: 2 * cand.size].reshape((2,) + shape)

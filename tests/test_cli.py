@@ -215,6 +215,9 @@ class TestBounds:
          "bounds-butterfly-t1-q4.json"),
         (("--gen", DAG20, "--field", "2"), "bounds-dag20-q2.txt"),
         (("--gen", DAG20, "--field", "2", "--format", "json"), "bounds-dag20-q2.json"),
+        # the search's warm-started max-flows hold other witnesses here
+        (("--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "2"),
+         "bounds-dag40-q2.txt"),
     ])
     def test_golden_stdout(self, capsys, argv, golden):
         code, out, _ = run_cli(capsys, "bounds", *argv)

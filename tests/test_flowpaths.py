@@ -1,10 +1,13 @@
 """Flows, disjoint path sets, minimal-internal-node search, cut profiles."""
 
+import itertools
+import math
+import random
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -101,6 +104,60 @@ class TestDisjointPaths:
                 assert c.tail == node
                 node = c.head
             assert node == "t"
+
+
+class TestWarmStart:
+    # start paths: any subset of a cold flow's decomposition that avoids
+    # `removed`, at most `limit` of them, as the search passes its witnesses
+    def test_warm_flow_matches_cold(self):
+        cases = [(corpus_network(seed, w, d), "t") for seed, w, q, d in corpus_params()]
+        cases += [(butterfly(), "t1"), (butterfly(), "t2")]
+        for k, (net, t) in enumerate(cases):
+            rng = random.Random(k)
+            ti, s = net.index[t], net.index[net.source]
+            for _ in range(3):
+                removed = {j for j in range(len(net.channels)) if rng.random() < 0.2}
+                value, flow = flowpaths._max_flow(net, ti, removed=removed)
+                paths = flowpaths._decompose(net, ti, flow, value)
+                for limit in [*range(1, value + 2), None]:
+                    start = [p for p in paths if rng.random() < 0.5][:limit]
+                    cold = flowpaths._max_flow(net, ti, limit, removed)[0]
+                    warm, flow = flowpaths._max_flow(net, ti, limit, removed, start=start)
+                    assert warm == cold, (k, removed, limit, start)
+                    assert flow.isdisjoint(removed)
+                    for v in range(len(net.order)):
+                        if v not in (s, ti):
+                            ins = sum(j in flow for j in net.ins[v])
+                            assert ins == sum(j in flow for j in net.outs[v])
+                    split = flowpaths._decompose(net, ti, flow, warm)
+                    assert len(split) == warm
+                    assert sorted(j for p in split for j in p) == sorted(flow)
+
+
+class TestNewEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        heads=st.lists(st.integers(0, 4), max_size=10),
+        used=st.sets(st.integers(0, 9), max_size=3),
+        internal=st.sets(st.integers(0, 4)),
+        nodes=st.frozensets(st.integers(0, 4), max_size=2),
+        need=st.integers(-1, 11),
+    )
+    @example(heads=[1, 1, 1, 2], used=set(), internal={1, 2}, nodes=frozenset(), need=3)
+    def test_greedy_matches_subset_minimum(self, heads, used, internal, nodes, need):
+        # the fewest new internal nodes whose unused channels, with the free
+        # ones, reach `need`, by trying every subset of the new nodes
+        ends = list(enumerate(heads))
+        live = [v for j, v in ends if j not in used]
+        new = sorted({v for v in live if v in internal and v not in nodes})
+        free = sum(v not in new for v in live)
+        best = math.inf
+        for size in range(len(new) + 1):
+            if any(free + sum(v in chosen for v in live) >= need
+                   for chosen in itertools.combinations(new, size)):
+                best = size
+                break
+        assert flowpaths._new_ends(ends, used, internal, nodes, need) == best
 
 
 class TestMinInternalPaths:
@@ -263,8 +320,9 @@ class TestMinInternalPaths:
 
     def test_witness_spares_max_flows(self, monkeypatch):
         # a new max-flow only when neither the end-node bound nor the
-        # witness paths settle a check; the recursive oracle runs 20,695
-        # on this network
+        # witness paths settle a check, grown from the witness paths that
+        # survive; one more is random_dag's own min-cut.  The recursive
+        # oracle runs 20,695 on this network
         calls = []
         max_flow = flowpaths._max_flow
 
@@ -275,7 +333,7 @@ class TestMinInternalPaths:
         monkeypatch.setattr(flowpaths, "_max_flow", counted)
         res = min_internal_paths(random_dag(30, 6, 0.3, seed=2), "t", 6)
         assert (res.paths.r, res.exact) == (10, True)
-        assert len(calls) == 325 < 20695
+        assert len(calls) == 286 < 20695
 
 
 class TestCutSequence:

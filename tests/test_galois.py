@@ -371,6 +371,28 @@ class TestSampling:
             tracemalloc.stop()
         assert peak - out.nbytes <= 2 * galois._CHUNK_WORDS * 8 + np.getbufsize() * 8
 
+    def test_column_rejecting_three_words(self):
+        # three runs of accepted words slide left before the refill
+        rows, rejected = oracle_rows(3, 11, [7], 100_000)
+        assert rejected == [3]
+        assert uniform_columns(3, 11, [7], 100_000).T.tolist() == rows
+
+    def test_rejecting_draw_scratch_is_the_non_rejecting_level(self):
+        # one column per pass at N = 31,117: beside the output a draw holds
+        # the two chunk buffers and the counter steps, three N-word uint64
+        # arrays, plus a few KiB of small ones.  At q = 3 six columns reject
+        # a word and are redone in place: a copy of one would add N words
+        n = 31_117
+        for q in (4, 3):
+            uniform_columns(q, 1, range(57), n)
+            tracemalloc.start()
+            try:
+                out = uniform_columns(q, 1, range(57), n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 3 * 8 * n + 8192
+
     def test_non_power_of_two_above_max_order_rejected(self):
         # such a draw's candidates would not fit the 32-bit reduction
         with pytest.raises(ValueError, match="power of two"):
