@@ -174,7 +174,7 @@ class FieldSpec:
     from the elements' digits: `exp[i] = g^i` (uint16) and `log[exp[i]] = i`
     (intp, so sums of logs index `exp` without a cast).  `log[0]` is a
     sentinel that lands every product or quotient involving 0 in a zero
-    tail of `exp`, so `vadd`/`vsub`/`vneg`/`vmul`/`vinv` need no masks.
+    tail of `exp`, so `vadd`/`vneg`/`vmul`/`vinv` need no masks.
     GF(2) needs no tables: a product is AND and 1 is its own inverse.  The
     methods take ints or integer arrays of canonical values and broadcast
     like numpy; `vmul`, `vinv` and a prime field's `vadd` keep uint16 arrays uint16.
@@ -284,9 +284,6 @@ class FieldSpec:
             return a
         exp, log = self._tables
         return exp[log[a] + (self.q - 1) // 2]
-
-    def vsub(self, a, b):
-        return self.vadd(a, self.vneg(b))
 
     def vmul(self, a, b):
         """a * b: AND for q = 2."""

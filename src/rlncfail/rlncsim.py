@@ -20,7 +20,8 @@ out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
 one `_matmul`.  The Monte Carlo decides full rank with `_full_rank`, one
 bitwise pivot mask per column; at q = 2, where AND and XOR act on each bit
 alone, it packs eight trials a byte through the same `_kernels` and
-`_full_rank`.  The DP keeps its frontier in head order, writes each branch's
+`_full_rank`.  The DP keeps its frontier in head order, numbers a node's
+branches over all its states by one flat int64 index, writes each branch's
 choice into the first rows of a state's RREF, and reduces (r, c, B) batches
 of frontier matrices to their RREFs with `_eliminate`.
 """
@@ -201,11 +202,11 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     # per trial: the uint16 draw (and at q = 2 its bool mask), the kernels, and
     # under 32 B an entry of field-operation temporaries (int32 copies, intp log
     # sums) on the widest matrix, a node's in-kernels times its out-channels or
-    # t's decoding matrix; per draw, up to seven uint64 columns of N words of
-    # hashing and rejection scratch beside two fixed chunk buffers
+    # t's decoding matrix; per draw, 24 B a slot: the N uint64 counter steps and
+    # two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
     width = max(len(net.ins[ti]), *map(len, net.outs))
     per_trial = (2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width
-    step = max(1, (_SUB_BATCH_BYTES - 56 * n) // per_trial)
+    step = max(1, (_SUB_BATCH_BYTES - 24 * n) // per_trial)
     failures = 0
     for lo in range(start, end, step):
         rows = np.arange(lo, min(lo + step, end))
@@ -304,25 +305,6 @@ class ExactProbability:
         return Fraction(self.numerator, self.denominator)
 
 
-def _branches(rest, r: int, outs: int, order, field: FieldSpec):
-    """(parent state, RREF, rank) of every branch, in batches of at most
-    _BRANCH_BATCH matrix entries (one matrix at least), batch last: rest
-    (w, k, g) holds each state's columns after its node's in-columns.  Branch
-    i is state i // q^(r*outs) with outs new columns, whose rows < r hold the
-    base-q digits of i % q^(r*outs) and the rest zeros; then the columns are
-    permuted by order."""
-    (w, k, g), q = rest.shape, field.q
-    per_state, step = q ** (r * outs), max(1, _BRANCH_BATCH // (w * (k + outs)))
-    places = q ** np.arange(r * outs, dtype=np.int64)[:, None]
-    for lo in range(0, g * per_state, step):
-        i = np.arange(lo, min(lo + step, g * per_state), dtype=np.int64)
-        parent, choice = np.divmod(i, per_state)
-        cols = np.zeros((w, outs, len(i)), dtype=np.uint16)
-        cols[:r] = (choice // places % q).reshape(r, outs, len(i))
-        M = np.concatenate([rest.take(parent, axis=2), cols], axis=1)
-        yield parent, *_eliminate(M.take(order, axis=1), field)  # C order, unlike M[:, order]
-
-
 def exact_failure(
     net: Network, w: int, field: FieldSpec, t: str, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> ExactProbability:
@@ -337,6 +319,13 @@ def exact_failure(
     each state q^(rho*|Out|) ways, and equal successors merge.  The rank never
     rises, so only states of rank w are kept.  Slots of channels that cannot
     reach t are free: they scale counts by q.
+
+    A node's branches are one flat index: state p owns the q^(rho_p*|Out|)
+    indices below ends[p], the running sum of the counts, so a batch of
+    branches, whatever the rho of their states, finds its parents by binary
+    search.  The base-q digits of a branch's offset fill v's out-columns row
+    by row; the offset is below q^(rho_p*|Out|), so rows from rho_p on stay
+    zero.
 
     `budget` bounds the branches summed over the nodes; it is checked before
     each node is expanded, and EnumerationBudgetError is raised above it.
@@ -359,20 +348,32 @@ def exact_failure(
         a, b = frontier.count(v), len(outs)  # every head is unprocessed: v's columns lead
         heads = frontier[a:] + outs
         rho = np.count_nonzero(states[:, :, :a].any(axis=2), axis=1)
-        per_rank = np.bincount(rho).tolist()  # states by the rank of their in-columns
-        spent += sum(c * q ** (r * b) for r, c in enumerate(per_rank))
+        total = sum(c * q ** (r * b) for r, c in enumerate(np.bincount(rho).tolist()))
+        spent += total
         if spent > budget:
             raise EnumerationBudgetError(net.order[v], spent, budget)
         order = sorted(range(len(heads)), key=heads.__getitem__)  # stable
+        count = q ** (rho * b)  # int64 now: every count and sum is at most spent
+        ends = np.cumsum(count)
+        start, digits = ends - count, int(rho.max(initial=0)) * b
+        places = q ** np.arange(digits, dtype=np.int64)[:, None]
+        gain = [x * q ** ((a - r) * b) for x, r in zip(weights, rho.tolist())]
+        rest = np.ascontiguousarray(states[:, :, a:].transpose(1, 2, 0))  # (w, k, states)
+        step = max(1, _BRANCH_BATCH // (w * len(heads)))
         merged: dict[bytes, int] = {}
-        for r in (r for r, c in enumerate(per_rank) if c):
-            sel, mult = np.flatnonzero(rho == r), q ** ((a - r) * b)
-            for parent, M, rank in _branches(states[sel, :, a:].transpose(1, 2, 0), r, b, order, field):
-                full = rank == w
-                M = np.ascontiguousarray(M[:, :, full].transpose(2, 0, 1), dtype=np.uint16)
-                keys = M.reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
-                for key, p in zip(keys.ravel().tolist(), sel[parent[full]].tolist()):
-                    merged[key] = merged.get(key, 0) + weights[p] * mult
+        for lo in range(0, total, step):
+            i = np.arange(lo, min(lo + step, total), dtype=np.int64)
+            parent = np.searchsorted(ends, i, side="right")
+            choice = i - start[parent]  # below q^(rho*b): rows >= rho stay zero
+            cols = np.zeros((w, b, len(i)), dtype=np.uint16)
+            cols.reshape(w * b, -1)[:digits] = choice // places % q
+            M = np.concatenate([rest.take(parent, axis=2), cols], axis=1)
+            M, rank = _eliminate(M.take(order, axis=1), field)  # C order, unlike M[:, order]
+            full = rank == w
+            M = np.ascontiguousarray(M[:, :, full].transpose(2, 0, 1), dtype=np.uint16)
+            keys = M.reshape(-1, w * M.shape[2]).view(f"V{2 * w * M.shape[2]}")
+            for key, p in zip(keys.ravel().tolist(), parent[full].tolist()):
+                merged[key] = merged.get(key, 0) + gain[p]
         kept += a * b
         frontier = [heads[i] for i in order]
         states = np.frombuffer(b"".join(merged), dtype=np.uint16).reshape(-1, w, len(frontier))

@@ -10,6 +10,9 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from oracles import (
     RandomStream,
     butterfly_failure_law,
@@ -23,7 +26,7 @@ from oracles import (
 from rlncfail.bounds import full_report, phi, rate_margin_lower_bound
 from rlncfail.cli import main
 from rlncfail.flowpaths import min_internal_paths
-from rlncfail.galois import make_field, make_field_of_order
+from rlncfail.galois import _GOLDEN_U64, _mix64, make_field, make_field_of_order
 from rlncfail.netmodel import butterfly, plait
 from rlncfail.rlncsim import (
     EnumerationBudgetError,
@@ -116,15 +119,22 @@ def test_criterion_3_bound_ordering_on_random_corpus():
     )
 
 
-def _completion_probe(n: int, k0: int, k1: int, trials: int, seed: int):
-    """Empirical rate at which m = n - k0 uniform vectors from a spanning
-    complement L1 (dim k1) extend a k0-dimensional L0 to all of F_2^n."""
-    rng = RandomStream(seed)
+def _spanning_complement(rng: RandomStream, n: int, k0: int, k1: int) -> list[int]:
+    """A uniform basis of a k1-dimensional L1 with <L0 u L1> = F_2^n, L0 the
+    span of the first k0 unit vectors, drawn from rng by rejection."""
     l0 = [1 << i for i in range(k0)]
-    while True:  # random L1 with dim k1 and <L0 u L1> = F_2^n
+    while True:
         basis = [uniform_int(1 << n, rng) for _ in range(k1)]
         if rank_gf2(basis, n) == k1 and rank_gf2(l0 + basis, n) == n:
-            break
+            return basis
+
+
+def _completion_probe(n: int, k0: int, k1: int, trials: int, seed: int):
+    """Empirical rate at which m = n - k0 uniform vectors from a spanning
+    complement L1 (dim k1) extend a k0-dimensional L0 to all of F_2^n, one
+    drawn vector at a time: the reference for `_completion_probe_bulk`."""
+    rng = RandomStream(seed)
+    l0, basis = [1 << i for i in range(k0)], _spanning_complement(rng, n, k0, k1)
     m = n - k0
     hits = 0
     for _ in range(trials):
@@ -141,6 +151,37 @@ def _completion_probe(n: int, k0: int, k1: int, trials: int, seed: int):
     return hits
 
 
+def _completion_probe_bulk(n: int, k0: int, k1: int, trials: int, seed: int):
+    """`_completion_probe` with every mask drawn at once from the same words
+    of the same stream, so the hit count is the same.  A draw from 0..2^k1-1
+    is the low k1 of the top k1 + 16 bits of a word, never rejected.  The
+    drawn vectors extend L0 iff, modulo L0 (dropping the low k0 bits), no
+    nonempty subset of them sums to zero."""
+    rng = RandomStream(seed)
+    basis, m = _spanning_complement(rng, n, k0, k1), n - k0
+    counters = np.arange(rng.counter + 1, rng.counter + 1 + trials * m, dtype=np.uint64)
+    words = _mix64(np.uint64(rng.key) + _GOLDEN_U64 * counters)
+    masks = (words >> np.uint64(48 - k1)) & np.uint64((1 << k1) - 1)
+    span = np.zeros(1 << k1, dtype=np.int64)  # span[mask]: the sum of basis[j] over mask's bits
+    for j, b in enumerate(basis):
+        span[1 << j : 2 << j] = span[: 1 << j] ^ b
+    drawn = span[masks].reshape(trials, m) >> k0
+    full = np.ones(trials, dtype=bool)
+    for subset in range(1, 1 << m):
+        full &= np.bitwise_xor.reduce(drawn[:, [j for j in range(m) if subset >> j & 1]], axis=1) != 0
+    return int(np.count_nonzero(full))
+
+
+# the scalar probe's hit counts at 100,000 trials, by seed
+PROBE_HITS = {1000: 30785, 1001: 30761, 1010: 32840, 1011: 32677, 1020: 37551, 1021: 37728}
+
+
+@pytest.mark.parametrize("k0,k1", [(0, 4), (1, 3), (1, 4), (2, 2), (2, 4)])
+def test_bulk_completion_probe_matches_scalar(k0, k1):
+    for seed in (*PROBE_HITS, 7):
+        assert _completion_probe_bulk(4, k0, k1, 300, seed) == _completion_probe(4, k0, k1, 300, seed)
+
+
 def test_criterion_4_subspace_completion_formula_and_probe():
     for q in (2, 3, 4, 5, 7, 8, 9):
         for gap in range(1, 7):
@@ -152,7 +193,9 @@ def test_criterion_4_subspace_completion_formula_and_probe():
         target = float(phi(2, n - k0))
         intervals = []
         for which, k1 in enumerate((n - k0, n)):  # two complement dimensions
-            hits = _completion_probe(n, k0, k1, trials, seed=1000 + 10 * k0 + which)
+            seed = 1000 + 10 * k0 + which
+            hits = _completion_probe_bulk(n, k0, k1, trials, seed)
+            assert hits == PROBE_HITS[seed]
             lo, hi = wilson_interval(hits, trials)
             assert lo <= target <= hi, (k0, k1, hits / trials, target)
             intervals.append((lo, hi))

@@ -119,7 +119,7 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     (SIM_DAG6_W10, "simulate-dag6-w10-q2.txt"),
     (SIM_DAG6_W10 + ("--workers", "2"), "simulate-dag6-w10-q2.txt"),
     # an odd prime and an extension field over three blocks: the engine's
-    # vsub/vneg path, pinned at 1 and 2 workers
+    # vadd/vneg path, pinned at 1 and 2 workers
     (SIM_DAG12 + ("--field", "3"), "simulate-dag12-q3.txt"),
     (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
     (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
@@ -391,7 +391,7 @@ class TestExact:
         def no_expansion(*args):
             raise AssertionError("a node was expanded before the budget check")
 
-        monkeypatch.setattr(rlncsim, "_branches", no_expansion)
+        monkeypatch.setattr(rlncsim, "_eliminate", no_expansion)
         start = time.monotonic()
         code, _, err = run_cli(capsys, "exact", "--gen", "butterfly", "--sink", "t1",
                                "--field", "65536")

@@ -120,7 +120,7 @@ class TestArithmetic:
         add, mul = f.vadd, f.vmul
         assert (add(a, b) == add(b, a)).all()
         assert (mul(a, b) == mul(b, a)).all()
-        assert (f.vsub(a, b) == add(a, f.vneg(b))).all()
+        assert (add(add(a, f.vneg(b)), b) == a).all()
         assert (add(add(a, b), c) == add(a, add(b, c))).all()
         assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
         assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
@@ -178,7 +178,7 @@ class TestAgainstNaiveOracle:
         for a in values:
             for b in values:
                 assert f.vadd(a, b) == naive.add(a, b), (a, b)
-                assert f.vsub(a, b) == naive.sub(a, b), (a, b)
+                assert f.vadd(a, f.vneg(b)) == naive.sub(a, b), (a, b)
                 assert f.vmul(a, b) == naive.mul(a, b), (a, b)
             assert f.vneg(a) == naive.sub(0, a)
             if a:
@@ -199,7 +199,7 @@ class TestAgainstNaiveOracle:
                 for b in values:
                     x, y = int(a), int(b)
                     assert naive.add(a, b) == f.vadd(x, y), (x, y)
-                    assert naive.sub(a, b) == f.vsub(x, y), (x, y)
+                    assert naive.sub(a, b) == f.vadd(x, f.vneg(y)), (x, y)
                     assert naive.mul(a, b) == f.vmul(x, y), (x, y)
 
     @pytest.mark.parametrize("q", [9, 243, 65521])
@@ -210,7 +210,11 @@ class TestAgainstNaiveOracle:
         # uint16 is the engine's own element dtype, where a + b would wrap
         a = np.array(a.tolist() + [0, 1, q - 1, 0], np.uint16)
         b = np.array(b.tolist() + [0, q - 1, 1, q - 1], np.uint16)
-        for vec, scalar in [(f.vadd, naive.add), (f.vsub, naive.sub), (f.vmul, naive.mul)]:
+
+        def sub(x, y):
+            return f.vadd(x, f.vneg(y))
+
+        for vec, scalar in [(f.vadd, naive.add), (sub, naive.sub), (f.vmul, naive.mul)]:
             assert vec(a, b).tolist() == [scalar(x, y) for x, y in zip(a, b)]
         nz = a[a != 0]
         assert [naive.mul(x, y) for x, y in zip(nz, f.vinv(nz))] == [1] * len(nz)
@@ -242,13 +246,17 @@ class TestAgainstNaiveOracle:
         pairs = [(a, b) for a in (0, 1) for b in (0, 1)]
         for a, b in pairs:
             assert f.vadd(a, b) == naive.add(a, b)
-            assert f.vsub(a, b) == naive.sub(a, b)
+            assert f.vadd(a, f.vneg(b)) == naive.sub(a, b)
             assert f.vmul(a, b) == naive.mul(a, b)
         assert f.vinv(1) == naive.inv(1) and f.vinv(0) == 0
         a, b = (np.array(x) for x in zip(*pairs))
+
+        def sub(x, y):
+            return f.vadd(x, f.vneg(y))
+
         for dtype in (np.uint16, np.int32, np.int64):
             x, y = a.astype(dtype), b.astype(dtype)
-            for vec, scalar in [(f.vadd, naive.add), (f.vsub, naive.sub), (f.vmul, naive.mul)]:
+            for vec, scalar in [(f.vadd, naive.add), (sub, naive.sub), (f.vmul, naive.mul)]:
                 got = vec(x, y)
                 assert got.dtype == dtype
                 assert got.tolist() == [scalar(u, v) for u, v in pairs]

@@ -559,9 +559,9 @@ class TestEstimate:
         assert part == whole
 
     def test_block_memory_counts_the_draws_column_scratch(self, monkeypatch):
-        # at q = 3 a draw of N = 31,117 slots hashes and redoes rejected
-        # columns of N words, about 1.5 MB beside a 3.5 MB output; left out
-        # of the budget, that scratch took the traced peak to 4.91 MiB
+        # at q = 3 a draw of N = 31,117 slots hashes through three uint64
+        # arrays of N words, 0.75 MB; left out of the budget, the draw's
+        # scratch took the traced peak to 4.91 MiB (3.57 MiB counted)
         net, f3 = random_dag(60, 2, 0.9, seed=1), make_field(3)
         whole = estimate_failure(net, 2, f3, "t", 300, seed=1)
         monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
@@ -683,7 +683,7 @@ class TestExact:
         def no_expansion(*args):
             raise AssertionError("a node was expanded before the budget check")
 
-        monkeypatch.setattr(rlncsim, "_branches", no_expansion)
+        monkeypatch.setattr(rlncsim, "_eliminate", no_expansion)
         with pytest.raises(EnumerationBudgetError) as err:
             exact_failure(plait(4, 1), 4, make_field(2, 4), "t")
         assert err.value.branches == 16**16
@@ -698,7 +698,6 @@ class TestExact:
         def no_work(*args):
             raise AssertionError("work started before the budget was checked")
 
-        monkeypatch.setattr(rlncsim, "_branches", no_work)
         monkeypatch.setattr(rlncsim, "_eliminate", no_work)
         with pytest.raises(ValueError, match=r"budget must be at most 2\^62, got 4611686018427387905"):
             exact_failure(butterfly(), 2, make_field(2), "t1", budget=(1 << 62) + 1)
@@ -781,27 +780,38 @@ class TestFrontierDP:
         if q == 2:
             assert res.failures == naive_enumerated_failures(butterfly(), 2, field, sink)
 
-    @pytest.mark.parametrize("net,w,q,t", [(butterfly(), 2, 3, "t1"), (plait(2, 1), 2, 4, "t")],
-                             ids=["butterfly-q3", "plait21-q4"])
-    def test_small_branch_batches_split_states(self, monkeypatch, net, w, q, t):
-        # batches of a few matrices end in the middle of a state's choices
+    @pytest.mark.parametrize("net,w,q,t,pinned", [
+        (butterfly(), 2, 3, "t1", None), (plait(2, 1), 2, 4, "t", None),
+        # node i2 holds states whose in-columns have rank 0, 1 and 2
+        (random_dag(2, 2, 0.5, seed=3), 2, 2, "t", 640),
+        (random_dag(2, 2, 0.5, seed=3), 2, 3, "t", 19305),
+    ], ids=["butterfly-q3", "plait21-q4", "random2-q2", "random2-q3"])
+    def test_small_branch_batches_split_states(self, monkeypatch, net, w, q, t, pinned):
+        # batches of a few matrices end in the middle of a state's branches
         field = make_field_of_order(q)
         whole = exact_failure(net, w, field, t)
-        calls, branches = [], rlncsim._branches
+        sizes, eliminate = [], rlncsim._eliminate
 
-        def recorded(*args):
-            calls.append([])
-            for parent, M, rank in branches(*args):
-                calls[-1].append(parent)
-                yield parent, M, rank
+        def recorded(M, field):
+            sizes.append(M.shape[2])
+            return eliminate(M, field)
 
-        monkeypatch.setattr(rlncsim, "_branches", recorded)
+        monkeypatch.setattr(rlncsim, "_eliminate", recorded)
         monkeypatch.setattr(rlncsim, "_BRANCH_BATCH", 20)
         small = exact_failure(net, w, field, t)
-        assert any(a[-1] == b[0] for c in calls for a, b in zip(c, c[1:]))
-        assert max(len(p) for c in calls for p in c) <= 5
+        assert max(sizes) <= 5
+        # the source's one state (rank w) owns q^(w*b) branches, b its live
+        # out-channels, so its branches span several batches
+        reach, src = net.reaching(net.index[t]), net.index[net.source]
+        assert q ** (w * sum(bool(reach[net.head[j]]) for j in net.outs[src])) > 5
+        # every branch is reduced exactly once
+        monkeypatch.undo()
+        exact_failure(net, w, field, t, budget=sum(sizes))
+        with pytest.raises(EnumerationBudgetError):
+            exact_failure(net, w, field, t, budget=sum(sizes) - 1)
         assert (small.failures, small.fraction) == (whole.failures, whole.fraction)
         assert small.failures == enumerated_failures(net, w, field, t)
+        assert pinned in (None, small.failures)
 
     @pytest.mark.parametrize("sink", ["t1", "t2"])
     def test_butterfly_q4_pinned(self, sink):
