@@ -9,18 +9,20 @@ cut channels entering v are exactly the m_v path channels whose head is v.
 
 The fewest-nodes search is a branch-and-bound on an explicit stack over
 live channels, whose head reaches the sink (a path through any other
-channel never finishes).  When a path is finished, the paths still missing
-must end on distinct unused channels into the sink and start on distinct
-unused live channels out of the source after this path's first one (paths
-are ordered by first channel).  At each end, the fewest new internal nodes
-whose channels, after the free ones, cover the paths missing bound what the
-set still adds; the search drops the branch when the larger bound brings it
-to the best count so far.  Both prunes drop only branches that hold no
-better set, so the search finds every improvement in the same order and
-returns the same set.  Before it starts another path, the unused channels
-must still carry the paths missing: witness paths, disjoint and avoiding the
-finished ones (the heuristic's set, later the last feasibility flow), prove
-it.  When too few avoid the path just finished, a max-flow grows from them.
+channel never finishes), with one node set that backtracking undoes.  The
+paths still missing end on distinct unused channels into the sink, checked
+when a path enters a new node or is finished, and start on distinct unused
+live channels out of the source after its first one (paths are ordered by
+first channel), checked when it is finished.  At each end, the fewest new
+internal nodes whose channels, after the free ones, cover the paths missing
+bound what the set still adds (memoized on masks of the ends); the search
+drops the branch when a bound brings it to the best count so far.  The
+prunes drop only branches that hold no better set, so the search finds
+every improvement in the same order and returns the same set.  Before it
+starts another path, the unused channels must still carry the paths
+missing: witness paths, disjoint and avoiding the finished ones (the
+heuristic's set, later the last feasibility flow), prove it.  When too few
+avoid the path just finished, a max-flow grows from them.
 
 The algorithms run on the network's integer view (see `netmodel.Network`)
 and turn channel indices back into ids only for the public `PathSet`.  All
@@ -212,7 +214,7 @@ def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]
 
 
 def _new_ends(ends: list[tuple[int, int]], used: set[int], internal: set[int],
-              nodes: frozenset[int], need: int) -> float:
+              nodes: set[int], need: int) -> float:
     """Fewest internal nodes outside `nodes` that, with the free ends, give
     `need` of the channels outside `used` in the (channel, end node) list
     `ends`: a channel ending at s, a sink or a node in `nodes` is free, then
@@ -245,11 +247,10 @@ def min_internal_paths(
     mode="exact" runs a branch-and-bound over all channel-disjoint path
     sets (seeded with the heuristic answer); if the step budget runs out,
     the best set found so far is returned with exact=False.  A step is one
-    live channel tried: 12 on the butterfly's t1, 42,242 on
-    random_dag(30, 6, 0.3, seed=2), where 285 feasibility max-flows run.
+    live channel tried: 9 on the butterfly's t1, and 15,961 with 285
+    feasibility max-flows on random_dag(30, 6, 0.3, seed=2).
     mode="heuristic" returns the min-cost-flow answer directly (exact=False),
-    whose node count upper-bounds the true minimum.  Both run on the integer
-    view.
+    whose node count upper-bounds the true minimum.  Both use the integer view.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -262,21 +263,35 @@ def min_internal_paths(
     reach = net.reaching(ti)
     outs = [tuple(j for j in js if reach[head[j]]) for js in net.outs]  # live channels
     internal = {net.index[v] for v in net.internal_nodes}
-    # (channel, end node) lists into t and out of s; s_ends[after[j]:] follow j
-    t_ends = [(j, tail[j]) for j in net.ins[ti]]
-    s_ends = [(j, head[j]) for j in outs[s]]
-    after = {j: k for k, j in enumerate(outs[s], 1)}
+    # (channel, end node) into t, ends[:split], then live out of s, ends[after[j]:]
+    # after j; end i is bit i of the used-end and on-set masks that key the memo
+    split = len(net.ins[ti])
+    ends = [(j, tail[j]) for j in net.ins[ti]] + [(j, head[j]) for j in outs[s]]
+    after = {j: k for k, j in enumerate(outs[s], split + 1)}
+    bits, node_bits = [0] * len(tail), [0] * len(net.order)
+    for i, (j, v) in enumerate(ends):
+        bits[j] |= 1 << i
+        node_bits[v] |= 1 << i
+    memo: dict[tuple[int, int, int, int], float] = {}
+    def bound(a: int, b: int, need: int, used_ends: int) -> float:
+        m = (1 << b) - (1 << a)
+        key = (a, need, used_ends & m, on_set & m)
+        if key not in memo:
+            memo[key] = _new_ends(ends[a:b], used, internal, nodes, need)
+        return memo[key]
     best_r, best_paths = _path_set(net, t, w, heur).r, heur
     used: set[int] = set()  # channels of the finished paths and the current one
+    nodes: set[int] = set()  # their internal nodes
     done: list[tuple[int, ...]] = []  # the finished paths
     path: list[int] = []  # the current path
+    done_ends = on_set = 0  # the bits of the finished paths' ends and of the ends on `nodes`
     witness = [heur]  # per finished-path count: disjoint paths avoiding them
-    # frames (node, its untried out-channels, internal nodes so far, least
-    # first channel, which binds only at the source)
-    stack = [(s, iter(outs[s]), frozenset(), 0)] if best_r else []
+    # frames (node, its untried out-channels, whether entering it added it to
+    # nodes, least first channel, which binds only at the source)
+    stack = [(s, iter(outs[s]), False, 0)] if best_r else []
     steps = 0
     while stack:
-        node, chans, nodes, first = stack[-1]
+        node, chans, _, first = stack[-1]
         for j in chans:
             if j in used or j < first:
                 continue  # paths ordered by first channel: kill permutations
@@ -285,28 +300,33 @@ def min_internal_paths(
                 stack.clear()
                 break
             h = head[j]
-            grown = nodes
-            if h in internal and h not in nodes:
-                if len(nodes) + 1 >= best_r:
+            new = h in internal and h not in nodes
+            if new:
+                # the set, with the new nodes that end the paths missing (this
+                # one too, no end yet) into t, must stay below the best count
+                nodes.add(h)
+                on_set ^= node_bits[h]
+                if bound(0, split, w - len(done), done_ends) >= best_r - len(nodes):
+                    nodes.remove(h)
+                    on_set ^= node_bits[h]
                     continue
-                grown = nodes | {h}
             used.add(j)
             path.append(j)
             if h != ti:
-                stack.append((h, iter(outs[h]), grown, 0))
+                stack.append((h, iter(outs[h]), new, 0))
                 break
             need = w - len(done) - 1
-            slack = best_r - len(grown)  # nodes a better set may still add
+            slack = best_r - len(nodes)  # nodes a better set may still add
             if not need:
                 if slack > 0:
-                    best_r, best_paths = len(grown), (*done, tuple(path))
+                    best_r, best_paths = len(nodes), (*done, tuple(path))
             elif (
                 # the missing paths end on distinct unused channels into t
                 # and start on distinct unused live channels out of s after
                 # this path's first one: either end may need too many nodes
                 slack > 0
-                and _new_ends(t_ends, used, internal, grown, need) < slack
-                and _new_ends(s_ends[after[path[0]] :], used, internal, grown, need) < slack
+                and bound(0, split, need, used_ends := done_ends | bits[path[0]] | bits[j]) < slack
+                and bound(after[path[0]], len(ends), need, used_ends) < slack
             ):
                 # feasibility: the unused channels must still carry `need`
                 # paths; witness paths avoiding this one prove it or seed a flow
@@ -317,17 +337,21 @@ def min_internal_paths(
                 if fits:
                     witness.append(fits)
                     done.append(tuple(path))
-                    stack.append((s, iter(outs[s]), grown, path[0] + 1))
+                    done_ends ^= bits[path[0]] | bits[j]
+                    stack.append((s, iter(outs[s]), False, path[0] + 1))
                     path = []
                     break
             used.remove(path.pop())
         else:
-            stack.pop()
+            if stack.pop()[2]:  # entering it added the node
+                nodes.remove(node)
+                on_set ^= node_bits[node]
             if node == s:  # back into the finished path this one followed
                 if not done:
                     break
                 witness.pop()
                 path = list(done.pop())
+                done_ends ^= bits[path[0]] | bits[path[-1]]
             used.remove(path.pop())
     ps = _path_set(net, t, w, tuple(sorted(best_paths)))
     return MinInternalResult(ps, exact=steps <= budget)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -218,10 +219,10 @@ class TestMinInternalPaths:
         assert time.perf_counter() - start < 1.0
         assert res.paths.r == 4998
 
-    # the search takes exactly 12 steps on the butterfly: the channels into
-    # t2 lead nowhere near t1, and the end-node bound cuts the rest
+    # the search takes exactly 9 steps on the butterfly: the channels into
+    # t2 lead nowhere near t1, and the end-node bounds cut the rest
     @pytest.mark.parametrize(
-        "budget,exact", [(1, False), (10, False), (11, False), (12, True), (100, True)]
+        "budget,exact", [(1, False), (8, False), (9, True), (12, True), (100, True)]
     )
     def test_butterfly_pinned_at_budget(self, budget, exact):
         res = min_internal_paths(butterfly(), "t1", 2, budget=budget)
@@ -231,9 +232,9 @@ class TestMinInternalPaths:
     # the search's exact step counts: one step short it falls back to the
     # best set so far; a reordered search would change them
     @pytest.mark.parametrize("k,w,density,seed,steps", [
-        (20, 5, 0.4, 2, 783),  # bounds-dag20 in tests/golden
-        (12, 4, 0.5, 5, 197),  # the simulate-dag12 benchmark network
-        (30, 6, 0.3, 2, 42242),  # the bounds-dag30 benchmark network
+        (20, 5, 0.4, 2, 12),  # bounds-dag20 in tests/golden
+        (12, 4, 0.5, 5, 51),  # the simulate-dag12 benchmark network
+        (30, 6, 0.3, 2, 15961),  # the bounds-dag30 benchmark network
     ])
     def test_random_dag_steps_pinned(self, k, w, density, seed, steps):
         net = random_dag(k, w, density, seed=seed)
@@ -242,7 +243,7 @@ class TestMinInternalPaths:
         assert (short.exact, full.exact) == (False, True)
         assert full.paths.r <= short.paths.r
 
-    @pytest.mark.parametrize("budget", [1, 10, 100])
+    @pytest.mark.parametrize("budget", [1, 5, 10, 11])  # below its 12 steps
     def test_dag20_pinned_at_budget(self, budget):
         res = min_internal_paths(random_dag(20, 5, 0.4, seed=2), "t", 5, budget=budget)
         assert res.paths.paths == (
@@ -295,9 +296,9 @@ class TestMinInternalPaths:
                 ("z2", "z3"), ("i5", "z3")]
         extra = [Channel(f"x{k}", a, b) for k, (a, b) in enumerate(dead)]
         grown = Network(nodes, net.channels + extra)
-        for budget in (196, 197, 10**6):
+        for budget in (50, 51, 10**6):
             res = min_internal_paths(net, "t", 4, budget=budget)
-            assert res.exact is (budget > 196)
+            assert res.exact is (budget > 50)
             assert min_internal_paths(grown, "t", 4, budget=budget) == res
 
     @settings(max_examples=150, deadline=None)
@@ -334,6 +335,35 @@ class TestMinInternalPaths:
         res = min_internal_paths(random_dag(30, 6, 0.3, seed=2), "t", 6)
         assert (res.paths.r, res.exact) == (10, True)
         assert len(calls) == 286 < 20695
+
+    def test_bounds_memoized(self, monkeypatch):
+        # each end-node bound is computed once per key: the used ends, the
+        # ends whose node is on the set, the first end left and the paths
+        # missing; computed afresh at every check, it runs 12,820 times here
+        calls = []
+        new_ends = flowpaths._new_ends
+
+        def counted(*args):
+            calls.append(1)
+            return new_ends(*args)
+
+        monkeypatch.setattr(flowpaths, "_new_ends", counted)
+        net = random_dag(30, 6, 0.3, seed=2)
+        res = min_internal_paths(net, "t", 6)
+        assert (res.paths, res.exact) == recursive_min_internal_paths(net, "t", 6)[:2]
+        assert len(calls) == 483 < 1000
+
+    def test_search_memory_stays_flat(self):
+        # one node set with undo: 2,000 nodes deep, the search holds a frame
+        # per channel of the path and no copy of the node set in each
+        net = plait(3, 2000)
+        tracemalloc.start()
+        try:
+            min_internal_paths(net, "t", 3, budget=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestCutSequence:
