@@ -10,16 +10,18 @@ cut channels entering v are exactly the m_v path channels whose head is v.
 The fewest-nodes search is a branch-and-bound on an explicit stack over
 live channels, whose head reaches the sink (a path through any other
 channel never finishes), with one node set that backtracking undoes.  The
-paths still missing end on distinct unused channels into the sink, checked
-when a path enters a new node or is finished, and start on distinct unused
-live channels out of the source after its first one (paths are ordered by
-first channel), checked when it is finished.  At each end, the fewest new
+paths still missing end on distinct unused channels into the sink and start
+on distinct unused live channels out of the source after the current path's
+first one (paths are ordered by first channel).  At each end, the fewest new
 internal nodes whose channels, after the free ones, cover the paths missing
-bound what the set still adds (memoized on masks of the ends); the search
-drops the branch when a bound brings it to the best count so far.  The
-prunes drop only branches that hold no better set, so the search finds
-every improvement in the same order and returns the same set.  Before it
-starts another path, the unused channels must still carry the paths
+bound what the set still adds (memoized on masks of the ends).  Only a node
+next to both the source and the sink can count at both ends, so the set adds
+at least the sum of the two bounds less the nodes of that kind not yet in
+it.  The search checks this bound when a path enters a new node or is
+finished, and drops the branch when it brings the set to the best count so
+far.  The prunes drop only branches that hold no better set, so the search
+finds every improvement in the same order and returns the same set.  Before
+it starts another path, the unused channels must still carry the paths
 missing: witness paths, disjoint and avoiding the finished ones (the
 heuristic's set, later the last feasibility flow), prove it.  When too few
 avoid the path just finished, a max-flow grows from them.
@@ -247,8 +249,9 @@ def min_internal_paths(
     mode="exact" runs a branch-and-bound over all channel-disjoint path
     sets (seeded with the heuristic answer); if the step budget runs out,
     the best set found so far is returned with exact=False.  A step is one
-    live channel tried: 9 on the butterfly's t1, and 15,961 with 285
-    feasibility max-flows on random_dag(30, 6, 0.3, seed=2).
+    live channel tried: 6 on the butterfly's t1, 10 with no feasibility
+    max-flow on random_dag(30, 6, 0.3, seed=2), and 1,297 with 57 on
+    random_dag(25, 6, 0.3, seed=2).
     mode="heuristic" returns the min-cost-flow answer directly (exact=False),
     whose node count upper-bounds the true minimum.  Both use the integer view.
     """
@@ -272,6 +275,9 @@ def min_internal_paths(
     for i, (j, v) in enumerate(ends):
         bits[j] |= 1 << i
         node_bits[v] |= 1 << i
+    # internal nodes at both ends, heading a live channel out of s and tailing
+    # one into t: the only new nodes that can count toward both bounds
+    both = {head[j] for j in outs[s]} & {tail[j] for j in net.ins[ti]} & internal
     memo: dict[tuple[int, int, int, int], float] = {}
     def bound(a: int, b: int, need: int, used_ends: int) -> float:
         m = (1 << b) - (1 << a)
@@ -279,6 +285,12 @@ def min_internal_paths(
         if key not in memo:
             memo[key] = _new_ends(ends[a:b], used, internal, nodes, need)
         return memo[key]
+    def lower(first: int, need_t: int, need_s: int, used_ends: int) -> float:
+        # new nodes that end the missing paths into t and start the paths
+        # not yet begun out of s after `first`, a node of `both` once
+        zb = bound(0, split, need_t, used_ends)
+        sb = bound(after[first], len(ends), need_s, used_ends)
+        return max(zb, sb, zb + sb - len(both - nodes))
     best_r, best_paths = _path_set(net, t, w, heur).r, heur
     used: set[int] = set()  # channels of the finished paths and the current one
     nodes: set[int] = set()  # their internal nodes
@@ -303,10 +315,12 @@ def min_internal_paths(
             new = h in internal and h not in nodes
             if new:
                 # the set, with the new nodes that end the paths missing (this
-                # one too, no end yet) into t, must stay below the best count
+                # one too, no end yet) and start those after it, must stay
+                # below the best count
                 nodes.add(h)
                 on_set ^= node_bits[h]
-                if bound(0, split, w - len(done), done_ends) >= best_r - len(nodes):
+                need = w - len(done)
+                if lower(path[0] if path else j, need, need - 1, done_ends) >= best_r - len(nodes):
                     nodes.remove(h)
                     on_set ^= node_bits[h]
                     continue
@@ -320,13 +334,8 @@ def min_internal_paths(
             if not need:
                 if slack > 0:
                     best_r, best_paths = len(nodes), (*done, tuple(path))
-            elif (
-                # the missing paths end on distinct unused channels into t
-                # and start on distinct unused live channels out of s after
-                # this path's first one: either end may need too many nodes
-                slack > 0
-                and bound(0, split, need, used_ends := done_ends | bits[path[0]] | bits[j]) < slack
-                and bound(after[path[0]], len(ends), need, used_ends) < slack
+            elif slack > 0 and (
+                lower(path[0], need, need, done_ends | bits[path[0]] | bits[j]) < slack
             ):
                 # feasibility: the unused channels must still carry `need`
                 # paths; witness paths avoiding this one prove it or seed a flow

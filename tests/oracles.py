@@ -107,6 +107,39 @@ def exhaustive_min_internal(net: Network, t: str, w: int) -> int:
     return best
 
 
+def subset_min_internal(net: Network, t: str, w: int) -> int:
+    """R_t as the smallest set U of internal nodes whose subnetwork on
+    U + {source, t} carries w channel-disjoint paths to t, trying every U by
+    size with a breadth-first max-flow of its own on channel ids."""
+    internal = sorted(net.internal_nodes)
+    for size in range(len(internal) + 1):
+        for chosen in combinations(internal, size):
+            keep = set(chosen) | {net.source, t}
+            chans = [c for c in net.channels if c.tail in keep and c.head in keep]
+            flow: set[str] = set()
+            for _ in range(w):
+                pred = {net.source: None}  # node -> (previous node, channel)
+                frontier = [net.source]
+                while frontier and t not in pred:
+                    node = frontier.pop(0)
+                    for c in chans:
+                        if c.tail == node and c.id not in flow and c.head not in pred:
+                            pred[c.head] = (node, c.id)
+                            frontier.append(c.head)
+                        elif c.head == node and c.id in flow and c.tail not in pred:
+                            pred[c.tail] = (node, c.id)
+                            frontier.append(c.tail)
+                if t not in pred:
+                    break
+                node = t
+                while pred[node] is not None:
+                    node, cid = pred[node]
+                    flow ^= {cid}
+            else:
+                return size
+    raise ValueError(f"no {w} channel-disjoint paths to {t}")
+
+
 class _SearchBudget(Exception):
     pass
 

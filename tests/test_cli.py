@@ -215,9 +215,15 @@ class TestBounds:
          "bounds-butterfly-t1-q4.json"),
         (("--gen", DAG20, "--field", "2"), "bounds-dag20-q2.txt"),
         (("--gen", DAG20, "--field", "2", "--format", "json"), "bounds-dag20-q2.json"),
-        # the search's warm-started max-flows hold other witnesses here
+        # a search that runs no max-flow
         (("--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "2"),
          "bounds-dag40-q2.txt"),
+        # the search's warm-started max-flows hold other witnesses here
+        (("--gen", "random:internal=25,w=6,density=0.3,seed=2", "--field", "2"),
+         "bounds-dag25-q2.txt"),
+        # R_t below the heuristic's count, proved in 10 steps
+        (("--gen", "random:internal=20,w=8,density=0.6,seed=1", "--field", "2"),
+         "bounds-dag20w8-q2.txt"),
     ])
     def test_golden_stdout(self, capsys, argv, golden):
         code, out, _ = run_cli(capsys, "bounds", *argv)

@@ -21,6 +21,7 @@ from oracles import (
     linear_extensions,
     reaches,
     recursive_min_internal_paths,
+    subset_min_internal,
 )
 from rlncfail import flowpaths
 from rlncfail.flowpaths import (
@@ -219,10 +220,10 @@ class TestMinInternalPaths:
         assert time.perf_counter() - start < 1.0
         assert res.paths.r == 4998
 
-    # the search takes exactly 9 steps on the butterfly: the channels into
-    # t2 lead nowhere near t1, and the end-node bounds cut the rest
+    # the search takes exactly 6 steps on the butterfly: the channels into
+    # t2 lead nowhere near t1, and the end-node bound cuts the rest
     @pytest.mark.parametrize(
-        "budget,exact", [(1, False), (8, False), (9, True), (12, True), (100, True)]
+        "budget,exact", [(1, False), (5, False), (6, True), (12, True), (100, True)]
     )
     def test_butterfly_pinned_at_budget(self, budget, exact):
         res = min_internal_paths(butterfly(), "t1", 2, budget=budget)
@@ -233,8 +234,9 @@ class TestMinInternalPaths:
     # best set so far; a reordered search would change them
     @pytest.mark.parametrize("k,w,density,seed,steps", [
         (20, 5, 0.4, 2, 12),  # bounds-dag20 in tests/golden
-        (12, 4, 0.5, 5, 51),  # the simulate-dag12 benchmark network
-        (30, 6, 0.3, 2, 15961),  # the bounds-dag30 benchmark network
+        (12, 4, 0.5, 5, 6),  # the simulate-dag12 benchmark network
+        (25, 6, 0.3, 2, 1297),  # bounds-dag25 in tests/golden
+        (30, 6, 0.3, 2, 10),  # the bounds-dag30 benchmark network
     ])
     def test_random_dag_steps_pinned(self, k, w, density, seed, steps):
         net = random_dag(k, w, density, seed=seed)
@@ -296,9 +298,9 @@ class TestMinInternalPaths:
                 ("z2", "z3"), ("i5", "z3")]
         extra = [Channel(f"x{k}", a, b) for k, (a, b) in enumerate(dead)]
         grown = Network(nodes, net.channels + extra)
-        for budget in (50, 51, 10**6):
+        for budget in (5, 6, 10**6):
             res = min_internal_paths(net, "t", 4, budget=budget)
-            assert res.exact is (budget > 50)
+            assert res.exact is (budget > 5)
             assert min_internal_paths(grown, "t", 4, budget=budget) == res
 
     @settings(max_examples=150, deadline=None)
@@ -319,11 +321,40 @@ class TestMinInternalPaths:
         paths, exact, _ = recursive_min_internal_paths(net, "t", w)
         assert (res.paths.r, res.paths, res.exact) == (paths.r, paths, exact)
 
+    def test_overlap_counted_once(self):
+        # after s=a the new node x alone can start the second path (s=x) and
+        # end both (x=t twice), so the bound adds 1 node, not 1 at each end;
+        # counted twice, it would drop {a, x} for the heuristic's {a, c, x}
+        nodes = {"s": "source", "t": "sink"} | {v: "internal" for v in "acx"}
+        pairs = ["sa", "sx", "ac", "ax", "ct", "xt", "xt"]
+        net = Network(nodes, [Channel(f"e{k}", a, b) for k, (a, b) in enumerate(pairs)])
+        assert min_internal_paths(net, "t", 2, mode="heuristic").paths.r == 3
+        res = min_internal_paths(net, "t", 2)
+        assert res.exact and res.paths.internal_nodes == ("a", "x")
+        assert subset_min_internal(net, "t", 2) == 2
+
+    def test_r_matches_subset_oracle(self):
+        # seeded small multigraphs: parallel channels, a second sink u behind
+        # t, and a node next to both s and t in each
+        for seed in range(500):
+            rng = random.Random(seed)
+            k = rng.randint(1, 5)
+            names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
+            pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
+            v = rng.randint(1, k)
+            chosen = [(0, v), (v, k + 1)] + rng.choices(pairs, k=rng.randint(2, 11))
+            nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
+            net = Network(nodes, [Channel(f"e{j:02d}", names[a], names[b])
+                                  for j, (a, b) in enumerate(chosen)])
+            w = rng.randint(1, min_cut(net, "t"))
+            res = min_internal_paths(net, "t", w)
+            assert res.exact and res.paths.r == subset_min_internal(net, "t", w), seed
+
     def test_witness_spares_max_flows(self, monkeypatch):
         # a new max-flow only when neither the end-node bound nor the
         # witness paths settle a check, grown from the witness paths that
-        # survive; one more is random_dag's own min-cut.  The recursive
-        # oracle runs 20,695 on this network
+        # survive.  The recursive oracle runs 1,354 on this network
+        net = random_dag(25, 6, 0.3, seed=2)
         calls = []
         max_flow = flowpaths._max_flow
 
@@ -332,14 +363,14 @@ class TestMinInternalPaths:
             return max_flow(*args, **kwargs)
 
         monkeypatch.setattr(flowpaths, "_max_flow", counted)
-        res = min_internal_paths(random_dag(30, 6, 0.3, seed=2), "t", 6)
-        assert (res.paths.r, res.exact) == (10, True)
-        assert len(calls) == 286 < 20695
+        res = min_internal_paths(net, "t", 6)
+        assert (res.paths.r, res.exact) == (9, True)
+        assert len(calls) == 57 < 1354
 
     def test_bounds_memoized(self, monkeypatch):
         # each end-node bound is computed once per key: the used ends, the
         # ends whose node is on the set, the first end left and the paths
-        # missing; computed afresh at every check, it runs 12,820 times here
+        # missing; computed afresh at every check, it runs 2,396 times here
         calls = []
         new_ends = flowpaths._new_ends
 
@@ -348,10 +379,10 @@ class TestMinInternalPaths:
             return new_ends(*args)
 
         monkeypatch.setattr(flowpaths, "_new_ends", counted)
-        net = random_dag(30, 6, 0.3, seed=2)
+        net = random_dag(25, 6, 0.3, seed=2)
         res = min_internal_paths(net, "t", 6)
         assert (res.paths, res.exact) == recursive_min_internal_paths(net, "t", 6)[:2]
-        assert len(calls) == 483 < 1000
+        assert len(calls) == 267 < 2396
 
     def test_search_memory_stays_flat(self):
         # one node set with undo: 2,000 nodes deep, the search holds a frame
