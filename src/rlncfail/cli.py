@@ -286,23 +286,39 @@ _SUBCOMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+# every subcommand name, in the order the full parser lists them
+_COMMANDS = ("gen", *(row[0] for row in _SUBCOMMANDS))
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `rlncfail` parser.  Given a subcommand name (one of `_COMMANDS`),
+    it builds that subcommand's parser alone under the top-level one, whose
+    usage line still lists every subcommand; `main` does so when the call
+    names its subcommand, and builds no parser it does not use.  Either
+    parser reads such a call to the same values and writes the same help and
+    errors."""
     parser = argparse.ArgumentParser(
         prog="rlncfail",
         description="Failure probability of random linear network coding at a sink node",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
 
-    gen = sub.add_parser("gen", help="generate a network file")
-    gen_sub = gen.add_subparsers(dest="kind", required=True)
-    for kind, (_, help_text, params) in _GENERATORS.items():
-        sp = gen_sub.add_parser(kind, help=help_text)
-        for k, conv in params:
-            sp.add_argument(f"--{k}", type=conv, required=True)
-        sp.add_argument("--out", help="write the network file here instead of stdout")
-        sp.set_defaults(func=_cmd_gen)
+    if command in (None, "gen"):
+        gen = sub.add_parser("gen", help="generate a network file")
+        gen_sub = gen.add_subparsers(dest="kind", required=True)
+        for kind, (_, help_text, params) in _GENERATORS.items():
+            sp = gen_sub.add_parser(kind, help=help_text)
+            for k, conv in params:
+                sp.add_argument(f"--{k}", type=conv, required=True)
+            sp.add_argument("--out", help="write the network file here instead of stdout")
+            sp.set_defaults(func=_cmd_gen)
 
     for name, help_text, func, options, formats in _SUBCOMMANDS:
+        if command not in (None, name):
+            continue
         sp = sub.add_parser(name, help=help_text)
         for opt in _COMMON + options:
             sp.add_argument(opt, **_OPTIONS[opt])
@@ -326,7 +342,9 @@ def _check_sizes(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand builds that subcommand's parser alone
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,34 +7,40 @@ distinct internal nodes, and the out-part sizes of the cut advanced node by
 node along a chosen path set, which are path counts: at internal node v the
 cut channels entering v are exactly the m_v path channels whose head is v.
 
-The fewest-nodes search is a branch-and-bound on an explicit stack over
-live channels, whose head reaches the sink (a path through any other
-channel never finishes), with one node set that backtracking undoes.  The
-paths still missing end on distinct unused channels into the sink and start
-on distinct unused live channels out of the source after the current path's
-first one (paths are ordered by first channel).  At each end, the fewest new
-internal nodes whose channels, after the free ones, cover the paths missing
-bound what the set still adds (memoized on masks of the ends).  Only a node
-next to both the source and the sink can count at both ends, so the set adds
-at least the sum of the two bounds less the nodes of that kind not yet in
-it.  The search checks this bound when a path enters a new node or is
-finished, and drops the branch when it brings the set to the best count so
-far.  The prunes drop only branches that hold no better set, so the search
-finds every improvement in the same order and returns the same set.  Before
-it starts another path, the unused channels must still carry the paths
-missing: witness paths, disjoint and avoiding the finished ones (the
-heuristic's set, later the last feasibility flow), prove it.  When too few
-avoid the path just finished, a max-flow grows from them.
+Every path set holds the internal nodes that lie on every source-sink path,
+so their count is a floor on the fewest nodes; when the heuristic's set has
+no more, it is exact and the search takes no step (every plait, at any
+length).  Otherwise the fewest-nodes search is a branch-and-bound on an
+explicit stack over live channels, whose head reaches the sink (a path
+through any other channel never finishes), with one node set that
+backtracking undoes.  The paths still missing end on distinct unused
+channels into the sink and start on distinct unused live channels out of
+the source after the current path's first one (paths are ordered by first
+channel).  At each end, the fewest new internal nodes whose channels, after
+the free ones, cover the paths missing bound what the set still adds
+(memoized on masks of the ends).  Only a node next to both the source and
+the sink can count at both ends, so the set adds at least the sum of the
+two bounds less the nodes of that kind not yet in it.  The search checks
+this bound when a path enters a new node or is finished, and drops the
+branch when it brings the set to the best count so far.  The prunes drop
+only branches that hold no better set, so the search finds every
+improvement in the same order and returns the same set.  Before it starts
+another path, the unused channels must still carry the paths missing:
+witness paths, disjoint and avoiding the finished ones (the heuristic's
+set, later the last feasibility flow), prove it.  When too few avoid the
+path just finished, a max-flow grows from them.
 
 The algorithms run on the network's integer view (see `netmodel.Network`)
 and turn channel indices back into ids only for the public `PathSet`.  All
-functions are pure with respect to their immutable inputs, and every tie is
+functions are pure with respect to their immutable inputs (`min_cut` keeps
+its value on the network, which changes no result), and every tie is
 broken by smallest channel index, which is smallest channel id, so repeated
 runs give identical output.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,8 +136,14 @@ def _max_flow(
 
 
 def min_cut(net: Network, t: str) -> int:
-    """Min-cut capacity between the source and t (0 when unreachable)."""
-    return _max_flow(net, net.index[t])[0]
+    """Min-cut capacity between the source and t (0 when unreachable).
+
+    One unlimited max-flow per sink: the value is kept in `net.min_cuts`,
+    which the network's immutability keeps valid.
+    """
+    if t not in net.min_cuts:
+        net.min_cuts[t] = _max_flow(net, net.index[t])[0]
+    return net.min_cuts[t]
 
 
 def _decompose(net: Network, t: int, flow: set[int], w: int) -> tuple[tuple[int, ...], ...]:
@@ -169,8 +181,7 @@ def disjoint_paths(net: Network, t: str, w: int) -> PathSet:
     ti = net.index[t]
     value, flow = _max_flow(net, ti, limit=w)
     if value < w:
-        full, _ = _max_flow(net, ti)
-        raise InfeasibleRateError(w, full, t)
+        raise InfeasibleRateError(w, min_cut(net, t), t)
     return _path_set(net, t, w, _decompose(net, ti, flow, w))
 
 
@@ -237,6 +248,27 @@ def _new_ends(ends: list[tuple[int, int]], used: set[int], internal: set[int],
     return math.inf
 
 
+def _floor(net: Network, s: int, t: int, reach: list[bool]) -> int:
+    """The internal nodes that lie on every s-t path, which every path set
+    holds; t must be reachable from s.  Every s-t path steps onto or jumps
+    over each node between s and t in topological index, so node v is one
+    exactly when no live channel a->b (a reached from s, b reaching t) has
+    a < v < b, which would start a path around v.  One difference-array
+    sweep over the channels counts them."""
+    reached = [False] * len(net.order)
+    reached[s] = True
+    for i in range(s, t):
+        if reached[i]:
+            for j in net.outs[i]:
+                reached[net.head[j]] = True
+    jumps = [0] * (t + 1)  # live channels over each index, as differences
+    for a, b in zip(net.tail, net.head):
+        if reached[a] and reach[b]:
+            jumps[a + 1] += 1
+            jumps[b] -= 1
+    return sum(not over for over in itertools.accumulate(jumps[s + 1:t]))
+
+
 def min_internal_paths(
     net: Network,
     t: str,
@@ -247,11 +279,12 @@ def min_internal_paths(
     """Path set minimizing the number of distinct internal nodes.
 
     mode="exact" runs a branch-and-bound over all channel-disjoint path
-    sets (seeded with the heuristic answer); if the step budget runs out,
-    the best set found so far is returned with exact=False.  A step is one
-    live channel tried: 6 on the butterfly's t1, 10 with no feasibility
-    max-flow on random_dag(30, 6, 0.3, seed=2), and 1,297 with 57 on
-    random_dag(25, 6, 0.3, seed=2).
+    sets (seeded with the heuristic answer), unless the heuristic's set has
+    no more nodes than lie on every path; if the step budget runs out, the
+    best set found so far is returned with exact=False.  A step is one
+    live channel tried: 0 on plait(3, 15), 6 on the butterfly's t1, 10 with
+    no feasibility max-flow on random_dag(30, 6, 0.3, seed=2), and 1,297
+    with 57 on random_dag(25, 6, 0.3, seed=2).
     mode="heuristic" returns the min-cost-flow answer directly (exact=False),
     whose node count upper-bounds the true minimum.  Both use the integer view.
     """
@@ -300,7 +333,8 @@ def min_internal_paths(
     witness = [heur]  # per finished-path count: disjoint paths avoiding them
     # frames (node, its untried out-channels, whether entering it added it to
     # nodes, least first channel, which binds only at the source)
-    stack = [(s, iter(outs[s]), False, 0)] if best_r else []
+    # no set has fewer nodes than those on every s-t path
+    stack = [(s, iter(outs[s]), False, 0)] if best_r > _floor(net, s, ti, reach) else []
     steps = 0
     while stack:
         node, chans, _, first = stack[-1]

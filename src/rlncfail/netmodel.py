@@ -70,6 +70,8 @@ class Network:
     order for nodes and id order for channels.  `index` maps a node id to
     its index, `tail[j]`/`head[j]` are channel j's end nodes, and
     `outs[i]`/`ins[i]` are node i's out- and in-channels, ascending.
+    `min_cuts` maps a sink id to its min-cut once `flowpaths.min_cut` has
+    computed it, so every caller shares one max-flow per sink.
     """
 
     nodes: dict[str, str]
@@ -99,6 +101,7 @@ class Network:
         self.head = tuple(self.index[c.head] for c in self.channels)
         self.outs = tuple(tuple(self._by_id[c.id] for c in self._outs[n]) for n in order)
         self.ins = tuple(tuple(self._by_id[c.id] for c in self._ins[n]) for n in order)
+        self.min_cuts: dict[str, int] = {}
 
     def channel(self, cid: str) -> Channel:
         return self.channels[self._by_id[cid]]

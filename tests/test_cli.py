@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from oracles import butterfly_failure_law
-from rlncfail import netmodel
-from rlncfail.cli import SWEEP_COLUMNS, main, parse_gen_spec
+from rlncfail import cli, flowpaths, netmodel
+from rlncfail.cli import SWEEP_COLUMNS, build_parser, main, parse_gen_spec
 from rlncfail.netmodel import butterfly, network_from_text, plait
 
 
@@ -224,11 +224,22 @@ class TestBounds:
         # R_t below the heuristic's count, proved in 10 steps
         (("--gen", "random:internal=20,w=8,density=0.6,seed=1", "--field", "2"),
          "bounds-dag20w8-q2.txt"),
+        # every internal node lies on every path: exact at that floor, no step
+        (("--gen", "plait:w=3,r=15", "--field", "2"), "bounds-plait-w3-r15-q2.txt"),
     ])
     def test_golden_stdout(self, capsys, argv, golden):
         code, out, _ = run_cli(capsys, "bounds", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_search_out_of_steps_flags_heuristic(self, capsys, monkeypatch):
+        # the direct channel leaves no node on every path, so no floor ends
+        # the search, and it runs out of its 10^6 steps
+        monkeypatch.chdir(GOLDEN.parents[1])  # the report names the path as given
+        code, out, _ = run_cli(capsys, "bounds", "--network",
+                               "tests/networks/plait-w3-r15-direct.net", "--field", "2")
+        assert code == 0
+        assert out == (GOLDEN / "bounds-plait-w3-r15-direct-q2.txt").read_text(encoding="utf-8")
 
     def test_order_option_removed(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--gen", "butterfly", "--sink", "t1",
@@ -514,6 +525,121 @@ class TestSweep:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def max_flow_limits(monkeypatch) -> list:
+    """The `limit` of every max-flow run from now on."""
+    limits = []
+    max_flow = flowpaths._max_flow
+
+    def counted(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return max_flow(*args, **kwargs)
+
+    monkeypatch.setattr(flowpaths, "_max_flow", counted)
+    return limits
+
+
+class TestMaxFlowCount:
+    def test_bounds_dag30(self, capsys, monkeypatch):
+        # random_dag's min-cut serves _setup and full_report too; then the
+        # disjoint paths' flow up to w, and the R_t search needs none
+        limits = max_flow_limits(monkeypatch)
+        code, _, _ = run_cli(capsys, "bounds", "--gen", "random:internal=30,w=6,density=0.3,seed=2",
+                             "--field", "2")
+        assert code == 0
+        assert limits == [None, 6]
+
+    def test_sweep_one_min_cut_for_all_fields(self, capsys, monkeypatch):
+        limits = max_flow_limits(monkeypatch)
+        code, _, _ = run_cli(capsys, "sweep", "--gen", "butterfly", "--sink", "t1", "--rate", "2",
+                             "--fields", "2,3,4")
+        assert code == 0
+        assert limits.count(None) == 1
+
+
+def parse_outcome(capsys, parser, argv):
+    """(exit code, stdout, stderr, parsed values) of one parse."""
+    try:
+        values, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        values, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, values
+
+
+def parse_cases(command, valid, field_option, bad_type):
+    """A valid call, its help, an unrecognized option, the valid call
+    without its field option's value, and one with a value of a bad type."""
+    cut = valid.index(field_option)
+    return [
+        (command, *valid),
+        (command, "--help"),
+        (command, *valid, "--bogus"),
+        (command, *valid[:cut + 1]),
+        (command, *valid[:cut], *bad_type),
+    ]
+
+
+PARSE_CASES = list(dict.fromkeys([  # in order, each case once
+    *parse_cases("bounds", ("--gen", "butterfly", "--sink", "t1", "--field", "2"), "--field",
+                 ("--field", "two")),
+    *parse_cases("simulate", ("--gen", "butterfly", "--trials", "5", "--field", "2"), "--field",
+                 ("--trials", "many")),
+    *parse_cases("exact", ("--gen", "butterfly", "--rate", "2", "--field", "2"), "--field",
+                 ("--rate", "2.5")),
+    *parse_cases("sweep", ("--network", "n.txt", "--seed", "1", "--fields", "2,3"), "--fields",
+                 ("--seed", "x")),
+    ("bounds", "--gen", "butterfly"),  # no --field at all
+    ("bounds", "--gen", "butterfly", "--field", "2", "--rt", "fast"),
+    ("exact", "extra", "--field", "2"),
+    *parse_cases("gen", ("plait", "--w", "2", "--r", "3"), "--r", ("--r", "x")),
+    *parse_cases("gen", ("random", "--internal", "5", "--w", "2", "--density", "0.4",
+                         "--seed", "7"), "--seed", ("--density", "dense")),
+    *parse_cases("gen", ("butterfly", "--out", "n.txt"), "--out", ("--out",)),
+    ("gen",), ("gen", "frob"), ("gen", "plait", "--help"), ("gen", "butterfly", "--help"),
+    ("gen", "random", "--help"), ("gen", "plait", "--w", "2"),
+]))
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_subcommand_parser_reads_like_the_full_one(self, capsys, argv):
+        # help, usage errors (the top-level usage line too), exit codes and values
+        full = parse_outcome(capsys, build_parser(), argv)
+        alone = parse_outcome(capsys, build_parser(argv[0]), argv)
+        assert alone == full
+        assert full[1] or full[2] or full[3]  # the case printed or parsed something
+
+    def test_subcommand_parser_builds_no_other(self, capsys):
+        parser = build_parser("bounds")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["exact", "--gen", "butterfly", "--field", "2"])
+        assert "invalid choice: 'exact' (choose from 'bounds')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,command,code", [
+        ((), None, 2),
+        (("--help",), None, 0),
+        (("-h",), None, 0),
+        (("frobnicate",), None, 2),
+        (("--", "bounds"), None, 2),
+        (("bounds", "--help"), "bounds", 0),
+        (("sweep", "--fields", "x"), "sweep", 2),
+        (("gen", "plait", "--w", "1", "--r", "1"), "gen", 0),
+    ])
+    def test_main_builds_the_named_subcommand_alone(self, capsys, monkeypatch, argv, command, code):
+        built = []
+        full = cli.build_parser
+
+        def recorded(command=None):
+            built.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert main(list(argv)) == code
+        monkeypatch.setattr("sys.argv", ["rlncfail", *argv])
+        assert main() == code
+        assert built == [command, command]
 
 
 class TestUsage:

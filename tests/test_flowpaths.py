@@ -41,10 +41,22 @@ from rlncfail.netmodel import (
 )
 
 
-def plait_plus_direct():
-    """plait(1, 2) with an extra direct s->t channel."""
-    base = plait(1, 2)
-    return Network(base.nodes, base.channels + [Channel("x0", "s", "t")], rate_hint=1)
+def plait_plus_direct(w=1, r=2):
+    """plait(w, r) with an extra direct s->t channel, which no internal node
+    lies on."""
+    base = plait(w, r)
+    return Network(base.nodes, base.channels + [Channel("x0", "s", "t")], rate_hint=w)
+
+
+def draw_small_dag(data):
+    """A small DAG with parallel channels, dead nodes and a second sink u."""
+    k = data.draw(st.integers(0, 5))
+    names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
+    pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=14))
+    nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
+    channels = [Channel(f"e{j:02d}", names[a], names[b]) for j, (a, b) in enumerate(chosen)]
+    return Network(nodes, channels)
 
 
 class TestMinCut:
@@ -56,6 +68,25 @@ class TestMinCut:
     @pytest.mark.parametrize("w,r", [(1, 0), (2, 1), (3, 2), (2, 4)])
     def test_plait(self, w, r):
         assert min_cut(plait(w, r), "t") == w
+
+    def test_one_max_flow_per_network_and_sink(self, monkeypatch):
+        # the value is kept on the network it was computed for, so two
+        # networks with the same sink id each run their own max-flow
+        limits = []
+        max_flow = flowpaths._max_flow
+
+        def counted(*args, **kwargs):
+            limits.append(kwargs.get("limit"))
+            return max_flow(*args, **kwargs)
+
+        monkeypatch.setattr(flowpaths, "_max_flow", counted)
+        a, b = plait(1, 1), plait(2, 1)
+        assert [min_cut(net, "t") for net in (a, b, a, b)] == [1, 2, 1, 2]
+        assert limits == [None, None]
+        assert (a.min_cuts, b.min_cuts) == ({"t": 1}, {"t": 2})
+        with pytest.raises(InfeasibleRateError, match="max-flow is 1"):
+            disjoint_paths(a, "t", 2)  # reports the kept value
+        assert limits == [None, None, 2]
 
     def test_unreachable_sink(self):
         net = Network(
@@ -306,14 +337,7 @@ class TestMinInternalPaths:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_r_matches_oracle_on_small_dags(self, data):
-        # small DAGs with parallel channels, dead nodes and a second sink u
-        k = data.draw(st.integers(0, 5))
-        names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
-        pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
-        chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=14))
-        nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
-        channels = [Channel(f"e{j:02d}", names[a], names[b]) for j, (a, b) in enumerate(chosen)]
-        net = Network(nodes, channels)
+        net = draw_small_dag(data)
         cut = min_cut(net, "t")
         assume(cut >= 1)
         w = data.draw(st.integers(1, cut))
@@ -386,15 +410,47 @@ class TestMinInternalPaths:
 
     def test_search_memory_stays_flat(self):
         # one node set with undo: 2,000 nodes deep, the search holds a frame
-        # per channel of the path and no copy of the node set in each
-        net = plait(3, 2000)
+        # per channel of the path and no copy of the node set in each.  The
+        # direct channel leaves no node on every path, so the search runs
+        # until the budget ends it (a plain plait is settled at its floor)
+        net = plait_plus_direct(3, 2000)
         tracemalloc.start()
         try:
-            min_internal_paths(net, "t", 3, budget=10_000)
+            res = min_internal_paths(net, "t", 3, budget=10_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert (res.paths.r, res.exact) == (2000, False)
         assert peak < 8_000_000
+
+
+class TestFloor:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_node_removal(self, data):
+        # the floor counts the internal nodes whose removal cuts t off
+        net = draw_small_dag(data)
+        assume(reaches(net, "t"))
+        cut_off = sum(
+            not reaches(net, "t", frozenset(c.id for c in net.channels if v in (c.tail, c.head)))
+            for v in net.internal_nodes
+        )
+        s, ti = net.index["s"], net.index["t"]
+        assert flowpaths._floor(net, s, ti, net.reaching(ti)) == cut_off
+
+    @pytest.mark.parametrize("r", [15, 2000])
+    def test_plait_exact_in_no_step(self, r):
+        # every internal node of a plait lies on every path, so the
+        # heuristic's count is the floor and a budget of 0 steps suffices
+        res = min_internal_paths(plait(3, r), "t", 3, budget=0)
+        assert (res.paths.r, res.exact) == (r, True)
+
+    def test_direct_channel_leaves_the_search_to_run(self):
+        net = plait_plus_direct(3, 15)
+        s, ti = net.index["s"], net.index["t"]
+        assert flowpaths._floor(net, s, ti, net.reaching(ti)) == 0
+        res = min_internal_paths(net, "t", 3, budget=1000)
+        assert (res.paths.r, res.exact) == (15, False)
 
 
 class TestCutSequence:
