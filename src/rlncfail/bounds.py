@@ -13,30 +13,33 @@ dimension.  From it:
   all path sets ("cor1"), or n = |J|, all internal nodes ("thm3");
 * lower bound               q^-(C_t - w + 1)               ("lower").
 
+The field order q enters only through phi and the lower bound's power of q.
+So `full_report` analyses the paths once, with no field: its `BoundReport`
+holds the counts above, and `BoundReport.bounds(q)` evaluates the five
+formulas over GF(q) from them.
+
 Every value is a `fractions.Fraction`, so tightness statements (bound equals
 exact probability) are genuine equalities, not float coincidences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .flowpaths import cut_out_profile, disjoint_paths, min_cut, min_internal_paths
-from .galois import FieldSpec
 from .netmodel import Network
 
 
 def phi(q: int, n: int) -> Fraction:
-    """prod_{i=1..n} (1 - q^-i); phi(q, 0) = 1."""
+    """prod_{i=1..n} (1 - q^-i) = prod_{i=1..n} (q^i - 1) / q^(n(n+1)/2);
+    phi(q, 0) = 1."""
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, q**i)
-    return out
+    return Fraction(math.prod(q**i - 1 for i in range(1, n + 1)), q ** (n * (n + 1) // 2))
 
 
 def cut_profile_bound(out_sizes, q: int, w: int) -> Fraction:
@@ -67,56 +70,62 @@ def rate_margin_lower_bound(q: int, c_t: int, w: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every bound for one (network, sink, rate, field) choice.
+    """What the bounds need of one (network, sink, rate) choice, for every
+    field.
 
     r is the internal-node count of the deterministic path set used for the
     cut profile; r_min is the minimum over all path sets (exact only when
-    r_min_exact).  The upper bounds satisfy lower <= thm1 <= thm2 <= thm3
-    and, when r_min is exact, cor1 <= thm2.
+    r_min_exact).  Over every field the bounds satisfy
+    lower <= thm1 <= thm2 <= thm3 and, when r_min is exact, cor1 <= thm2.
     """
 
     sink: str
-    q: int
     w: int
     c_t: int
-    delta_t: int
     r: int
     r_min: int
     r_min_exact: bool
     j_count: int
     cut_out_sizes: tuple[int, ...]
-    thm1: Fraction
-    thm2: Fraction
-    cor1: Fraction
-    thm3: Fraction
-    lower: Fraction
 
-    def as_dict(self) -> dict:
+    @property
+    def delta_t(self) -> int:
+        return self.c_t - self.w
+
+    def bounds(self, q: int) -> dict[str, Fraction]:
+        """The five bounds over GF(q), in report order: lower, thm1, thm2,
+        cor1, thm3."""
+        values = {
+            "lower": rate_margin_lower_bound(q, self.c_t, self.w),
+            "thm1": cut_profile_bound(self.cut_out_sizes, q, self.w),
+            "thm2": internal_node_bound(self.r, q, self.w),
+            "cor1": internal_node_bound(self.r_min, q, self.w),
+            "thm3": internal_node_bound(self.j_count, q, self.w),
+        }
+        lower, thm1, thm2, _, thm3 = values.values()
+        if not lower <= thm1 <= thm2 <= thm3:
+            raise RuntimeError(
+                f"bound ordering violated: lower {lower}, thm1 {thm1}, thm2 {thm2}, thm3 {thm3}"
+            )
+        return values
+
+    def as_dict(self, q: int, values: dict[str, Fraction]) -> dict:
+        """The JSON body over GF(q), given `values = bounds(q)`."""
         return {
             "sink": self.sink,
-            "q": self.q,
+            "q": q,
             "w": self.w,
             "C_t": self.c_t,
             "r": self.r,
             "R_t": {"value": self.r_min, "mode": "exact" if self.r_min_exact else "heuristic"},
             "J": self.j_count,
-            "bounds": {k: _frac_obj(getattr(self, k))
+            "bounds": {k: {"num": str(values[k].numerator), "den": str(values[k].denominator)}
                        for k in ("thm1", "thm2", "cor1", "thm3", "lower")},
         }
 
 
-def _frac_obj(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def full_report(
-    net: Network,
-    t: str,
-    w: int,
-    field: FieldSpec,
-    rt_mode: str = "exact",
-) -> BoundReport:
-    """All bounds for sink t at rate w over the given field.
+def full_report(net: Network, t: str, w: int, rt_mode: str = "exact") -> BoundReport:
+    """The path analysis for sink t at rate w, which every field shares.
 
     The cut profile comes from the deterministic disjoint path set, listed
     in its canonical (topological) node order.  Raises InfeasibleRateError
@@ -125,31 +134,14 @@ def full_report(
     c_t = min_cut(net, t)
     ps = disjoint_paths(net, t, w)  # raises when w > C_t
     profile = cut_out_profile(net, ps)
-    q = field.q
-    thm1 = cut_profile_bound(profile, q, w)
     rt = min_internal_paths(net, t, w, mode=rt_mode)
-    thm2 = internal_node_bound(ps.r, q, w)
-    cor1 = internal_node_bound(rt.paths.r, q, w)
-    thm3 = internal_node_bound(len(net.internal_nodes), q, w)
-    lower = rate_margin_lower_bound(q, c_t, w)
-    if not lower <= thm1 <= thm2 <= thm3:
-        raise RuntimeError(
-            f"bound ordering violated: lower {lower}, thm1 {thm1}, thm2 {thm2}, thm3 {thm3}"
-        )
     return BoundReport(
         sink=t,
-        q=q,
         w=w,
         c_t=c_t,
-        delta_t=c_t - w,
         r=ps.r,
         r_min=rt.paths.r,
         r_min_exact=rt.exact,
         j_count=len(net.internal_nodes),
         cut_out_sizes=profile,
-        thm1=thm1,
-        thm2=thm2,
-        cor1=cor1,
-        thm3=thm3,
-        lower=lower,
     )

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import bounds as bnd
 from . import netmodel, rlncsim
 from .flowpaths import InfeasibleRateError, min_cut
-from .galois import make_field_of_order
+from .galois import make_field_of_order, parse_prime_power
 from .netmodel import Network
 from .rlncsim import DEFAULT_ENUMERATION_BUDGET, EnumerationBudgetError
 
@@ -135,23 +135,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# the bound report's fields, in the order the text report and the sweep list them
-_BOUND_LABELS = ("lower", "thm1", "thm2", "cor1", "thm3")
-
-
 def _cmd_bounds(args) -> int:
     net, name, sink, w = _setup(args)
-    report = bnd.full_report(net, sink, w, make_field_of_order(args.field), rt_mode=args.rt)
+    q = args.field
+    parse_prime_power(q)  # the bounds need q alone, not its field
+    report = bnd.full_report(net, sink, w, rt_mode=args.rt)
+    values = report.bounds(q)
     rt_tag = "exact" if report.r_min_exact else "heuristic"
-    values = {label: getattr(report, label) for label in _BOUND_LABELS}
-    return _print_report(args, name, sink, report.q, w, [
-        f"q: {report.q}  w: {report.w}  C_t: {report.c_t}  delta_t: {report.delta_t}",
+    return _print_report(args, name, sink, q, w, [
+        f"q: {q}  w: {w}  C_t: {report.c_t}  delta_t: {report.delta_t}",
         f"r: {report.r}  R_t: {report.r_min} ({rt_tag})  J: {report.j_count}",
         # the profile lists the path set's internal nodes in topological order
         f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical",
         "bounds:",
         *(f"  {label:<6} {frac_str(v):<16} {decimal_str(v)}" for label, v in values.items()),
-    ], report.as_dict())
+    ], report.as_dict(q, values))
 
 
 def _cmd_simulate(args) -> int:
@@ -214,22 +212,21 @@ def _cmd_sweep(args) -> int:
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
+    report = bnd.full_report(net, sink, w, rt_mode=args.rt)  # the same for every field
+    shared = {
+        "network": name,
+        "sink": sink,
+        "w": w,
+        "C_t": report.c_t,
+        "delta_t": report.delta_t,
+        "r": report.r,
+        "R_t": report.r_min,
+        "rt_mode": "exact" if report.r_min_exact else "heuristic",
+        "J": report.j_count,
+    }
     for field in fields:
-        report = bnd.full_report(net, sink, w, field, rt_mode=args.rt)
-        row = {
-            "network": name,
-            "sink": sink,
-            "q": field.q,
-            "w": w,
-            "C_t": report.c_t,
-            "delta_t": report.delta_t,
-            "r": report.r,
-            "R_t": report.r_min,
-            "rt_mode": "exact" if report.r_min_exact else "heuristic",
-            "J": report.j_count,
-        }
-        for label in _BOUND_LABELS:
-            value = getattr(report, label)
+        row = {**shared, "q": field.q}
+        for label, value in report.bounds(field.q).items():
             row[f"{label}_frac"], row[label] = frac_str(value), decimal_str(value)
         try:  # the exact columns stay blank when the budget is too small
             exact = rlncsim.exact_failure(net, w, field, sink, budget=args.budget).fraction

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .netmodel import Network
@@ -410,5 +411,5 @@ def cut_out_profile(net: Network, ps: PathSet) -> tuple[int, ...]:
     out_v = w - m_v with m_v the number of paths through v.  Listed in the
     path set's node order; any admissible order gives the same multiset.
     """
-    heads = [net.channel(cid).head for cid in ps.channel_ids]
-    return (0,) + tuple(ps.rate - heads.count(v) for v in ps.internal_nodes)
+    m = Counter(net.channel(cid).head for cid in ps.channel_ids)
+    return (0,) + tuple(ps.rate - m[v] for v in ps.internal_nodes)

@@ -221,7 +221,8 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
 
     Forward node pairs get a channel with the given probability, decided by
     one 32-bit draw per pair from stream 0 of `seed`; if the resulting
-    max-flow falls short of w, direct s->t channels are added.
+    max-flow falls short of w, direct s->t channels are added; each crosses
+    every cut, so the min-cut becomes exactly w, which the network keeps.
     """
     if num_internal < 0 or w < 1:
         raise ValueError("num_internal must be >= 0 and w >= 1")
@@ -250,6 +251,7 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
         channels.append(Channel(f"e{len(channels):03d}", "s", "t"))
     if short > 0:
         net = Network(nodes, channels, rate_hint=w)
+        net.min_cuts["t"] = w
     return net
 
 

@@ -13,7 +13,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rlncfail.bounds import phi
 from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec
 from rlncfail.netmodel import Network
@@ -326,6 +325,15 @@ def butterfly_failure_law(q: int) -> Fraction:
     return 1 - Fraction((q + 1) * (q - 1) ** 6, q**7)
 
 
+def phi_product(q: int, n: int) -> Fraction:
+    """phi(q, n) as its defining product prod_{i=1..n} (1 - q^-i), one
+    Fraction factor at a time; the reference for `bounds.phi`'s closed form."""
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= 1 - Fraction(1, q**i)
+    return out
+
+
 def subspace_completion_success(q: int, n: int, k0: int) -> Fraction:
     """Probability that n - k0 uniform vectors from a spanning complement
     extend a k0-dimensional subspace to the full n-dimensional space.
@@ -335,7 +343,7 @@ def subspace_completion_success(q: int, n: int, k0: int) -> Fraction:
     """
     if k0 < 0 or k0 > n:
         raise ValueError(f"need 0 <= k0 <= n, got k0={k0}, n={n}")
-    out = phi(q, n - k0)
+    out = phi_product(q, n - k0)
     if n > k0:
         miss = 1 - out
         if not (Fraction(1, q) <= miss < Fraction(1, q - 1)):

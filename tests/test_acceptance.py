@@ -85,8 +85,8 @@ def test_criterion_2_plait_exactness(capsys):
                        "--field", str(q), "--format", "json")
         got = exact_fraction(doc)
         assert got == 1 - phi(q, w) ** (r + 1), (w, r, q)
-        rep = full_report(plait(w, r), "t", w, make_field_of_order(q))
-        assert got == rep.thm2 == rep.cor1 == rep.thm3, (w, r, q)
+        b = full_report(plait(w, r), "t", w).bounds(q)
+        assert got == b["thm2"] == b["cor1"] == b["thm3"], (w, r, q)
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"plait exactness took {elapsed:.2f}s"
     print(
@@ -101,14 +101,14 @@ def test_criterion_3_bound_ordering_on_random_corpus():
     for seed, w, q, density in corpus_params(200):
         net = corpus_network(seed, w, density)
         field = make_field_of_order(q)
-        rep = full_report(net, "t", w, field)
-        assert rep.lower <= rep.thm1 <= rep.thm2 <= rep.thm3, (seed, w, q)
+        b = full_report(net, "t", w).bounds(q)
+        assert b["lower"] <= b["thm1"] <= b["thm2"] <= b["thm3"], (seed, w, q)
         checked += 1
         try:
             exact = exact_failure(net, w, field, "t", budget=budget).fraction
         except EnumerationBudgetError:
             continue
-        assert rep.lower <= exact <= rep.thm1, (seed, w, q)
+        assert b["lower"] <= exact <= b["thm1"], (seed, w, q)
         exact_checked += 1
     assert checked == 200
     # 158 of the 200 fit the budget; only 118 have q^N <= 2^16

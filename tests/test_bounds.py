@@ -10,6 +10,7 @@ from oracles import (
     butterfly_failure_law,
     corpus_network,
     corpus_params,
+    phi_product,
     plait_failure_law,
     subspace_completion_success,
 )
@@ -21,7 +22,7 @@ from rlncfail.bounds import (
     rate_margin_lower_bound,
 )
 from rlncfail.flowpaths import InfeasibleRateError
-from rlncfail.galois import make_field, make_field_of_order
+from rlncfail.galois import make_field_of_order
 from rlncfail.netmodel import butterfly, plait
 from rlncfail.rlncsim import exact_failure
 
@@ -45,6 +46,11 @@ class TestPhi:
     @settings(max_examples=60, deadline=None)
     def test_strictly_increasing_in_q(self, q, n):
         assert phi(q, n) < phi(q + 1, n)
+
+    def test_closed_form_equals_product(self):
+        for q in range(2, 17):
+            for n in range(11):
+                assert phi(q, n) == phi_product(q, n), (q, n)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -129,34 +135,34 @@ class TestLowerBound:
 
 class TestFullReport:
     def test_butterfly(self):
-        rep = full_report(butterfly(), "t1", 2, make_field(2))
-        assert rep.thm1 == Fraction(125, 128)
-        assert rep.thm2 == rep.cor1 == rep.thm3 == Fraction(32525, 32768)
-        assert rep.lower == Fraction(1, 2)
+        rep = full_report(butterfly(), "t1", 2)
+        b = rep.bounds(2)
+        assert b["thm1"] == Fraction(125, 128)
+        assert b["thm2"] == b["cor1"] == b["thm3"] == Fraction(32525, 32768)
+        assert b["lower"] == Fraction(1, 2)
         assert rep.cut_out_sizes == (0, 1, 1, 1, 1)
         assert (rep.c_t, rep.delta_t, rep.r, rep.r_min, rep.j_count) == (2, 0, 4, 4, 4)
         assert rep.r_min_exact
 
     def test_butterfly_thm1_is_tight(self):
         for q in (2, 3):
-            rep = full_report(butterfly(), "t1", 2, make_field_of_order(q))
-            assert rep.thm1 == butterfly_failure_law(q)
+            assert full_report(butterfly(), "t1", 2).bounds(q)["thm1"] == butterfly_failure_law(q)
 
     def test_plait_equalities(self):
-        rep = full_report(plait(2, 1), "t", 2, make_field(2))
-        assert rep.thm1 == rep.thm2 == rep.cor1 == rep.thm3 == Fraction(55, 64)
-        assert rep.thm3 == plait_failure_law(2, 2, 1)
+        b = full_report(plait(2, 1), "t", 2).bounds(2)
+        assert b["thm1"] == b["thm2"] == b["cor1"] == b["thm3"] == Fraction(55, 64)
+        assert b["thm3"] == plait_failure_law(2, 2, 1)
 
     def test_infeasible_rate(self):
         with pytest.raises(InfeasibleRateError):
-            full_report(butterfly(), "t1", 3, make_field(2))
+            full_report(butterfly(), "t1", 3)
 
     def test_chain_on_corpus(self):
         for seed, w, q, density in corpus_params(60):
             net = corpus_network(seed, w, density)
-            rep = full_report(net, "t", w, make_field_of_order(q))
-            assert 0 <= rep.lower <= rep.thm1 <= rep.thm2 <= rep.thm3 <= 1
-            assert rep.cor1 <= rep.thm2
+            b = full_report(net, "t", w).bounds(q)
+            assert 0 <= b["lower"] <= b["thm1"] <= b["thm2"] <= b["thm3"] <= 1
+            assert b["cor1"] <= b["thm2"]
 
     def test_bound_ordering_violation_raises(self, monkeypatch):
         # thm2 forced to 0 falls below thm1; the check must survive python -O
@@ -164,15 +170,16 @@ class TestFullReport:
 
         monkeypatch.setattr(bounds, "internal_node_bound", lambda r, q, w: Fraction(0))
         with pytest.raises(RuntimeError, match="bound ordering violated"):
-            full_report(butterfly(), "t1", 2, make_field(2))
+            full_report(butterfly(), "t1", 2).bounds(2)
 
     def test_heuristic_mode_flagged(self):
-        rep = full_report(butterfly(), "t1", 2, make_field(2), rt_mode="heuristic")
+        rep = full_report(butterfly(), "t1", 2, rt_mode="heuristic")
         assert not rep.r_min_exact
         assert rep.r_min >= 4
 
     def test_as_dict_schema(self):
-        doc = full_report(butterfly(), "t1", 2, make_field(2)).as_dict()
+        rep = full_report(butterfly(), "t1", 2)
+        doc = rep.as_dict(2, rep.bounds(2))
         assert set(doc) == {"sink", "q", "w", "C_t", "r", "R_t", "J", "bounds"}
         assert set(doc["bounds"]) == {"thm1", "thm2", "cor1", "thm3", "lower"}
         assert doc["bounds"]["thm1"] == {"num": "125", "den": "128"}

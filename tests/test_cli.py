@@ -99,6 +99,7 @@ class TestGenSpec:
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
+DAG25 = "random:internal=25,w=6,density=0.3,seed=2"
 DAG6_W10 = "random:internal=6,w=10,density=0.6,seed=1"
 RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
@@ -129,6 +130,8 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     # the exact columns are blank at q = 3, where the DP passes the budget
     (("sweep", "--gen", RANDOM5, "--fields", "2,3", "--budget", "524288"),
      "sweep-random5-q2q3.csv"),
+    # one path analysis serves all three fields; the budget leaves exact blank
+    (("sweep", "--gen", DAG25, "--fields", "2,3,5", "--budget", "1"), "sweep-dag25-q235.csv"),
     (("simulate", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--trials", "1000",
       "--seed", "3", "--format", "json"), "simulate-butterfly-t1-q2.json"),
     # GF(5^4): an odd prime with m > 2
@@ -556,6 +559,30 @@ class TestMaxFlowCount:
                              "--fields", "2,3,4")
         assert code == 0
         assert limits.count(None) == 1
+
+    def test_bounds_dag25_topped_up_min_cut_kept(self, capsys, monkeypatch):
+        # random_dag adds s->t channels here, and its rebuilt network keeps
+        # the min-cut w, so only the generator's first max-flow is unlimited
+        limits = max_flow_limits(monkeypatch)
+        code, _, _ = run_cli(capsys, "bounds", "--gen", DAG25, "--field", "2")
+        assert code == 0
+        assert len(limits) == 59 and limits[:2] == [None, 6]
+
+    def test_sweep_one_path_analysis_for_all_fields(self, capsys, monkeypatch):
+        from rlncfail import bounds
+
+        limits = max_flow_limits(monkeypatch)
+        run_cli(capsys, "bounds", "--gen", DAG25, "--field", "2")
+        one_bounds, searches = list(limits), []
+        limits.clear()
+        search = bounds.min_internal_paths
+        monkeypatch.setattr(bounds, "min_internal_paths",
+                            lambda *a, **k: searches.append(a) or search(*a, **k))
+        code, _, _ = run_cli(capsys, "sweep", "--gen", DAG25, "--fields", "2,3,4,5",
+                             "--budget", "1")
+        assert code == 0
+        assert len(searches) == 1
+        assert limits == one_bounds
 
 
 def parse_outcome(capsys, parser, argv):

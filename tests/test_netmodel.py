@@ -197,6 +197,25 @@ class TestGenerators:
         assert len(net.channels) == 3
         assert all((c.tail, c.head) == ("s", "t") for c in net.channels)
 
+    def test_random_dag_keeps_its_min_cut(self):
+        # the min-cut the generator leaves on its network equals a fresh
+        # max-flow on a copy, also when s->t channels topped it up to w
+        from rlncfail.flowpaths import min_cut
+
+        checked = topped_up = 0
+        for internal in (0, 3, 8, 20):
+            for w in (1, 2, 4, 6):
+                for density in (0.1, 0.3, 0.6):
+                    for seed in range(5):
+                        net = random_dag(internal, w, density, seed=seed)
+                        copy = Network(net.nodes, net.channels, rate_hint=w)
+                        assert not copy.min_cuts
+                        assert net.min_cuts == {"t": min_cut(copy, "t")}, (internal, w, density, seed)
+                        checked += 1
+                        # a draw gives at most one s->t channel, so two are a top-up
+                        topped_up += sum((c.tail, c.head) == ("s", "t") for c in net.channels) > 1
+        assert checked == 240 and topped_up >= 100
+
     def test_random_dag_deterministic(self):
         assert random_dag(5, 2, 0.4, seed=7) == random_dag(5, 2, 0.4, seed=7)
         assert random_dag(5, 2, 0.4, seed=7) != random_dag(5, 2, 0.4, seed=8)

@@ -826,15 +826,15 @@ class TestFrontierDP:
         start = time.monotonic()
         exact = exact_failure(butterfly(), 2, field, "t1").fraction
         elapsed = time.monotonic() - start
-        assert exact == full_report(butterfly(), "t1", 2, field).thm1 == butterfly_failure_law(q)
+        assert exact == full_report(butterfly(), "t1", 2).bounds(q)["thm1"] == butterfly_failure_law(q)
         assert elapsed < 1.0, f"q={q} took {elapsed:.2f}s"
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_plait_3_2_equals_every_upper_bound(self, q):
         field = make_field_of_order(q)
         exact = exact_failure(plait(3, 2), 3, field, "t").fraction
-        rep = full_report(plait(3, 2), "t", 3, field)
-        assert exact == rep.thm1 == rep.thm2 == rep.thm3 == plait_failure_law(q, 3, 2)
+        b = full_report(plait(3, 2), "t", 3).bounds(q)
+        assert exact == b["thm1"] == b["thm2"] == b["thm3"] == plait_failure_law(q, 3, 2)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_frontier_kept_in_head_order(self, q):
