@@ -14,8 +14,8 @@ The array methods serve the bulk simulation and the exact evaluator.
 Sampling is deterministic: `uniform_columns` draws uniform elements from
 counter-based streams keyed by (seed, stream), rejecting from a power-of-two
 range so that every value has probability exactly 1/q regardless of q.  It is
-the package's only random draw, counter-major: column i of its uint16
-result is stream i, so Monte Carlo trial i is column i of the coefficient
+the package's only random draw, counter-major: column i of its result (bit i
+at q = 2) is stream i, so Monte Carlo trial i is column i of the coefficient
 block the engine propagates, and `netmodel.random_dag` reads stream 0.
 """
 
@@ -49,40 +49,51 @@ def _mix64(x: np.ndarray, tmp: np.ndarray | None = None, top: int = 64) -> np.nd
     return x
 
 
-def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
+def uniform_columns(q: int, seed: int, streams, n) -> np.ndarray:
     """(n, len(streams)) array, uint16 for q <= MAX_ORDER and uint64 above:
     column i holds the first n uniform draws from 0..q-1 of the counter
     stream (seed, streams[i]).  Above MAX_ORDER q must be a power of two.
+    At q = 2 it is packed eight streams a byte, `np.packbits(draws, axis=1)`.
 
     Word c = 1, 2, ... of a stream with key k is mix64(k + GOLDEN * c), so a
     stream is a pure function of (seed, stream).  A draw takes the top
     b + 16 bits of the stream's next word, b the bit length of q - 1, and
     rejects candidates at or above the largest multiple of q in that range
     (none when q is a power of two), so each value has probability exactly 1/q.
+    At a power of two, draw c is word c + 1, so n may instead be the sorted
+    positions c of the draws to return; only their words are hashed.
     """
     if q > MAX_ORDER and q & (q - 1):
         raise ValueError(f"draws modulo {q} need q <= {MAX_ORDER} or a power of two")
+    if q & (q - 1) and np.ndim(n):
+        raise ValueError(f"draws modulo {q} may reject words: they take a count, not positions")
     bits = max(1, (q - 1).bit_length()) + 16
     shift, limit = np.uint64(64 - bits), np.uint64((1 << bits) - (1 << bits) % q)
     # one-element arrays throughout: numpy warns on uint64 scalar overflow
     seed_key = _mix64(np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64))
-    steps = _GOLDEN_U64 * np.arange(1, n + 1, dtype=np.uint64)
-    out = np.empty((n, len(streams)), dtype=np.uint16 if q <= MAX_ORDER else np.uint64)
-    per_chunk = max(1, _CHUNK_WORDS // max(n, 1))
-    # the only chunk-sized arrays, reused by every chunk: the candidates, and
-    # scratch for the counters, the hash's shifts and the reduction modulo q.
+    steps = np.asarray(np.arange(n) if np.ndim(n) == 0 else n, np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
+    n, pack = len(steps), 8 if q == 2 else 1  # at q = 2 whole bytes of streams, in bands of rows
+    per_chunk = max(pack, _CHUNK_WORDS // max(n, 1) // pack * pack)
+    band = max(1, _CHUNK_WORDS // per_chunk if q == 2 else n)
+    out = np.empty((n, -(-len(streams) // pack)), dtype=np.uint8 if q == 2 else np.uint16 if q <= MAX_ORDER else np.uint64)
+    # the only chunk-sized arrays, reused by every chunk: the candidates, and scratch for
+    # the counters, the hash's shifts, the reduction modulo q or the mask packed at q = 2.
     # Broadcasting ufuncs would add numpy's own buffers; copyto adds none
-    buf, tmp = (np.empty(n * min(per_chunk, len(streams)), dtype=np.uint64) for _ in range(2))
-    for c0 in range(0, len(streams), per_chunk):
+    buf, tmp = (np.empty(min(n, band) * min(per_chunk, len(streams)), dtype=np.uint64) for _ in range(2))
+    for c0, r0 in itertools.product(range(0, len(streams), per_chunk), range(0, n, band)):
         salted = (np.asarray(streams[c0 : c0 + per_chunk]).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
         keys = _mix64(seed_key ^ salted)
-        shape = (n, len(keys))
-        cand, scratch = buf[: n * len(keys)].reshape(shape), tmp[: n * len(keys)].reshape(shape)
+        shape = (len(steps[r0 : r0 + band]), len(keys))
+        cand, scratch = buf[: shape[0] * len(keys)].reshape(shape), tmp[: shape[0] * len(keys)].reshape(shape)
         np.copyto(cand, keys)
-        np.copyto(scratch, steps[:, None])
+        np.copyto(scratch, steps[r0 : r0 + band, None])
         _mix64(np.add(cand, scratch, out=cand), scratch, bits)
-        cand >>= shift
-        if q & (q - 1):
+        if q == 2:  # bit 47 set or not, eight streams a byte, through a bool mask in the free scratch
+            mask = tmp.view(np.bool_)[: cand.size].reshape(shape)
+            np.not_equal(np.bitwise_and(cand, np.uint64(1) << shift, out=cand), 0, out=mask)
+            cand = np.packbits(mask, axis=1)
+        elif q & (q - 1):
+            cand >>= shift
             # rejections are rare (< 2^-16 per word): in place, with the mask in
             # free scratch, slide accepted runs left (1-D, bufferless), then refill
             for i in np.flatnonzero(cand.max(axis=0, initial=0) >= limit):
@@ -99,11 +110,11 @@ def uniform_columns(q: int, seed: int, streams, n: int) -> np.ndarray:
             low, quo = tmp.view(np.uint32)[: 2 * cand.size].reshape((2,) + shape)
             np.copyto(low, cand, casting="unsafe")
             np.floor_divide(low, np.uint32(q), out=quo)
-            low -= np.multiply(quo, np.uint32(q), out=quo)
-            out[:, c0 : c0 + per_chunk] = low
+            cand = np.subtract(low, np.multiply(quo, np.uint32(q), out=quo), out=low)
         else:
+            cand >>= shift
             cand &= np.uint64(q - 1)
-            out[:, c0 : c0 + per_chunk] = cand
+        out[r0 : r0 + band, c0 // pack : c0 // pack + cand.shape[1]] = cand
     return out
 
 

@@ -14,16 +14,16 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 Both run on the network's integer view and the field's array arithmetic
 (AND and XOR at q = 2, log/antilog tables above) through numpy, batch axis
 last, so every elementwise pass runs along a whole batch.  `_kernels`
-propagates an (N, B) uint16 block of B trials' coefficients, which
-`galois.uniform_columns` draws in that layout, node by node: each node's
-out-kernels are its in-kernels times its (in-kernel, out-channel, B) block,
-one `_matmul`.  The Monte Carlo decides full rank with `_full_rank`, one
-bitwise pivot mask per column; at q = 2, where AND and XOR act on each bit
-alone, it packs eight trials a byte through the same `_kernels` and
-`_full_rank`.  The DP keeps its frontier in head order, numbers a node's
-branches over all its states by one flat int64 index, writes each branch's
-choice into the first rows of a state's RREF, and reduces (r, c, B) batches
-of frontier matrices to their RREFs with `_eliminate`.
+propagates an (N, B) uint16 block of B trials' coefficients, or its rows
+of slots that reach t, node by node: each node's out-kernels are its
+in-kernels times its (in-kernel, out-channel, B) block, one `_matmul`.  The
+Monte Carlo decides full rank with `_full_rank`, one bitwise pivot mask per
+column; at q = 2, where AND and XOR act on each bit alone, the draw comes
+eight trials a byte through the same `_kernels` and `_full_rank`.  The DP
+keeps its frontier in head order, numbers a node's branches over all its
+states by one flat int64 index, writes each branch's choice into the first
+rows of a state's RREF, and reduces (r, c, B) batches of frontier matrices
+to their RREFs with `_eliminate`.
 """
 
 from __future__ import annotations
@@ -166,20 +166,22 @@ def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
 def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: list[int]) -> np.ndarray:
     """Global kernels of the live channels, a (w, L, B) array whose column c
     is channel live[c] (ascending indices), for each column of the (N, B)
-    coefficient block.  Node i's slots are one (in-kernel, out-channel, B)
-    block, so its out-kernels are its in-kernels times that block (zero with
-    no in-kernel); the source's block is its out-kernels.  The in-channels
-    of a live channel's tail must be live too."""
+    coefficient block or of its rows of live out-channels' slots alone.
+    Node i's live slots are one (in-kernel, out-channel, B) block, so its
+    out-kernels are its in-kernels times that block (zero with no in-kernel);
+    the source's block is its out-kernels.  The in-channels of a live
+    channel's tail must be live too."""
     B, col = coeffs.shape[1], {j: c for c, j in enumerate(live)}
-    src = net.index[net.source]
+    src, every = net.index[net.source], len(coeffs) == coefficient_count(net, w)
     kern = np.zeros((w, len(col), B), dtype=coeffs.dtype)
-    n = 0  # slots of the nodes before this one
+    n = 0  # rows of the nodes before this one
     for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
-        block = coeffs[n : n + a * len(outs)].reshape(a, len(outs), B)
-        n += a * len(outs)
         keep = [b for b, j in enumerate(outs) if j in col]
+        width = len(outs) if every else len(keep)
+        block = coeffs[n : n + a * width].reshape(a, width, B)
+        n += a * width
         if keep and a:
-            block = block[:, keep]
+            block = block[:, keep] if width > len(keep) else block
             out = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
             kern[:, [col[outs[b]] for b in keep]] = out
     return kern
@@ -190,33 +192,35 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     job (net, w, field, t, seed, trials), by default the one this pool worker
     was sent; a pure function of the two, which is what makes worker
     scheduling irrelevant.  Only channels whose head reaches t can change
-    t's rank, so only theirs are kept; every slot is still drawn.  Trials run
-    in sub-batches whose coefficient, kernel and temporary bytes stay under
-    _SUB_BATCH_BYTES (one trial at least)."""
+    t's rank, so only theirs are kept, and at a power-of-two q only their
+    slots are drawn.  Trials run in sub-batches whose coefficient, kernel and
+    temporary bytes stay under _SUB_BATCH_BYTES (one trial at least)."""
     net, w, field, t, seed, trials = job or _job
-    ti, n = net.index[t], coefficient_count(net, w)
+    ti, q = net.index[t], field.q
     reach = net.reaching(ti)
     live = [j for j, h in enumerate(net.head) if reach[h]]
     sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
+    alive = np.fromiter((reach[net.head[j]] for a, outs in zip(_fan_in(net, w), net.outs)
+                         for _ in range(a) for j in outs), bool)  # a slot is live if its out-channel is
+    words = len(alive) if q & (q - 1) else np.flatnonzero(alive).astype(np.uint64)
     end = min(start + _BLOCK, trials)
-    # per trial: the uint16 draw (and at q = 2 its bool mask), the kernels, and
-    # under 32 B an entry of field-operation temporaries (int32 copies, intp log
-    # sums) on the widest matrix, a node's in-kernels times its out-channels or
-    # t's decoding matrix; per draw, 24 B a slot: the N uint64 counter steps and
-    # two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
+    # per trial: the uint16 draw, the kernels, and under 32 B an entry of
+    # field-operation temporaries (int32 copies, intp log sums) on the widest
+    # matrix, a node's in-kernels times its out-channels or t's decoding
+    # matrix, all a bit at q = 2; per draw, 24 B a slot: the N uint64 counter steps
+    # and two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
     width = max(len(net.ins[ti]), *map(len, net.outs))
-    per_trial = (2 + (field.q == 2)) * n + 2 * w * len(live) + 32 * w * width
-    step = max(1, (_SUB_BATCH_BYTES - 24 * n) // per_trial)
+    per_trial = 2 * (words if q & (q - 1) else len(words)) + 2 * w * len(live) + 32 * w * width
+    per_trial = per_trial // (16 if q == 2 else 1) + 1
+    step = max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial)
     failures = 0
     for lo in range(start, end, step):
         rows = np.arange(lo, min(lo + step, end))
-        coeffs = uniform_columns(field.q, seed, rows, n)
-        if field.q == 2:  # AND and XOR act bit by bit: eight trials a byte
-            coeffs = np.packbits(coeffs != 0, axis=1)
+        coeffs = uniform_columns(q, seed, rows, words)  # at q = 2, eight trials a byte
         decoding = _kernels(net, w, field, coeffs, live)[:, sink]
         del coeffs  # the budget has no room for this draw beside the next
         full = _full_rank(decoding, field)
-        if field.q == 2:
+        if q == 2:
             full = np.unpackbits(full, count=len(rows))
         failures += len(rows) - int(np.count_nonzero(full))
     return failures
@@ -271,21 +275,26 @@ def estimate_failure(
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
-    worker count.  At most min(workers, blocks, CPU count) processes start,
-    and each is sent the arguments once; a work item is one block start.
-    More than MAX_TRIALS trials raise ValueError before any work.
+    worker count.  With k = min(workers, blocks, CPU count) > 1, the caller runs
+    every kth block from the first, and k - 1 pool processes, each sent the
+    arguments once, map the rest, a block start each; an error cancels the
+    pool's pending blocks.  More than MAX_TRIALS trials raise ValueError first.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     starts, job = range(0, trials, _BLOCK), (net, w, field, t, seed, trials)
-    workers = min(workers, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
+    k = min(workers, len(starts), os.cpu_count() or 1)
+    if k <= 1:
         failures = sum(_mc_block_failures(start, job) for start in starts)
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_job, initargs=job) as pool:
-            failures = sum(pool.map(_mc_block_failures, starts))
+        pool = ProcessPoolExecutor(max_workers=k - 1, initializer=_set_job, initargs=job)
+        try:
+            rest = pool.map(_mc_block_failures, [s for i, s in enumerate(starts) if i % k])
+            failures = sum(_mc_block_failures(start, job) for start in starts[::k]) + sum(rest)
+        finally:
+            pool.shutdown(cancel_futures=True)
     lo, hi = wilson_interval(failures, trials)
     return FailureEstimate(trials, failures, failures / trials, lo, hi, seed)
 

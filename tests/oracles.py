@@ -14,9 +14,18 @@ from itertools import combinations, product
 import numpy as np
 
 from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
-from rlncfail.galois import FieldSpec
+from rlncfail.galois import FieldSpec, uniform_columns
 from rlncfail.netmodel import Network
-from rlncfail.rlncsim import _eliminate, _kernels, coefficient_count, coefficient_slots
+from rlncfail.rlncsim import (
+    _BLOCK,
+    _eliminate,
+    _fan_in,
+    _full_rank,
+    _kernels,
+    _matmul,
+    coefficient_count,
+    coefficient_slots,
+)
 
 
 @dataclass(frozen=True)
@@ -563,4 +572,34 @@ def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
         coeffs = np.stack([idx // place % q for place in places]).astype(np.uint16)
         kern = _kernels(net, w, field, coeffs, list(range(len(net.channels))))
         failures += int((_batch_rank(kern[:, sink_cols], field) < w).sum())
+    return failures
+
+
+def full_draw_failures(net: Network, w: int, field: FieldSpec, t: str, trials: int, seed: int) -> int:
+    """Monte Carlo failure count with every slot drawn, block by block of
+    `_BLOCK` trials: the first N words of each trial's stream, and per node
+    the (in-kernel, out-channel, B) block cut from them before the
+    out-channels that cannot reach t are dropped.  The reference for
+    `estimate_failure`, which draws only the live slots at a power-of-two q."""
+    ti = net.index[t]
+    reach = net.reaching(ti)
+    col = {j: c for c, j in enumerate(j for j, h in enumerate(net.head) if reach[h])}
+    src, failures = net.index[net.source], 0
+    for start in range(0, trials, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, trials))
+        coeffs = uniform_columns(field.q, seed, rows, coefficient_count(net, w))
+        kern = np.zeros((w, len(col), coeffs.shape[1]), dtype=coeffs.dtype)
+        n = 0
+        for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
+            block = coeffs[n : n + a * len(outs)].reshape(a, len(outs), coeffs.shape[1])
+            n += a * len(outs)
+            keep = [b for b, j in enumerate(outs) if j in col]
+            if keep and a:
+                block = block[:, keep]
+                out = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
+                kern[:, [col[outs[b]] for b in keep]] = out
+        full = _full_rank(kern[:, [col[j] for j in net.ins[ti]]], field)
+        if field.q == 2:
+            full = np.unpackbits(full, count=len(rows))
+        failures += len(rows) - int(np.count_nonzero(full))
     return failures

@@ -174,7 +174,8 @@ class TestAgainstNaiveOracle:
     def test_ops_match_schoolbook_arithmetic(self, q):
         f = make_field_of_order(q)
         naive = NaiveField(f)
-        values = sorted({0, 1, q - 1} | set(uniform_columns(q, q, [0], 9)[:, 0].tolist()))
+        draws = uniform_columns(q, q, [0], 9)[:, 0].tolist() if q > 2 else []  # q = 2 comes packed
+        values = sorted({0, 1, q - 1} | set(draws))
         for a in values:
             for b in values:
                 assert f.vadd(a, b) == naive.add(a, b), (a, b)
@@ -277,7 +278,10 @@ def oracle_rows(q, seed, streams, n):
 
 class TestSampling:
     def test_support_binary(self):
-        assert set(uniform_columns(2, 0, [0], 64)[:, 0].tolist()) == {0, 1}
+        # q = 2 comes packed: stream i is bit 7 - i % 8 of column i // 8
+        draws = uniform_columns(2, 0, [0], 64)
+        assert draws.shape == (64, 1) and draws.dtype == np.uint8
+        assert set(draws[:, 0].tolist()) == {0, 128}
 
     def test_frequency_within_4_sigma(self):
         # 3e5 draws over F_3: binomial sigma = sqrt(N * (1/3)(2/3)) ~= 258.2
@@ -301,7 +305,10 @@ class TestSampling:
     @settings(max_examples=60, deadline=None)
     def test_draws_always_in_range(self, q, seed):
         draws = uniform_columns(q, seed, [0, 1], 8)
-        assert draws.shape == (8, 2) and draws.dtype == np.uint16
+        if q == 2:  # two streams packed into the top bits of one byte
+            assert draws.shape == (8, 1) and draws.dtype == np.uint8 and not (draws & 63).any()
+            draws = np.unpackbits(draws, axis=1, count=2)
+        assert draws.shape == (8, 2) and draws.dtype == (np.uint8 if q == 2 else np.uint16)
         assert ((0 <= draws) & (draws < q)).all()
 
     def test_matches_scalar_stream_where_words_are_rejected(self):
@@ -325,8 +332,52 @@ class TestSampling:
         for seed in (0, -1, 2**64 + 5):
             rows, _ = oracle_rows(q, seed, [0, 1, 999], n)
             draws = uniform_columns(q, seed, [0, 1, 999], n)
-            assert draws.dtype == (np.uint16 if q <= 1 << 16 else np.uint64)
+            assert draws.dtype == (np.uint8 if q == 2 else np.uint16 if q <= 1 << 16 else np.uint64)
+            if q == 2:
+                draws = np.unpackbits(draws, axis=1, count=3)
             assert draws.T.tolist() == rows
+
+    @pytest.mark.parametrize(
+        "streams,n,chunk_words",
+        # a partial last byte; streams that do not start at 0; chunks of 8
+        # streams in bands of 5 and of 4,096 rows, where a chunk would
+        # otherwise hold one stream
+        [(range(13), 20, None), (range(1005, 1031), 7, None), (range(20), 23, 40), (range(9), 4100, None)],
+    )
+    def test_gf2_packed_as_hashed(self, monkeypatch, streams, n, chunk_words):
+        rows, _ = oracle_rows(2, 3, streams, n)
+        if chunk_words:
+            monkeypatch.setattr(galois, "_CHUNK_WORDS", chunk_words)
+        draws = uniform_columns(2, 3, streams, n)
+        assert draws.dtype == np.uint8
+        assert (draws == np.packbits(np.array(rows, dtype=np.uint8).T, axis=1)).all()
+
+    def test_gf2_band_keeps_the_chunk_buffers(self):
+        # above 4,096 words a chunk of 8 streams takes the words in bands,
+        # so beside the output a draw still holds two chunk buffers and the
+        # counter steps, plus a few KiB of small ones (a band's packed bytes);
+        # a chunk of all N words would hold 16 more N-word arrays
+        n = 31_117
+        uniform_columns(2, 1, range(57), n)
+        tracemalloc.start()
+        try:
+            out = uniform_columns(2, 1, range(57), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 8 * n + 2 * 8 * galois._CHUNK_WORDS + 16384
+
+    @pytest.mark.parametrize("q", [2, 4, 1024, 1 << 32])
+    def test_positions_draw_only_those_rows(self, q):
+        # nothing is rejected at a power of two: draw c is word c + 1
+        words = [0, 3, 4, 9, 30]
+        full = uniform_columns(q, 5, range(21), 31)
+        assert (uniform_columns(q, 5, range(21), np.array(words)) == full[words]).all()
+        assert uniform_columns(q, 5, range(21), []).shape == (0, full.shape[1])
+
+    def test_positions_rejected_where_words_are(self):
+        with pytest.raises(ValueError, match="count, not positions"):
+            uniform_columns(3, 5, range(4), [0, 2])
 
     def test_mix64_top_bits_without_its_last_step(self):
         # the last step, x ^= x >> 31, changes only bits 0-32: skipped for

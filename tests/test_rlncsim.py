@@ -17,6 +17,7 @@ from oracles import (
     corpus_network,
     corpus_params,
     enumerated_failures,
+    full_draw_failures,
     imaginary_inputs,
     input_channel_ids,
     naive_enumerated_failures,
@@ -161,9 +162,10 @@ class TestPropagate:
         # the Monte Carlo runs q = 2 eight trials a byte through the same
         # propagation, 61 trials here so the last byte has padding bits
         net, f2 = random_dag(12, 4, 0.5, seed=5), make_field(2)
-        coeffs = uniform_columns(2, 3, np.arange(61), coefficient_count(net, 4))
+        packed_draw = uniform_columns(2, 3, np.arange(61), coefficient_count(net, 4))
+        coeffs = np.unpackbits(packed_draw, axis=1, count=61)
         live = list(range(len(net.channels)))
-        packed = rlncsim._kernels(net, 4, f2, np.packbits(coeffs != 0, axis=1), live)
+        packed = rlncsim._kernels(net, 4, f2, packed_draw, live)
         assert packed.dtype == np.uint8
         assert (packed == np.packbits(rlncsim._kernels(net, 4, f2, coeffs, live) != 0, axis=2)).all()
 
@@ -430,22 +432,38 @@ class TestEstimate:
 
     def test_channels_that_cannot_reach_the_sink_are_skipped(self, monkeypatch):
         # e8 and e9 feed only t2: their kernels are neither stored nor
-        # computed for t1, but their slots are still drawn, so the count
-        # equals the oracle's
-        computed = []
+        # computed for t1, and at q = 2 their slots are not drawn either:
+        # 10 of the 12 words, and still the oracle's count
+        computed, drawn = [], []
         kernels = rlncsim._kernels
 
         def recording(net, w, field, coeffs, live):
             K = kernels(net, w, field, coeffs, live)
             assert K.shape == (w, len(live), coeffs.shape[1])
             computed.append([net.channels[j].id for c, j in enumerate(live) if K[:, c].any()])
+            drawn.append(len(coeffs))
             return K
 
         monkeypatch.setattr(rlncsim, "_kernels", recording)
         f2 = make_field(2)
         est = estimate_failure(butterfly(), 2, f2, "t1", 500, seed=9)
         assert computed == [["e1", "e2", "e3", "e4", "e5", "e6", "e7"]]
+        assert drawn == [10]
         assert est.failures == naive_mc_failures(butterfly(), 2, f2, "t1", 500, seed=9)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 1024])
+    def test_matches_the_full_draw(self, monkeypatch, q):
+        # butterfly t1 has 10 of 12 slots live, dag12 76 of 85; at a power of
+        # two only those are drawn, at 3 and 9 all N, and the kernels keep
+        # the live rows.  Three blocks, the last of 5 trials, at 1 to 3
+        # workers: at 3 the caller runs the first and two pool processes the rest
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 3)
+        field = make_field_of_order(q)
+        trials = 2 * rlncsim._BLOCK + 5
+        for net, w, t in ((butterfly(), 2, "t1"), (random_dag(12, 4, 0.5, seed=5), 4, "t")):
+            expect = full_draw_failures(net, w, field, t, trials, seed=q)
+            for workers in (1, 2, 3):
+                assert estimate_failure(net, w, field, t, trials, seed=q, workers=workers).failures == expect
 
     @pytest.mark.parametrize("t", ["t", "v"])
     def test_sink_without_a_path_always_fails(self, t):
@@ -456,6 +474,8 @@ class TestEstimate:
         )
         est = estimate_failure(net, 1, make_field(3), t, 200, seed=6)
         assert est.failures == est.trials == naive_mc_failures(net, 1, make_field(3), t, 200, seed=6)
+        # at q = 2 no slot reaches t, so nothing is drawn
+        assert estimate_failure(net, 1, make_field(2), t, 200, seed=6).failures == 200
 
     @pytest.mark.parametrize("p,m", [(2, 10), (3, 5)])
     def test_extension_field_matches_per_trial_oracle(self, p, m):
@@ -468,7 +488,7 @@ class TestEstimate:
         assert estimate_failure(butterfly(), 2, make_field(2, 10), "t1", 2000, seed=1).failures == 7
 
     def test_workers_clamped_to_blocks_and_cpus(self, monkeypatch):
-        started, sent = [], []
+        started, sent, shut = [], [], []
 
         class FakePool:
             def __init__(self, max_workers, initializer, initargs):
@@ -476,35 +496,57 @@ class TestEstimate:
                 sent.append(initargs)
                 initializer(*initargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items):
                 sent.append((fn, list(items)))
                 return map(fn, sent[-1][1])
 
+            def shutdown(self, cancel_futures=False):
+                shut.append(cancel_futures)
+
         monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(rlncsim, "_job", ())
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
-        net, f2 = butterfly(), make_field(2)
-        trials = 2 * rlncsim._BLOCK + 1  # three blocks
+        net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
+        trials = 2 * b + 1  # three blocks
         est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6)
-        assert started == [3]
+        # three blocks on eight CPUs: two pool processes, which map the
+        # blocks the caller does not run itself, every third from the first
+        assert started == [2] and shut == [True]
         # the job goes to each worker once; a work item is the function, by
         # name, and one block start
         initargs, (fn, starts) = sent
         assert initargs[0] is net and initargs[1:] == (2, f2, "t1", 3, trials)
         assert pickle.loads(pickle.dumps(fn)) is fn is rlncsim._mc_block_failures
-        assert starts == [0, rlncsim._BLOCK, 2 * rlncsim._BLOCK]
+        assert starts == [b, 2 * b]
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 2)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
-        assert started == [3, 2]
+        assert started == [2, 1] and sent[-1][1] == [b]  # the caller runs 0 and 2b
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
-        assert started == [3, 2]
+        assert started == [2, 1] and shut == [True, True]
+
+    def test_caller_error_cancels_the_pools_pending_blocks(self, monkeypatch):
+        shut, run_by_pool = [], []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                pass
+
+            def map(self, fn, items):  # lazy, as pending blocks are
+                return (run_by_pool.append(s) for s in items)
+
+            def shutdown(self, cancel_futures=False):
+                shut.append(cancel_futures)
+
+        def failing(start, job=()):
+            raise MemoryError(f"block {start}")
+
+        monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 4)
+        with pytest.raises(MemoryError, match="block 0"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._BLOCK, seed=1, workers=4)
+        assert shut == [True] and run_by_pool == []
 
     def test_block_memory_bounded_by_bytes(self, monkeypatch):
         # N = 2,928 slots, 403 live channels and 26 columns at the widest:
@@ -526,10 +568,11 @@ class TestEstimate:
         assert part == whole
 
     def test_gf2_block_memory_counts_the_packing_mask(self, monkeypatch):
-        # at q = 2 the draw is packed through a bool mask of N bytes a trial.
-        # Here N = 31,117 slots outweigh the kernels and temporaries (72,598 B
-        # a trial without the mask); left out of the budget, the mask took
-        # the traced peak to about 5.4 MiB under a 4 MiB budget
+        # at q = 2 the draw is hashed straight into packed bytes, through a
+        # chunk-sized bool mask in the draw's own scratch, so a trial holds
+        # one bit a coefficient, kernel entry and temporary.  Here N = 31,117
+        # slots, all live; the traced peak is about 2.2 MiB, inside the budget
+        # itself (an N-byte mask a trial once took it to 5.4 MiB)
         net, f2 = random_dag(60, 2, 0.9, seed=1), make_field(2)
         assert coefficient_count(net, 2) == 31117
         whole = estimate_failure(net, 2, f2, "t", 300, seed=1)
@@ -540,7 +583,7 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 << 20) + (1 << 20)
+        assert peak < 4 << 20
         assert part == whole
 
     def test_block_memory_frees_each_draw_before_the_next(self, monkeypatch):
@@ -593,10 +636,11 @@ class TestEstimate:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
-        # dag12 fails often; 10,000 B is 8 trials of 1,186 B, so 1,001
-        # trials end in a one-trial sub-batch.  At q = 2 the draw's bool mask
-        # adds 85 B a trial: 143 sub-batches of 7 trials, each packed into
-        # one byte with a padding bit
+        # dag12 fails often; 10,000 B less 24 B a slot for the draw is 6
+        # trials of about 1,180 B at q = 3 and 4, so 1,001 trials end in a
+        # sub-batch of 5.  At q = 2 a trial takes 74 B, a bit an entry: 9
+        # sub-batches of 107 trials, each ending in a byte with padding bits,
+        # then one of 38
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
         monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 10_000)
