@@ -109,12 +109,10 @@ class BoundReport:
             )
         return values
 
-    def as_dict(self, q: int, values: dict[str, Fraction]) -> dict:
-        """The JSON body over GF(q), given `values = bounds(q)`."""
+    def as_dict(self, values: dict[str, Fraction]) -> dict:
+        """The JSON body below the {sink, q, w} header, given `values =
+        bounds(q)`."""
         return {
-            "sink": self.sink,
-            "q": q,
-            "w": self.w,
             "C_t": self.c_t,
             "r": self.r,
             "R_t": {"value": self.r_min, "mode": "exact" if self.r_min_exact else "heuristic"},
@@ -124,7 +122,7 @@ class BoundReport:
         }
 
 
-def full_report(net: Network, t: str, w: int, rt_mode: str = "exact") -> BoundReport:
+def full_report(net: Network, t: str, w: int) -> BoundReport:
     """The path analysis for sink t at rate w, which every field shares.
 
     The cut profile comes from the deterministic disjoint path set, listed
@@ -134,7 +132,7 @@ def full_report(net: Network, t: str, w: int, rt_mode: str = "exact") -> BoundRe
     c_t = min_cut(net, t)
     ps = disjoint_paths(net, t, w)  # raises when w > C_t
     profile = cut_out_profile(net, ps)
-    rt = min_internal_paths(net, t, w, mode=rt_mode)
+    rt = min_internal_paths(net, t, w)
     return BoundReport(
         sink=t,
         w=w,

@@ -139,7 +139,7 @@ def _cmd_bounds(args) -> int:
     net, name, sink, w = _setup(args)
     q = args.field
     parse_prime_power(q)  # the bounds need q alone, not its field
-    report = bnd.full_report(net, sink, w, rt_mode=args.rt)
+    report = bnd.full_report(net, sink, w)
     values = report.bounds(q)
     rt_tag = "exact" if report.r_min_exact else "heuristic"
     return _print_report(args, name, sink, q, w, [
@@ -149,7 +149,7 @@ def _cmd_bounds(args) -> int:
         f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical",
         "bounds:",
         *(f"  {label:<6} {frac_str(v):<16} {decimal_str(v)}" for label, v in values.items()),
-    ], report.as_dict(q, values))
+    ], report.as_dict(values))
 
 
 def _cmd_simulate(args) -> int:
@@ -212,7 +212,7 @@ def _cmd_sweep(args) -> int:
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    report = bnd.full_report(net, sink, w, rt_mode=args.rt)  # the same for every field
+    report = bnd.full_report(net, sink, w)  # the same for every field
     shared = {
         "network": name,
         "sink": sink,
@@ -262,10 +262,6 @@ _OPTIONS = {
         type=int, default=DEFAULT_ENUMERATION_BUDGET,
         help="max branches of the exact evaluator: states x q^(rank x out-channels), summed over nodes",
     ),
-    "--rt": dict(
-        choices=("exact", "heuristic"), default="exact",
-        help="search mode for the minimal path-node count R_t",
-    ),
 }
 # every subcommand accepts --workers; only simulate and sweep start worker processes
 _COMMON = ("--network", "--gen", "--sink", "--rate", "--workers")
@@ -273,13 +269,13 @@ _COMMON = ("--network", "--gen", "--sink", "--rate", "--workers")
 # name, help, handler, options beyond _COMMON, --format choices (first is the default)
 _SUBCOMMANDS = (
     ("bounds", "compute the bound report", _cmd_bounds,
-     ("--field", "--rt"), ("text", "json")),
+     ("--field",), ("text", "json")),
     ("simulate", "Monte Carlo failure estimate", _cmd_simulate,
      ("--field", "--trials", "--seed"), ("text", "json")),
     ("exact", "exact failure probability by a frontier dynamic program", _cmd_exact,
      ("--field", "--budget"), ("text", "json")),
     ("sweep", "bounds/exact/estimate across field orders (CSV)", _cmd_sweep,
-     ("--fields", "--trials", "--seed", "--budget", "--rt"), ("csv",)),
+     ("--fields", "--trials", "--seed", "--budget"), ("csv",)),
 )
 
 

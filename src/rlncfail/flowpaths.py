@@ -274,27 +274,21 @@ def min_internal_paths(
     net: Network,
     t: str,
     w: int,
-    mode: str = "exact",
     budget: int = 10**6,
 ) -> MinInternalResult:
     """Path set minimizing the number of distinct internal nodes.
 
-    mode="exact" runs a branch-and-bound over all channel-disjoint path
-    sets (seeded with the heuristic answer), unless the heuristic's set has
-    no more nodes than lie on every path; if the step budget runs out, the
-    best set found so far is returned with exact=False.  A step is one
-    live channel tried: 0 on plait(3, 15), 6 on the butterfly's t1, 10 with
-    no feasibility max-flow on random_dag(30, 6, 0.3, seed=2), and 1,297
-    with 57 on random_dag(25, 6, 0.3, seed=2).
-    mode="heuristic" returns the min-cost-flow answer directly (exact=False),
-    whose node count upper-bounds the true minimum.  Both use the integer view.
+    A branch-and-bound over all channel-disjoint path sets, on the integer
+    view, seeded with the min-cost-flow heuristic's set, unless that set has
+    no more nodes than lie on every path.  If the step budget runs out, the
+    best set found so far is returned with exact=False.  A step is one live
+    channel tried: 0 on plait(3, 15), 6 on the butterfly's t1, 10 with no
+    feasibility max-flow on random_dag(30, 6, 0.3, seed=2), and 1,297 with
+    57 on random_dag(25, 6, 0.3, seed=2).  So budget=0 gives the heuristic's
+    set, whose node count upper-bounds the true minimum, flagged exact only
+    when that count is the floor.
     """
-    if mode not in ("exact", "heuristic"):
-        raise ValueError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     heur = _min_cost_paths(net, t, w)
-    if mode == "heuristic":
-        return MinInternalResult(_path_set(net, t, w, heur), exact=False)
-
     s, ti = net.index[net.source], net.index[t]
     head, tail = net.head, net.tail
     reach = net.reaching(ti)

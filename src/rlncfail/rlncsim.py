@@ -14,8 +14,8 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 Both run on the network's integer view and the field's array arithmetic
 (AND and XOR at q = 2, log/antilog tables above) through numpy, batch axis
 last, so every elementwise pass runs along a whole batch.  `_kernels`
-propagates an (N, B) uint16 block of B trials' coefficients, or its rows
-of slots that reach t, node by node: each node's out-kernels are its
+propagates the rows of slots that reach t of an (N, B) uint16 block of B
+trials' coefficients, node by node: each node's out-kernels are its
 in-kernels times its (in-kernel, out-channel, B) block, one `_matmul`.  The
 Monte Carlo decides full rank with `_full_rank`, one bitwise pivot mask per
 column; at q = 2, where AND and XOR act on each bit alone, the draw comes
@@ -165,25 +165,22 @@ def _matmul(A: np.ndarray, C: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: list[int]) -> np.ndarray:
     """Global kernels of the live channels, a (w, L, B) array whose column c
-    is channel live[c] (ascending indices), for each column of the (N, B)
-    coefficient block or of its rows of live out-channels' slots alone.
+    is channel live[c] (ascending indices), for each column of a coefficient
+    block that holds the rows of live out-channels' slots alone.
     Node i's live slots are one (in-kernel, out-channel, B) block, so its
     out-kernels are its in-kernels times that block (zero with no in-kernel);
     the source's block is its out-kernels.  The in-channels of a live
     channel's tail must be live too."""
     B, col = coeffs.shape[1], {j: c for c, j in enumerate(live)}
-    src, every = net.index[net.source], len(coeffs) == coefficient_count(net, w)
+    src = net.index[net.source]
     kern = np.zeros((w, len(col), B), dtype=coeffs.dtype)
     n = 0  # rows of the nodes before this one
     for i, (a, outs) in enumerate(zip(_fan_in(net, w), net.outs)):
-        keep = [b for b, j in enumerate(outs) if j in col]
-        width = len(outs) if every else len(keep)
-        block = coeffs[n : n + a * width].reshape(a, width, B)
-        n += a * width
+        keep = [col[j] for j in outs if j in col]
+        block = coeffs[n : n + a * len(keep)].reshape(a, len(keep), B)
+        n += a * len(keep)
         if keep and a:
-            block = block[:, keep] if width > len(keep) else block
-            out = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
-            kern[:, [col[outs[b]] for b in keep]] = out
+            kern[:, keep] = block if i == src else _matmul(kern[:, [col[j] for j in net.ins[i]]], block, field)
     return kern
 
 
@@ -204,19 +201,22 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
                          for _ in range(a) for j in outs), bool)  # a slot is live if its out-channel is
     words = len(alive) if q & (q - 1) else np.flatnonzero(alive).astype(np.uint64)
     end = min(start + _BLOCK, trials)
-    # per trial: the uint16 draw, the kernels, and under 32 B an entry of
+    # per trial: the uint16 draw and its live rows, the kernels, and under 32 B an entry of
     # field-operation temporaries (int32 copies, intp log sums) on the widest
     # matrix, a node's in-kernels times its out-channels or t's decoding
     # matrix, all a bit at q = 2; per draw, 24 B a slot: the N uint64 counter steps
     # and two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
     width = max(len(net.ins[ti]), *map(len, net.outs))
-    per_trial = 2 * (words if q & (q - 1) else len(words)) + 2 * w * len(live) + 32 * w * width
+    held = words + int(alive.sum()) if q & (q - 1) else len(words)  # drawn, then kept live
+    per_trial = 2 * held + 2 * w * len(live) + 32 * w * width
     per_trial = per_trial // (16 if q == 2 else 1) + 1
     step = max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial)
     failures = 0
     for lo in range(start, end, step):
         rows = np.arange(lo, min(lo + step, end))
         coeffs = uniform_columns(q, seed, rows, words)  # at q = 2, eight trials a byte
+        if q & (q - 1):  # a rejected word shifts every later draw, so all N were drawn
+            coeffs = coeffs[alive]
         decoding = _kernels(net, w, field, coeffs, live)[:, sink]
         del coeffs  # the budget has no room for this draw beside the next
         full = _full_rank(decoding, field)

@@ -258,16 +258,16 @@ def test_criterion_7_simulation_determinism(capsys):
 
 
 def test_criterion_8_minimal_path_node_search():
-    res = min_internal_paths(butterfly(), "t1", 2, mode="exact")
+    res = min_internal_paths(butterfly(), "t1", 2)
     assert res.exact and res.paths.r == 4 == exhaustive_min_internal(butterfly(), "t1", 2)
     for w, r in ((1, 0), (1, 3), (2, 2), (3, 1)):
-        res = min_internal_paths(plait(w, r), "t", w, mode="exact")
+        res = min_internal_paths(plait(w, r), "t", w)
         assert res.exact and res.paths.r == r, (w, r)
     worse = 0
     for seed, w, q, density in corpus_params(200):
         net = corpus_network(seed, w, density)
-        exact = min_internal_paths(net, "t", w, mode="exact")
-        heur = min_internal_paths(net, "t", w, mode="heuristic")
+        exact = min_internal_paths(net, "t", w)
+        heur = min_internal_paths(net, "t", w, budget=0)
         assert heur.paths.r >= exact.paths.r, (seed, w)
         worse += heur.paths.r > exact.paths.r
     print(

@@ -172,15 +172,10 @@ class TestFullReport:
         with pytest.raises(RuntimeError, match="bound ordering violated"):
             full_report(butterfly(), "t1", 2).bounds(2)
 
-    def test_heuristic_mode_flagged(self):
-        rep = full_report(butterfly(), "t1", 2, rt_mode="heuristic")
-        assert not rep.r_min_exact
-        assert rep.r_min >= 4
-
     def test_as_dict_schema(self):
         rep = full_report(butterfly(), "t1", 2)
-        doc = rep.as_dict(2, rep.bounds(2))
-        assert set(doc) == {"sink", "q", "w", "C_t", "r", "R_t", "J", "bounds"}
+        doc = rep.as_dict(rep.bounds(2))
+        assert set(doc) == {"C_t", "r", "R_t", "J", "bounds"}
         assert set(doc["bounds"]) == {"thm1", "thm2", "cor1", "thm3", "lower"}
         assert doc["bounds"]["thm1"] == {"num": "125", "den": "128"}
         assert doc["R_t"] == {"value": 4, "mode": "exact"}

@@ -690,9 +690,14 @@ class TestUsage:
             ("exact", ("--trials", "5")),
             ("exact", ("--seed", "1")),
             ("exact", ("--rt", "exact")),
+            ("bounds", ("--rt", "exact")),
         ):
             code, out, _ = run_cli(capsys, command, *base, *extra)
             assert code == 2 and out == "", (command, extra)
+        sweep = ("sweep", "--gen", "butterfly", "--sink", "t1", "--fields", "2")
+        assert run_cli(capsys, *sweep)[0] == 0
+        code, out, _ = run_cli(capsys, *sweep, "--rt", "heuristic")
+        assert code == 2 and out == ""
 
     def test_bad_network_file(self, capsys, tmp_path):
         path = tmp_path / "bad.net"

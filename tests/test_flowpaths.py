@@ -195,25 +195,25 @@ class TestNewEnds:
 
 class TestMinInternalPaths:
     def test_butterfly_matches_exhaustive(self):
-        res = min_internal_paths(butterfly(), "t1", 2, mode="exact")
+        res = min_internal_paths(butterfly(), "t1", 2)
         assert res.exact
         assert res.paths.r == 4 == exhaustive_min_internal(butterfly(), "t1", 2)
 
     @pytest.mark.parametrize("w,r", [(1, 0), (1, 2), (2, 1), (3, 2)])
     def test_plait_uses_all_internal_nodes(self, w, r):
-        res = min_internal_paths(plait(w, r), "t", w, mode="exact")
+        res = min_internal_paths(plait(w, r), "t", w)
         assert res.exact and res.paths.r == r
 
     def test_direct_channel_wins(self):
-        res = min_internal_paths(plait_plus_direct(), "t", 1, mode="exact")
+        res = min_internal_paths(plait_plus_direct(), "t", 1)
         assert res.exact and res.paths.r == 0
         assert res.paths.paths == (("x0",),)
 
     def test_exact_heuristic_disjoint_chain(self):
         for seed, w, q, density in corpus_params(30):
             net = corpus_network(seed, w, density)
-            exact = min_internal_paths(net, "t", w, mode="exact")
-            heur = min_internal_paths(net, "t", w, mode="heuristic")
+            exact = min_internal_paths(net, "t", w)
+            heur = min_internal_paths(net, "t", w, budget=0)
             free = disjoint_paths(net, "t", w)
             assert exact.exact
             assert exact.paths.r <= heur.paths.r <= free.r
@@ -223,12 +223,12 @@ class TestMinInternalPaths:
             net = corpus_network(seed, w, density)
             if len(net.channels) > 12:
                 continue
-            res = min_internal_paths(net, "t", w, mode="exact")
+            res = min_internal_paths(net, "t", w)
             assert res.exact
             assert res.paths.r == exhaustive_min_internal(net, "t", w)
 
     def test_budget_falls_back_to_heuristic_flag(self):
-        res = min_internal_paths(butterfly(), "t1", 2, mode="exact", budget=1)
+        res = min_internal_paths(butterfly(), "t1", 2, budget=1)
         assert not res.exact
         assert res.paths.r >= 4
 
@@ -247,7 +247,7 @@ class TestMinInternalPaths:
         (tmp_path / "chain.net").write_text("\n".join(lines) + "\n")
         net = read_network(tmp_path / "chain.net")
         start = time.perf_counter()
-        res = min_internal_paths(net, "t", 1, mode="heuristic")
+        res = min_internal_paths(net, "t", 1, budget=0)
         assert time.perf_counter() - start < 1.0
         assert res.paths.r == 4998
 
@@ -315,7 +315,7 @@ class TestMinInternalPaths:
         nodes = {"s": "source", "t": "sink"} | {v: "internal" for v in "vxabc"}
         pairs = ["sv", "sv", "vx", "vx", "xt", "xt", "sa", "at", "sb", "bc", "ct"]
         net = Network(nodes, [Channel(f"e{k:02d}", a, b) for k, (a, b) in enumerate(pairs)])
-        assert min_internal_paths(net, "t", 2, mode="heuristic").paths.r == 3
+        assert min_internal_paths(net, "t", 2, budget=0).paths.r == 3
         res = min_internal_paths(net, "t", 2)
         assert (res.paths, res.exact) == recursive_min_internal_paths(net, "t", 2)[:2]
         assert res.exact and res.paths.internal_nodes == ("v", "x")
@@ -352,7 +352,7 @@ class TestMinInternalPaths:
         nodes = {"s": "source", "t": "sink"} | {v: "internal" for v in "acx"}
         pairs = ["sa", "sx", "ac", "ax", "ct", "xt", "xt"]
         net = Network(nodes, [Channel(f"e{k}", a, b) for k, (a, b) in enumerate(pairs)])
-        assert min_internal_paths(net, "t", 2, mode="heuristic").paths.r == 3
+        assert min_internal_paths(net, "t", 2, budget=0).paths.r == 3
         res = min_internal_paths(net, "t", 2)
         assert res.exact and res.paths.internal_nodes == ("a", "x")
         assert subset_min_internal(net, "t", 2) == 2
@@ -451,6 +451,20 @@ class TestFloor:
         assert flowpaths._floor(net, s, ti, net.reaching(ti)) == 0
         res = min_internal_paths(net, "t", 3, budget=1000)
         assert (res.paths.r, res.exact) == (15, False)
+
+    def test_budget_zero_is_the_heuristic(self):
+        # no step: the min-cost-flow set, proved only when it meets the floor
+        nets = [(corpus_network(seed, w, density), w) for seed, w, _, density in corpus_params(200)]
+        nets += [(plait(3, r), 3) for r in (1, 4, 15)] + [(plait_plus_direct(3, 15), 3)]
+        proved = 0
+        for net, w in nets:
+            s, ti = net.index["s"], net.index["t"]
+            heur = flowpaths._path_set(net, "t", w, flowpaths._min_cost_paths(net, "t", w))
+            res = min_internal_paths(net, "t", w, budget=0)
+            assert res.paths == heur
+            assert res.exact is (heur.r == flowpaths._floor(net, s, ti, net.reaching(ti)))
+            proved += res.exact
+        assert 3 <= proved < len(nets)  # both flags occur
 
 
 class TestCutSequence:
