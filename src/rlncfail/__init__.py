@@ -5,14 +5,7 @@ validated against an exact frontier dynamic program and Monte Carlo
 simulation over finite fields.
 """
 
-from .bounds import (
-    BoundReport,
-    cut_profile_bound,
-    full_report,
-    internal_node_bound,
-    phi,
-    rate_margin_lower_bound,
-)
+from .bounds import BoundReport, full_report, phi
 from .flowpaths import (
     InfeasibleRateError,
     MinInternalResult,

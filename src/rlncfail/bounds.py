@@ -42,32 +42,6 @@ def phi(q: int, n: int) -> Fraction:
     return Fraction(math.prod(q**i - 1 for i in range(1, n + 1)), q ** (n * (n + 1) // 2))
 
 
-def cut_profile_bound(out_sizes, q: int, w: int) -> Fraction:
-    """Upper bound from a cut sequence's out-part sizes |CUT^out_k|, k=0..r:
-    1 - prod_k phi(q, w - out_k)."""
-    keep = Fraction(1)
-    for k, size in enumerate(out_sizes):
-        if not 0 <= size <= w:
-            raise ValueError(f"out-part size {size} at step {k} outside 0..{w}")
-        keep *= phi(q, w - size)
-    return 1 - keep
-
-
-def internal_node_bound(count: int, q: int, w: int) -> Fraction:
-    """Staged upper bound 1 - phi(q, w)^(count+1); count is the number of
-    internal coding stages (r, R_t, or |J| depending on what is known)."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return 1 - phi(q, w) ** (count + 1)
-
-
-def rate_margin_lower_bound(q: int, c_t: int, w: int) -> Fraction:
-    """Lower bound 1 / q^(delta + 1) with delta = C_t - w >= 0."""
-    if w > c_t:
-        raise ValueError(f"rate {w} exceeds min-cut {c_t}")
-    return Fraction(1, q ** (c_t - w + 1))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """What the bounds need of one (network, sink, rate) choice, for every
@@ -79,7 +53,6 @@ class BoundReport:
     lower <= thm1 <= thm2 <= thm3 and, when r_min is exact, cor1 <= thm2.
     """
 
-    sink: str
     w: int
     c_t: int
     r: int
@@ -92,15 +65,22 @@ class BoundReport:
     def delta_t(self) -> int:
         return self.c_t - self.w
 
+    @property
+    def rt_mode(self) -> str:
+        """The R_t flag every report prints: `exact` when the search proved
+        r_min, else `heuristic`."""
+        return "exact" if self.r_min_exact else "heuristic"
+
     def bounds(self, q: int) -> dict[str, Fraction]:
         """The five bounds over GF(q), in report order: lower, thm1, thm2,
         cor1, thm3."""
+        staged = phi(q, self.w)  # the staged bounds' per-stage factor
         values = {
-            "lower": rate_margin_lower_bound(q, self.c_t, self.w),
-            "thm1": cut_profile_bound(self.cut_out_sizes, q, self.w),
-            "thm2": internal_node_bound(self.r, q, self.w),
-            "cor1": internal_node_bound(self.r_min, q, self.w),
-            "thm3": internal_node_bound(self.j_count, q, self.w),
+            "lower": Fraction(1, q ** (self.delta_t + 1)),
+            "thm1": 1 - math.prod(phi(q, self.w - out) for out in self.cut_out_sizes),
+            "thm2": 1 - staged ** (self.r + 1),
+            "cor1": 1 - staged ** (self.r_min + 1),
+            "thm3": 1 - staged ** (self.j_count + 1),
         }
         lower, thm1, thm2, _, thm3 = values.values()
         if not lower <= thm1 <= thm2 <= thm3:
@@ -115,7 +95,7 @@ class BoundReport:
         return {
             "C_t": self.c_t,
             "r": self.r,
-            "R_t": {"value": self.r_min, "mode": "exact" if self.r_min_exact else "heuristic"},
+            "R_t": {"value": self.r_min, "mode": self.rt_mode},
             "J": self.j_count,
             "bounds": {k: {"num": str(values[k].numerator), "den": str(values[k].denominator)}
                        for k in ("thm1", "thm2", "cor1", "thm3", "lower")},
@@ -134,7 +114,6 @@ def full_report(net: Network, t: str, w: int) -> BoundReport:
     profile = cut_out_profile(net, ps)
     rt = min_internal_paths(net, t, w)
     return BoundReport(
-        sink=t,
         w=w,
         c_t=c_t,
         r=ps.r,

@@ -141,10 +141,9 @@ def _cmd_bounds(args) -> int:
     parse_prime_power(q)  # the bounds need q alone, not its field
     report = bnd.full_report(net, sink, w)
     values = report.bounds(q)
-    rt_tag = "exact" if report.r_min_exact else "heuristic"
     return _print_report(args, name, sink, q, w, [
         f"q: {q}  w: {w}  C_t: {report.c_t}  delta_t: {report.delta_t}",
-        f"r: {report.r}  R_t: {report.r_min} ({rt_tag})  J: {report.j_count}",
+        f"r: {report.r}  R_t: {report.r_min} ({report.rt_mode})  J: {report.j_count}",
         # the profile lists the path set's internal nodes in topological order
         f"cut out-profile: {list(report.cut_out_sizes)}  order: canonical",
         "bounds:",
@@ -221,7 +220,7 @@ def _cmd_sweep(args) -> int:
         "delta_t": report.delta_t,
         "r": report.r,
         "R_t": report.r_min,
-        "rt_mode": "exact" if report.r_min_exact else "heuristic",
+        "rt_mode": report.rt_mode,
         "J": report.j_count,
     }
     for field in fields:

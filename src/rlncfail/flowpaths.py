@@ -25,10 +25,9 @@ this bound when a path enters a new node or is finished, and drops the
 branch when it brings the set to the best count so far.  The prunes drop
 only branches that hold no better set, so the search finds every
 improvement in the same order and returns the same set.  Before it starts
-another path, the unused channels must still carry the paths missing:
-witness paths, disjoint and avoiding the finished ones (the heuristic's
-set, later the last feasibility flow), prove it.  When too few avoid the
-path just finished, a max-flow grows from them.
+another path, the unused channels must still carry the paths missing: the
+heuristic's paths that avoid every used channel prove it when there are
+enough of them, else a max-flow grows from them.
 
 The algorithms run on the network's integer view (see `netmodel.Network`)
 and turn channel indices back into ids only for the public `PathSet`.  All
@@ -325,7 +324,6 @@ def min_internal_paths(
     done: list[tuple[int, ...]] = []  # the finished paths
     path: list[int] = []  # the current path
     done_ends = on_set = 0  # the bits of the finished paths' ends and of the ends on `nodes`
-    witness = [heur]  # per finished-path count: disjoint paths avoiding them
     # frames (node, its untried out-channels, whether entering it added it to
     # nodes, least first channel, which binds only at the source)
     # no set has fewer nodes than those on every s-t path
@@ -367,13 +365,10 @@ def min_internal_paths(
                 lower(path[0], need, need, done_ends | bits[path[0]] | bits[j]) < slack
             ):
                 # feasibility: the unused channels must still carry `need`
-                # paths; witness paths avoiding this one prove it or seed a flow
-                fits = [p for p in witness[-1] if used.isdisjoint(p)]
-                if len(fits) < need:
-                    value, flow = _max_flow(net, ti, limit=need, removed=used, start=fits)
-                    fits = _decompose(net, ti, flow, need) if value == need else []
-                if fits:
-                    witness.append(fits)
+                # paths; the heuristic's paths clear of `used` prove it, or
+                # seed a max-flow when too few are
+                fits = [p for p in heur if used.isdisjoint(p)][:need]
+                if len(fits) == need or _max_flow(net, ti, need, used, fits)[0] == need:
                     done.append(tuple(path))
                     done_ends ^= bits[path[0]] | bits[j]
                     stack.append((s, iter(outs[s]), False, path[0] + 1))
@@ -387,7 +382,6 @@ def min_internal_paths(
             if node == s:  # back into the finished path this one followed
                 if not done:
                     break
-                witness.pop()
                 path = list(done.pop())
                 done_ends ^= bits[path[0]] | bits[path[-1]]
             used.remove(path.pop())

@@ -23,7 +23,7 @@ from oracles import (
     rank_gf2,
     uniform_int,
 )
-from rlncfail.bounds import full_report, phi, rate_margin_lower_bound
+from rlncfail.bounds import full_report, phi
 from rlncfail.cli import main
 from rlncfail.flowpaths import min_internal_paths
 from rlncfail.galois import _GOLDEN_U64, _mix64, make_field, make_field_of_order
@@ -234,7 +234,7 @@ def test_criterion_6_lower_bound_equality_probe():
     net = plait(1, 0)
     for q in (2, 3, 4, 5):
         exact = exact_failure(net, 1, make_field_of_order(q), "t").fraction
-        assert exact == Fraction(1, q) == rate_margin_lower_bound(q, 1, 1)
+        assert exact == Fraction(1, q) == full_report(net, "t", 1).bounds(q)["lower"]
     print(
         "\nACCEPTANCE 6 PASS: single-channel exact probability equals the "
         "lower bound 1/q for q in {2, 3, 4, 5}"

@@ -14,13 +14,7 @@ from oracles import (
     plait_failure_law,
     subspace_completion_success,
 )
-from rlncfail.bounds import (
-    cut_profile_bound,
-    full_report,
-    internal_node_bound,
-    phi,
-    rate_margin_lower_bound,
-)
+from rlncfail.bounds import BoundReport, full_report, phi
 from rlncfail.flowpaths import InfeasibleRateError
 from rlncfail.galois import make_field_of_order
 from rlncfail.netmodel import butterfly, plait
@@ -82,55 +76,59 @@ class TestSubspaceCompletion:
         assert Fraction(1, q) <= miss < Fraction(1, q - 1)
 
 
+def report(w=2, c_t=2, r=0, j_count=None, profile=None) -> BoundReport:
+    """A hand-made report with R_t = r, |J| = j_count (default r) and the
+    cut out-profile `profile` (default r + 1 zeros, so thm1 equals thm2)."""
+    profile = (0,) * (r + 1) if profile is None else tuple(profile)
+    return BoundReport(w, c_t, r, r, True, r if j_count is None else j_count, profile)
+
+
 class TestCutProfileBound:
     def test_butterfly_profile(self):
-        assert cut_profile_bound([0, 1, 1, 1, 1], 2, 2) == Fraction(125, 128)
-        assert cut_profile_bound([0, 1, 1, 1, 1], 3, 2) == Fraction(1931, 2187)
+        rep = report(r=4, profile=[0, 1, 1, 1, 1])
+        assert rep.bounds(2)["thm1"] == Fraction(125, 128)
+        assert rep.bounds(3)["thm1"] == Fraction(1931, 2187)
 
     def test_all_zero_profile_equals_staged_bound(self):
         for r in range(4):
-            assert cut_profile_bound([0] * (r + 1), 3, 2) == internal_node_bound(r, 3, 2)
+            b = report(r=r).bounds(3)
+            assert b["thm1"] == b["thm2"] == 1 - phi(3, 2) ** (r + 1)
 
-    def test_full_out_profile_is_vacuous(self):
-        assert cut_profile_bound([2, 2, 2], 5, 2) == 0
+    def test_full_out_entries_are_vacuous(self):
+        # a cut step every path has left multiplies by phi(q, 0) = 1
+        b = report(r=2, profile=[0, 2, 2]).bounds(5)
+        assert b["thm1"] == 1 - phi(5, 2)
 
     def test_oversized_entry_rejected(self):
         with pytest.raises(ValueError):
-            cut_profile_bound([0, 3], 2, 2)
+            report(r=1, profile=[0, 3]).bounds(2)
 
 
-class TestInternalNodeBound:
+class TestStagedBound:
     def test_values(self):
-        assert internal_node_bound(0, 2, 1) == Fraction(1, 2)
-        assert internal_node_bound(1, 2, 2) == Fraction(55, 64)
-        assert internal_node_bound(4, 2, 2) == Fraction(32525, 32768)
+        assert report(w=1, c_t=1).bounds(2)["thm2"] == Fraction(1, 2)
+        b = report(r=1, j_count=4).bounds(2)
+        assert (b["thm2"], b["cor1"], b["thm3"]) == (
+            Fraction(55, 64), Fraction(55, 64), Fraction(32525, 32768))
 
     def test_zero_stage(self):
-        assert internal_node_bound(0, 3, 2) == 1 - phi(3, 2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            internal_node_bound(-1, 2, 2)
+        assert report().bounds(3)["thm2"] == 1 - phi(3, 2)
 
 
 class TestLowerBound:
     def test_values(self):
-        assert rate_margin_lower_bound(2, 1, 1) == Fraction(1, 2)
-        assert rate_margin_lower_bound(2, 2, 2) == Fraction(1, 2)
-        assert rate_margin_lower_bound(4, 3, 2) == Fraction(1, 16)
+        assert report(w=1, c_t=1).bounds(2)["lower"] == Fraction(1, 2)
+        assert report().bounds(2)["lower"] == Fraction(1, 2)
+        assert report(c_t=3).bounds(4)["lower"] == Fraction(1, 16)
 
     def test_equality_on_single_channel(self):
         for q in (2, 3, 4, 5):
             field = make_field_of_order(q)
             exact = exact_failure(plait(1, 0), 1, field, "t")
-            assert exact.fraction == rate_margin_lower_bound(q, 1, 1)
+            assert exact.fraction == full_report(plait(1, 0), "t", 1).bounds(q)["lower"]
 
     def test_below_butterfly_exact(self):
-        assert rate_margin_lower_bound(2, 2, 2) <= butterfly_failure_law(2)
-
-    def test_infeasible_rejected(self):
-        with pytest.raises(ValueError):
-            rate_margin_lower_bound(2, 1, 2)
+        assert full_report(butterfly(), "t1", 2).bounds(2)["lower"] <= butterfly_failure_law(2)
 
 
 class TestFullReport:
@@ -164,13 +162,10 @@ class TestFullReport:
             assert 0 <= b["lower"] <= b["thm1"] <= b["thm2"] <= b["thm3"] <= 1
             assert b["cor1"] <= b["thm2"]
 
-    def test_bound_ordering_violation_raises(self, monkeypatch):
-        # thm2 forced to 0 falls below thm1; the check must survive python -O
-        import rlncfail.bounds as bounds
-
-        monkeypatch.setattr(bounds, "internal_node_bound", lambda r, q, w: Fraction(0))
+    def test_bound_ordering_violation_raises(self):
+        # r above |J| puts thm2 over thm3; the check must survive python -O
         with pytest.raises(RuntimeError, match="bound ordering violated"):
-            full_report(butterfly(), "t1", 2).bounds(2)
+            report(r=4, j_count=1).bounds(2)
 
     def test_as_dict_schema(self):
         rep = full_report(butterfly(), "t1", 2)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from oracles import butterfly_failure_law
-from rlncfail import cli, flowpaths, netmodel
+from rlncfail import bounds, cli, flowpaths, netmodel
 from rlncfail.cli import SWEEP_COLUMNS, build_parser, main, parse_gen_spec
 from rlncfail.netmodel import butterfly, network_from_text, plait
 
@@ -221,7 +222,7 @@ class TestBounds:
         # a search that runs no max-flow
         (("--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "2"),
          "bounds-dag40-q2.txt"),
-        # the search's warm-started max-flows hold other witnesses here
+        # the search's feasibility checks run 57 warm-started max-flows here
         (("--gen", "random:internal=25,w=6,density=0.3,seed=2", "--field", "2"),
          "bounds-dag25-q2.txt"),
         # R_t below the heuristic's count, proved in 10 steps
@@ -243,6 +244,21 @@ class TestBounds:
                                "tests/networks/plait-w3-r15-direct.net", "--field", "2")
         assert code == 0
         assert out == (GOLDEN / "bounds-plait-w3-r15-direct-q2.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_rt_mode_in_text_json_and_csv(self, capsys, monkeypatch, mode):
+        # every report prints the flag of BoundReport.rt_mode
+        if mode == "heuristic":
+            full_report = bounds.full_report
+            monkeypatch.setattr(bounds, "full_report", lambda *args: dataclasses.replace(
+                full_report(*args), r_min_exact=False))
+        butterfly_t1 = ("--gen", "butterfly", "--sink", "t1")
+        _, out, _ = run_cli(capsys, "bounds", *butterfly_t1, "--field", "2")
+        assert out.splitlines()[3] == f"r: 4  R_t: 4 ({mode})  J: 4"
+        _, out, _ = run_cli(capsys, "bounds", *butterfly_t1, "--field", "2", "--format", "json")
+        assert json.loads(out)["R_t"]["mode"] == mode
+        _, out, _ = run_cli(capsys, "sweep", *butterfly_t1, "--fields", "2")
+        assert [row["rt_mode"] for row in csv.DictReader(io.StringIO(out))] == [mode]
 
     def test_order_option_removed(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--gen", "butterfly", "--sink", "t1",

@@ -141,7 +141,7 @@ class TestDisjointPaths:
 
 class TestWarmStart:
     # start paths: any subset of a cold flow's decomposition that avoids
-    # `removed`, at most `limit` of them, as the search passes its witnesses
+    # `removed`, at most `limit` of them, as the search passes the heuristic's
     def test_warm_flow_matches_cold(self):
         cases = [(corpus_network(seed, w, d), "t") for seed, w, q, d in corpus_params()]
         cases += [(butterfly(), "t1"), (butterfly(), "t2")]
@@ -374,11 +374,21 @@ class TestMinInternalPaths:
             res = min_internal_paths(net, "t", w)
             assert res.exact and res.paths.r == subset_min_internal(net, "t", w), seed
 
-    def test_witness_spares_max_flows(self, monkeypatch):
-        # a new max-flow only when neither the end-node bound nor the
-        # witness paths settle a check, grown from the witness paths that
-        # survive.  The recursive oracle runs 1,354 on this network
-        net = random_dag(25, 6, 0.3, seed=2)
+    @pytest.mark.parametrize("params, expected", [
+        ((10, 3, 0.3, 2), (4, True, 1)),
+        ((10, 4, 0.3, 2), (4, True, 1)),
+        ((10, 6, 0.3, 2), (4, True, 1)),
+        ((15, 6, 0.3, 1), (9, True, 6)),
+        ((25, 6, 0.3, 2), (9, True, 57)),
+        ((30, 6, 0.3, 5), (10, True, 9)),
+    ])
+    def test_feasibility_max_flows(self, monkeypatch, params, expected):
+        # a max-flow only when neither the end-node bound nor the heuristic's
+        # paths clear of the used channels settle a check, grown from those
+        # paths.  These are the random_dag grid networks (internal 10..30,
+        # w 3, 4 or 6, density 0.3 or 0.5, seeds 1..5) that run any; the
+        # recursive oracle runs 1,354 on random_dag(25, 6, 0.3, seed=2)
+        net = random_dag(*params)
         calls = []
         max_flow = flowpaths._max_flow
 
@@ -387,9 +397,8 @@ class TestMinInternalPaths:
             return max_flow(*args, **kwargs)
 
         monkeypatch.setattr(flowpaths, "_max_flow", counted)
-        res = min_internal_paths(net, "t", 6)
-        assert (res.paths.r, res.exact) == (9, True)
-        assert len(calls) == 57 < 1354
+        res = min_internal_paths(net, "t", params[1])
+        assert (res.paths.r, res.exact, len(calls)) == expected
 
     def test_bounds_memoized(self, monkeypatch):
         # each end-node bound is computed once per key: the used ends, the
