@@ -60,13 +60,16 @@ def uniform_columns(q: int, seed: int, streams, n) -> np.ndarray:
     b + 16 bits of the stream's next word, b the bit length of q - 1, and
     rejects candidates at or above the largest multiple of q in that range
     (none when q is a power of two), so each value has probability exactly 1/q.
-    At a power of two, draw c is word c + 1, so n may instead be the sorted
-    positions c of the draws to return; only their words are hashed.
+    n may instead be the sorted positions c of the draws to return: at a
+    power of two, draw c is word c + 1 and only those words are hashed; where
+    q rejects words, each stream is hashed through the last position (a
+    rejection shifts every later draw) and only those rows are returned.
     """
     if q > MAX_ORDER and q & (q - 1):
         raise ValueError(f"draws modulo {q} need q <= {MAX_ORDER} or a power of two")
+    keep = slice(None)  # the rows returned of the words hashed
     if q & (q - 1) and np.ndim(n):
-        raise ValueError(f"draws modulo {q} may reject words: they take a count, not positions")
+        keep, n = np.asarray(n, np.intp), int(n[-1]) + 1 if len(n) else 0
     bits = max(1, (q - 1).bit_length()) + 16
     shift, limit = np.uint64(64 - bits), np.uint64((1 << bits) - (1 << bits) % q)
     # one-element arrays throughout: numpy warns on uint64 scalar overflow
@@ -75,7 +78,7 @@ def uniform_columns(q: int, seed: int, streams, n) -> np.ndarray:
     n, pack = len(steps), 8 if q == 2 else 1  # at q = 2 whole bytes of streams, in bands of rows
     per_chunk = max(pack, _CHUNK_WORDS // max(n, 1) // pack * pack)
     band = max(1, _CHUNK_WORDS // per_chunk if q == 2 else n)
-    out = np.empty((n, -(-len(streams) // pack)), dtype=np.uint8 if q == 2 else np.uint16 if q <= MAX_ORDER else np.uint64)
+    out = np.empty((len(steps[keep]), -(-len(streams) // pack)), dtype=np.uint8 if q == 2 else np.uint16 if q <= MAX_ORDER else np.uint64)
     # the only chunk-sized arrays, reused by every chunk: the candidates, and scratch for
     # the counters, the hash's shifts, the reduction modulo q or the mask packed at q = 2.
     # Broadcasting ufuncs would add numpy's own buffers; copyto adds none
@@ -114,7 +117,7 @@ def uniform_columns(q: int, seed: int, streams, n) -> np.ndarray:
         else:
             cand >>= shift
             cand &= np.uint64(q - 1)
-        out[r0 : r0 + band, c0 // pack : c0 // pack + cand.shape[1]] = cand
+        out[r0 : r0 + band, c0 // pack : c0 // pack + cand.shape[1]] = cand[keep]
     return out
 
 
@@ -177,8 +180,9 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 class FieldSpec:
     """Finite field of order q = p^m with a canonical reduction polynomial.
 
-    Use `make_field` rather than constructing directly; equal (p, m) always
-    yields the identical field (same reduction polynomial, same tables).
+    Use `make_field` rather than constructing directly: it caches one field
+    per (p, m), and a field unpickles as that cached one, so a field's
+    identity is its object and equal orders share one set of tables.
 
     For q > 2, products and inverses run through log/antilog tables over the
     smallest generator g of the multiplicative group, built on first use
@@ -207,18 +211,6 @@ class FieldSpec:
         self.reduction_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, m) if m > 1 else None
         )
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.m, self.reduction_poly)
-            == (other.p, other.m, other.reduction_poly)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.m, self.reduction_poly))
 
     def __reduce__(self):
         # unpickle as the receiving process's cached field, so each worker

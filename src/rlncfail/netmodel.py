@@ -269,7 +269,7 @@ def network_from_text(text: str | Iterable[str]) -> Network:
     object, say), which are taken one at a time: the line that crosses the
     MAX_GENERATED cap fails before any line after it is read."""
     nodes: dict[str, str] = {}
-    raw_channels: list[tuple[int, str, str, str]] = []
+    raw_channels: dict[str, tuple[int, str, str]] = {}  # id -> line, tail, head
     rate_hint: int | None = None
     # split each given line again: a file breaks lines where its text would
     lines = text.splitlines() if isinstance(text, str) else (
@@ -291,10 +291,13 @@ def network_from_text(text: str | Iterable[str]) -> Network:
             nodes[nid] = role
         elif kind == "channel":
             if len(parts) != 4:
-                raise NetworkFormatError(
-                    f"line {lineno}: expected 'channel <id> <tail> <head>'"
-                )
-            raw_channels.append((lineno, parts[1], parts[2], parts[3]))
+                raise NetworkFormatError(f"line {lineno}: expected 'channel <id> <tail> <head>'")
+            cid = parts[1]
+            if cid in raw_channels:
+                raise NetworkFormatError(f"line {lineno}: duplicate channel id {cid}")
+            if _IMAGINARY_ID.match(cid):
+                raise NetworkFormatError(f"line {lineno}: channel id {cid} is reserved for imaginary inputs")
+            raw_channels[cid] = (lineno, parts[2], parts[3])
         elif kind == "rate":
             if len(parts) != 2 or not _RATE.fullmatch(parts[1]):
                 raise NetworkFormatError(f"line {lineno}: expected 'rate <w>' with w >= 1")
@@ -304,15 +307,7 @@ def network_from_text(text: str | Iterable[str]) -> Network:
         if max(len(nodes), len(raw_channels)) > MAX_GENERATED:
             raise NetworkFormatError(f"line {lineno}: more than {MAX_GENERATED} {kind}s")
     channels: list[Channel] = []
-    seen: set[str] = set()
-    for lineno, cid, tail, head in raw_channels:
-        if cid in seen:
-            raise NetworkFormatError(f"line {lineno}: duplicate channel id {cid}")
-        seen.add(cid)
-        if _IMAGINARY_ID.match(cid):
-            raise NetworkFormatError(
-                f"line {lineno}: channel id {cid} is reserved for imaginary inputs"
-            )
+    for cid, (lineno, tail, head) in raw_channels.items():  # nodes may follow their channels
         for end in (tail, head):
             if end not in nodes:
                 raise NetworkFormatError(f"line {lineno}: unknown node {end} in channel {cid}")

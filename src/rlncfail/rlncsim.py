@@ -13,17 +13,19 @@ rank(decoding matrix) < w, and evaluate the probability two ways:
 
 Both run on the network's integer view and the field's array arithmetic
 (AND and XOR at q = 2, log/antilog tables above) through numpy, batch axis
-last, so every elementwise pass runs along a whole batch.  `_kernels`
-propagates the rows of slots that reach t of an (N, B) uint16 block of B
-trials' coefficients, node by node: each node's out-kernels are its
-in-kernels times its (in-kernel, out-channel, B) block, one `_matmul`.  The
-Monte Carlo decides full rank with `_full_rank`, one bitwise pivot mask per
-column; at q = 2, where AND and XOR act on each bit alone, the draw comes
-eight trials a byte through the same `_kernels` and `_full_rank`.  The DP
-keeps its frontier in head order, numbers a node's branches over all its
-states by one flat int64 index, writes each branch's choice into the first
-rows of a state's RREF, and reduces (r, c, B) batches of frontier matrices
-to their RREFs with `_eliminate`.
+last, so every elementwise pass runs along a whole batch.  The Monte Carlo
+draws, at every q, only the slots whose channel reaches t, a uint16 block
+of B trials' coefficients, and `_kernels` propagates it node by node: each
+node's out-kernels are its in-kernels times its (in-kernel, out-channel, B)
+block, one `_matmul`.  Both reductions step through the columns with one
+`_pivot`, which picks each trial's pivot by bitwise masks and clears the
+column: `_full_rank` decides full rank from the OR of its masks, and
+`_eliminate` builds the RREFs and ranks.  At q = 2, where AND and XOR act on
+each bit alone, the draw comes eight trials a byte through the same
+`_kernels` and `_full_rank`.  The DP keeps its frontier in head order,
+numbers a node's branches over all its states by one flat int64 index,
+writes each branch's choice into the first rows of a state's RREF, and
+reduces (r, c, B) batches of frontier matrices with `_eliminate`.
 """
 
 from __future__ import annotations
@@ -98,18 +100,33 @@ def coefficient_count(net: Network, w: int) -> int:
 
 # --- vectorized engine ----------------------------------------------------------
 
+def _pivot(M: np.ndarray, col: int, nz: np.ndarray, field: FieldSpec):
+    """Column col of a batched reduction of an (r, c, B) batch M, in place:
+    each trial's pivot is the first row nonzero there, picked by nz, (r, B)
+    masks of M's dtype, all ones where M[:, col] is nonzero (a bit-packed M
+    at q = 2 is its own mask).  The pivot row is normalized and negated once
+    and clears the column, itself to zero.  Returns the one-hot pivot masks
+    and the normalized pivot rows and their negatives, (c - col, B); a trial
+    with no pivot there has zero rows, so its updates add zero."""
+    sel, seen = np.empty_like(nz), np.zeros(M.shape[2], dtype=M.dtype)
+    pivrow = np.zeros((M.shape[1] - col, M.shape[2]), dtype=M.dtype)  # zero before col, as M is
+    for i in range(len(M)):
+        np.bitwise_and(nz[i], ~seen, out=sel[i])
+        pivrow |= M[i, col:] & sel[i]
+        seen |= nz[i]
+    pivrow = field.vmul(pivrow, field.vinv(pivrow[0]))
+    neg = field.vneg(pivrow)
+    M[:, col:] = field.vadd(M[:, col:], field.vmul(M[:, col, None], neg))
+    return sel, pivrow, neg
+
+
 def _eliminate(M: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     """Batched reduction of an (r, c, B) batch M (consumed) of canonical
     values, uint16 or wider, batch last: the RREFs, of M's dtype, whose first
     rank rows span each row space and which are canonical per row space, and
-    the ranks.
-
-    Each column's pivot is the first row of M nonzero there, picked by a
-    one-hot mask; every row of M and of the RREF is cleared against it, the
-    pivot row of M to zero, and the normalized pivot row is appended to the
-    RREF at row rank.  Every pass runs over whole rows of the batch, with no
-    per-trial row swap; a trial with no pivot in a column has that column
-    zero in M, so its updates add zero."""
+    the ranks.  Per column, `_pivot` clears M; every row of the RREF is
+    cleared against the pivot too, and the normalized pivot row is appended
+    at row rank, with no per-trial row swap."""
     w, c, B = M.shape
     out = np.zeros_like(M)
     piv = np.zeros(B, dtype=np.int64)
@@ -117,18 +134,10 @@ def _eliminate(M: np.ndarray, field: FieldSpec) -> tuple[np.ndarray, np.ndarray]
     for col in range(c):
         if (piv >= w).all():
             break
-        f = M[:, col]
-        nz, seen = f != 0, np.zeros(B, dtype=bool)
-        pivrow = np.zeros((c - col, B), dtype=M.dtype)  # zero before col, as M is
-        for i in range(w):
-            pivrow += M[i, col:] * (nz[i] & ~seen)
-            seen |= nz[i]
-        pivrow = field.vmul(pivrow, field.vinv(pivrow[0]))
-        neg = field.vneg(pivrow)
-        M[:, col:] = field.vadd(M[:, col:], field.vmul(f[:, None], neg))
+        sel, pivrow, neg = _pivot(M, col, np.negative(M[:, col] != 0, dtype=M.dtype), field)
         out[:, col:] = field.vadd(out[:, col:], field.vmul(out[:, col, None], neg))
         out[:, col:] += (rows == piv)[:, None] * pivrow
-        piv += seen
+        piv += sel.any(axis=0)
     return out, piv
 
 
@@ -136,21 +145,11 @@ def _full_rank(M: np.ndarray, field: FieldSpec) -> np.ndarray:
     """Which trials of a (w, c, B) batch M (consumed) have rank w: a (B,)
     mask, nonzero where they do.  At q = 2, M may be bit-packed (bit k of
     M[i, j, b] is entry (i, j) of trial 8b + k), and the mask is packed alike.
-    Pivots are picked as in `_eliminate`, by bitwise masks that are all ones
-    where an entry is nonzero; rank w means every row served as a pivot."""
-    w, c, B = M.shape
-    used = np.zeros((w, B), dtype=M.dtype)
-    for col in range(c):
-        f, seen = M[:, col], np.zeros(B, dtype=M.dtype)
-        nz = f if field.q == 2 else np.negative(f != 0, dtype=M.dtype)
-        pivrow = np.zeros((c - col, B), dtype=M.dtype)
-        for i in range(w):
-            sel = nz[i] & ~seen
-            pivrow |= M[i, col:] & sel
-            used[i] |= sel
-            seen |= nz[i]
-        neg = field.vneg(field.vmul(pivrow, field.vinv(pivrow[0])))
-        M[:, col:] = field.vadd(M[:, col:], field.vmul(f[:, None], neg))
+    Rank w means every row served as a pivot: the OR of `_pivot`'s masks."""
+    used = np.zeros(M.shape[::2], dtype=M.dtype)
+    for col in range(M.shape[1]):
+        f = M[:, col]
+        used |= _pivot(M, col, f if field.q == 2 else np.negative(f != 0, dtype=M.dtype), field)[0]
     return np.bitwise_and.reduce(used, axis=0)
 
 
@@ -189,9 +188,9 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     job (net, w, field, t, seed, trials), by default the one this pool worker
     was sent; a pure function of the two, which is what makes worker
     scheduling irrelevant.  Only channels whose head reaches t can change
-    t's rank, so only theirs are kept, and at a power-of-two q only their
-    slots are drawn.  Trials run in sub-batches whose coefficient, kernel and
-    temporary bytes stay under _SUB_BATCH_BYTES (one trial at least)."""
+    t's rank, so only theirs are kept and only their slots are drawn.
+    Trials run in sub-batches whose coefficient, kernel and temporary bytes
+    stay under _SUB_BATCH_BYTES (one trial at least)."""
     net, w, field, t, seed, trials = job or _job
     ti, q = net.index[t], field.q
     reach = net.reaching(ti)
@@ -199,24 +198,21 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
     alive = np.fromiter((reach[net.head[j]] for a, outs in zip(_fan_in(net, w), net.outs)
                          for _ in range(a) for j in outs), bool)  # a slot is live if its out-channel is
-    words = len(alive) if q & (q - 1) else np.flatnonzero(alive).astype(np.uint64)
+    words = np.flatnonzero(alive)
     end = min(start + _BLOCK, trials)
-    # per trial: the uint16 draw and its live rows, the kernels, and under 32 B an entry of
+    # per trial: the uint16 draw of the live slots, the kernels, and under 32 B an entry of
     # field-operation temporaries (int32 copies, intp log sums) on the widest
     # matrix, a node's in-kernels times its out-channels or t's decoding
     # matrix, all a bit at q = 2; per draw, 24 B a slot: the N uint64 counter steps
     # and two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
     width = max(len(net.ins[ti]), *map(len, net.outs))
-    held = words + int(alive.sum()) if q & (q - 1) else len(words)  # drawn, then kept live
-    per_trial = 2 * held + 2 * w * len(live) + 32 * w * width
+    per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
     per_trial = per_trial // (16 if q == 2 else 1) + 1
     step = max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial)
     failures = 0
     for lo in range(start, end, step):
         rows = np.arange(lo, min(lo + step, end))
         coeffs = uniform_columns(q, seed, rows, words)  # at q = 2, eight trials a byte
-        if q & (q - 1):  # a rejected word shifts every later draw, so all N were drawn
-            coeffs = coeffs[alive]
         decoding = _kernels(net, w, field, coeffs, live)[:, sink]
         del coeffs  # the budget has no room for this draw beside the next
         full = _full_rank(decoding, field)

@@ -367,17 +367,25 @@ class TestSampling:
             tracemalloc.stop()
         assert peak - out.nbytes <= 8 * n + 2 * 8 * galois._CHUNK_WORDS + 16384
 
-    @pytest.mark.parametrize("q", [2, 4, 1024, 1 << 32])
+    @pytest.mark.parametrize("q", [2, 4, 1024, 1 << 32, 3, 5])
     def test_positions_draw_only_those_rows(self, q):
-        # nothing is rejected at a power of two: draw c is word c + 1
+        # nothing is rejected at a power of two, where draw c is word c + 1;
+        # at 3 and 5 each stream is hashed through the last position
         words = [0, 3, 4, 9, 30]
         full = uniform_columns(q, 5, range(21), 31)
         assert (uniform_columns(q, 5, range(21), np.array(words)) == full[words]).all()
         assert uniform_columns(q, 5, range(21), []).shape == (0, full.shape[1])
 
-    def test_positions_rejected_where_words_are(self):
-        with pytest.raises(ValueError, match="count, not positions"):
-            uniform_columns(3, 5, range(4), [0, 2])
+    def test_positions_past_a_rejected_word(self):
+        # at q = 4057 and seed 7 stream 69 rejects word 62, so draw 61 is word
+        # 63: every position from 61 on is read past the rejection
+        rows, rejected = oracle_rows(4057, 7, range(60, 80), 64)
+        assert rejected[69 - 60] == 1
+        full = uniform_columns(4057, 7, range(60, 80), 64)
+        assert full.T.tolist() == rows
+        for words in ([0, 60, 61, 63], [61], [62, 63], []):
+            draws = uniform_columns(4057, 7, range(60, 80), np.array(words, dtype=np.uint64))
+            assert draws.shape == (len(words), 20) and (draws == full[words]).all()
 
     def test_mix64_top_bits_without_its_last_step(self):
         # the last step, x ^= x >> 31, changes only bits 0-32: skipped for

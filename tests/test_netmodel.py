@@ -359,6 +359,25 @@ class TestFileFormat:
         with pytest.raises(NetworkFormatError, match="reserved"):
             network_from_text(text)
 
+    def test_duplicate_channel_named_at_its_line(self):
+        # a channel id is checked on the line that declares it, before a bad
+        # line after it
+        text = ("node s source\nnode t sink\nchannel e1 s t\nchannel e1 s t\n"
+                + "# filler\n" * 4 + "rate 0\n")
+        with pytest.raises(NetworkFormatError, match="line 4: duplicate channel id e1"):
+            network_from_text(text)
+        with pytest.raises(NetworkFormatError, match="line 3: channel id d1 is reserved"):
+            network_from_text(text.replace("channel e1 s t\nchannel e1", "channel d1 s t\nchannel e1"))
+
+    def test_unknown_node_checked_after_every_line(self):
+        # nodes may follow their channels, so an unknown one is only known at
+        # the end: a bad rate on a later line is named first
+        text = "node s source\nnode t sink\nchannel e1 s ghost\n" + "# filler\n" * 5 + "rate 0\n"
+        with pytest.raises(NetworkFormatError, match="line 9: expected 'rate <w>'"):
+            network_from_text(text)
+        with pytest.raises(NetworkFormatError, match="line 3: unknown node ghost in channel e1"):
+            network_from_text(text.replace("rate 0", "rate 2"))
+
     def test_rate_hint_round_trip(self):
         net = plait(2, 1)
         assert network_from_text(network_to_text(net)).rate_hint == 2
