@@ -75,22 +75,32 @@ def uniform_columns(q: int, seed: int, streams, n) -> np.ndarray:
     # one-element arrays throughout: numpy warns on uint64 scalar overflow
     seed_key = _mix64(np.array([(seed + _GOLDEN) & _MASK64], dtype=np.uint64))
     steps = np.asarray(np.arange(n) if np.ndim(n) == 0 else n, np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
-    n, pack = len(steps), 8 if q == 2 else 1  # at q = 2 whole bytes of streams, in bands of rows
-    per_chunk = max(pack, _CHUNK_WORDS // max(n, 1) // pack * pack)
-    band = max(1, _CHUNK_WORDS // per_chunk if q == 2 else n)
+    n, pack = len(steps), 8 if q == 2 else 1
+    # each group of streams is keyed once, into a spare row of buf, and hashed in bands of
+    # rows: at a power of two up to _CHUNK_WORDS // 8 streams, a multiple of 8, a few rows a
+    # band; where q rejects words, all n rows in one band (a rejection shifts later draws).
+    # buf and tmp, reused by every band, are the only chunk-sized arrays; tmp is scratch
+    group = max(1, _CHUNK_WORDS // max(2, n + 1)) if q & (q - 1) else max(8, min(_CHUNK_WORDS // 8, len(streams) + 7) // 8 * 8)
+    band = max(1, n if q & (q - 1) else _CHUNK_WORDS // group - 1)
     out = np.empty((len(steps[keep]), -(-len(streams) // pack)), dtype=np.uint8 if q == 2 else np.uint16 if q <= MAX_ORDER else np.uint64)
-    # the only chunk-sized arrays, reused by every chunk: the candidates, and scratch for
-    # the counters, the hash's shifts, the reduction modulo q or the mask packed at q = 2.
-    # Broadcasting ufuncs would add numpy's own buffers; copyto adds none
-    buf, tmp = (np.empty(min(n, band) * min(per_chunk, len(streams)), dtype=np.uint64) for _ in range(2))
-    for c0, r0 in itertools.product(range(0, len(streams), per_chunk), range(0, n, band)):
-        salted = (np.asarray(streams[c0 : c0 + per_chunk]).astype(np.uint64) + np.uint64(1)) * np.uint64(_STREAM_SALT)
-        keys = _mix64(seed_key ^ salted)
+    buf, tmp = (np.empty((min(n, band) + 1) * min(group, len(streams)), dtype=np.uint64) for _ in range(2))
+    short = np.getbufsize() // 3  # numpy buffers a broadcast over 3 or more rows this short
+    for c0, r0 in itertools.product(range(0, len(streams), group), range(0, n, band)):
+        if r0 == 0:  # a range's slice goes through arange: asarray would build a list
+            s = streams[c0 : c0 + group]
+            keys = buf[len(buf) - len(s) :]
+            np.copyto(keys, np.arange(s.start, s.stop, s.step) if isinstance(s, range) else s, casting="unsafe")
+            keys += np.uint64(1)
+            _mix64(np.bitwise_xor(np.multiply(keys, np.uint64(_STREAM_SALT), out=keys), seed_key, out=keys), tmp[: len(s)])
         shape = (len(steps[r0 : r0 + band]), len(keys))
-        cand, scratch = buf[: shape[0] * len(keys)].reshape(shape), tmp[: shape[0] * len(keys)].reshape(shape)
-        np.copyto(cand, keys)
-        np.copyto(scratch, steps[r0 : r0 + band, None])
-        _mix64(np.add(cand, scratch, out=cand), scratch, bits)
+        cand, scratch = buf[: shape[0] * shape[1]].reshape(shape), tmp[: shape[0] * shape[1]].reshape(shape)
+        if len(keys) > short:  # one broadcast pass
+            np.add(steps[r0 : r0 + band, None], keys, out=cand)
+        else:  # two copies, which numpy never buffers, and an add without broadcasting
+            np.copyto(cand, keys)
+            np.copyto(scratch, steps[r0 : r0 + band, None])
+            np.add(cand, scratch, out=cand)
+        _mix64(cand, scratch, bits)
         if q == 2:  # bit 47 set or not, eight streams a byte, through a bool mask in the free scratch
             mask = tmp.view(np.bool_)[: cand.size].reshape(shape)
             np.not_equal(np.bitwise_and(cand, np.uint64(1) << shift, out=cand), 0, out=mask)

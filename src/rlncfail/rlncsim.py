@@ -201,10 +201,9 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     words = np.flatnonzero(alive)
     end = min(start + _BLOCK, trials)
     # per trial: the uint16 draw of the live slots, the kernels, and under 32 B an entry of
-    # field-operation temporaries (int32 copies, intp log sums) on the widest
-    # matrix, a node's in-kernels times its out-channels or t's decoding
-    # matrix, all a bit at q = 2; per draw, 24 B a slot: the N uint64 counter steps
-    # and two uint64 chunk buffers, each of N words (at most 2^15 below 2^15 slots)
+    # field-operation temporaries (int32 copies, intp log sums) on the widest matrix, a node's
+    # in-kernels times its out-channels or t's decoding matrix, all a bit at q = 2; per draw,
+    # 24 B a slot: the N uint64 counter steps and two chunk buffers of max(2^15, N + 1) words
     width = max(len(net.ins[ti]), *map(len, net.outs))
     per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
     per_trial = per_trial // (16 if q == 2 else 1) + 1
@@ -271,9 +270,9 @@ def estimate_failure(
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
-    worker count.  With k = min(workers, blocks, CPU count) > 1, the caller runs
-    every kth block from the first, and k - 1 pool processes, each sent the
-    arguments once, map the rest, a block start each; an error cancels the
+    worker count.  With k = min(workers, blocks, usable CPUs) > 1, the caller
+    runs every kth block from the first, and k - 1 pool processes, each sent
+    the arguments once, map the rest, a block start each; an error cancels the
     pool's pending blocks.  More than MAX_TRIALS trials raise ValueError first.
     """
     if not 1 <= trials <= MAX_TRIALS:
@@ -281,7 +280,8 @@ def estimate_failure(
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     starts, job = range(0, trials, _BLOCK), (net, w, field, t, seed, trials)
-    k = min(workers, len(starts), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    k = min(workers, len(starts), cpus)
     if k <= 1:
         failures = sum(_mc_block_failures(start, job) for start in starts)
     else:

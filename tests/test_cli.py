@@ -126,6 +126,9 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
     (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
     (SIM_DAG12 + ("--field", "9", "--workers", "2"), "simulate-dag12-q9.txt"),
+    # GF(2^2): a power of two above 2, drawn by the banded hash unpacked
+    (SIM_DAG12 + ("--field", "4"), "simulate-dag12-q4.txt"),
+    (SIM_DAG12 + ("--field", "4", "--workers", "2"), "simulate-dag12-q4.txt"),
     (("sweep", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--fields", "2,3,4",
       "--trials", "2000", "--seed", "1"), "sweep-butterfly-t1.csv"),
     # the exact columns are blank at q = 3, where the DP passes the budget

@@ -339,9 +339,9 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "streams,n,chunk_words",
-        # a partial last byte; streams that do not start at 0; chunks of 8
-        # streams in bands of 5 and of 4,096 rows, where a chunk would
-        # otherwise hold one stream
+        # a partial last byte; streams that do not start at 0; groups of 8
+        # streams in bands of 4 rows, and one group of 9 streams (16 wide)
+        # in bands of 2,047 rows
         [(range(13), 20, None), (range(1005, 1031), 7, None), (range(20), 23, 40), (range(9), 4100, None)],
     )
     def test_gf2_packed_as_hashed(self, monkeypatch, streams, n, chunk_words):
@@ -352,11 +352,36 @@ class TestSampling:
         assert draws.dtype == np.uint8
         assert (draws == np.packbits(np.array(rows, dtype=np.uint8).T, axis=1)).all()
 
+    @pytest.mark.parametrize("q", [2, 4, 1024, 3])
+    def test_groups_and_bands_match_the_oracle(self, monkeypatch, q):
+        # 256 words a pass: at a power of two, groups of 32 streams in bands
+        # of 7 rows, so 75 streams make two whole groups and one of 11, and
+        # 20 rows or 11 gapped positions several bands, the last one short;
+        # at q = 3 every row in one band, groups of 12 or 6 streams.  The
+        # default ufunc buffer sends these groups through two copies and an
+        # add, a 16-element one through the broadcast add
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", 256)
+        positions = [0, 2, 3, 7, 8, 15, 16, 17, 30, 31, 40]
+        for seed in (0, -1, 2**64 + 5):
+            full = np.array(oracle_rows(q, seed, range(1000, 1075), 41)[0]).T
+            if q == 2:
+                full = np.packbits(full.astype(np.uint8), axis=1)
+            for streams in (range(1000, 1075), np.arange(1000, 1075)):
+                for n, want in ((20, full[:20]), (np.array(positions), full[positions])):
+                    for bufsize in (np.getbufsize(), 16):
+                        old = np.setbufsize(bufsize)
+                        try:
+                            draws = uniform_columns(q, seed, streams, n)
+                        finally:
+                            np.setbufsize(old)
+                        assert draws.shape == want.shape and (draws == want).all()
+
     def test_gf2_band_keeps_the_chunk_buffers(self):
-        # above 4,096 words a chunk of 8 streams takes the words in bands,
-        # so beside the output a draw still holds two chunk buffers and the
+        # 57 streams are one group (64 wide) hashed in bands of 511 rows, so
+        # beside the output a draw still holds two chunk buffers and the
         # counter steps, plus a few KiB of small ones (a band's packed bytes);
-        # a chunk of all N words would hold 16 more N-word arrays
+        # a broadcast add over rows this short would add numpy's 128 KiB of
+        # ufunc buffers, and a group of all N words 16 more N-word arrays
         n = 31_117
         uniform_columns(2, 1, range(57), n)
         tracemalloc.start()
@@ -407,10 +432,11 @@ class TestSampling:
     @pytest.mark.parametrize("per_pass", [69, 70, 713, 714])
     def test_rejecting_column_on_a_chunk_boundary(self, monkeypatch, per_pass):
         # streams 69 and 713 reject a word; with 69 or 713 columns per pass
-        # they open a pass, with 70 or 714 they close one
+        # they open a pass, with 70 or 714 they close one.  A pass holds the
+        # 64 rows and a spare row for the keys
         rows, rejected = oracle_rows(4057, 7, range(1000), 64)
         assert rejected[69] == rejected[713] == 1
-        monkeypatch.setattr(galois, "_CHUNK_WORDS", per_pass * 64)
+        monkeypatch.setattr(galois, "_CHUNK_WORDS", per_pass * 65)
         assert uniform_columns(4057, 7, range(1000), 64).T.tolist() == rows
 
     def test_random_dag_networks_unchanged(self):
@@ -425,10 +451,11 @@ class TestSampling:
 
     def test_draw_scratch_is_two_chunk_buffers(self):
         # beyond its output a draw holds two chunk-sized uint64 buffers,
-        # reused by every chunk, plus one chunk's keys and numpy's own small
-        # temporaries (at most one ufunc buffer); a third chunk-sized array,
-        # as when a chunk was built while the previous one was still bound,
-        # exceeds this by about 200 KiB
+        # reused by every band, the keys in a spare row of one, plus a
+        # group's stream numbers and numpy's own small temporaries (at most
+        # one ufunc buffer); a third chunk-sized array, as when a band was
+        # built while the previous one was still bound, exceeds this by
+        # about 200 KiB
         uniform_columns(2, 1, range(16384), 85)
         tracemalloc.start()
         try:
@@ -445,10 +472,11 @@ class TestSampling:
         assert uniform_columns(3, 11, [7], 100_000).T.tolist() == rows
 
     def test_rejecting_draw_scratch_is_the_non_rejecting_level(self):
-        # one column per pass at N = 31,117: beside the output a draw holds
-        # the two chunk buffers and the counter steps, three N-word uint64
-        # arrays, plus a few KiB of small ones.  At q = 3 six columns reject
-        # a word and are redone in place: a copy of one would add N words
+        # N = 31,117: at q = 3, one column per pass, beside the output a draw
+        # holds the two chunk buffers and the counter steps, three N-word
+        # uint64 arrays, plus a few KiB of small ones; at q = 4 the buffers
+        # are 512 rows of the 57 streams.  At q = 3 six columns reject a
+        # word and are redone in place: a copy of one would add N words
         n = 31_117
         for q in (4, 3):
             uniform_columns(q, 1, range(57), n)

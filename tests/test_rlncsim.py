@@ -463,7 +463,7 @@ class TestEstimate:
         # two only those are drawn, at 3 and 9 all N, and the kernels keep
         # the live rows.  Three blocks, the last of 5 trials, at 1 to 3
         # workers: at 3 the caller runs the first and two pool processes the rest
-        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         field = make_field_of_order(q)
         trials = 2 * rlncsim._BLOCK + 5
         for net, w, t in ((butterfly(), 2, "t1"), (random_dag(12, 4, 0.5, seed=5), 4, "t")):
@@ -511,7 +511,7 @@ class TestEstimate:
 
         monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(rlncsim, "_job", ())
-        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
         trials = 2 * b + 1  # three blocks
         est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6)
@@ -524,9 +524,16 @@ class TestEstimate:
         assert initargs[0] is net and initargs[1:] == (2, f2, "t1", 3, trials)
         assert pickle.loads(pickle.dumps(fn)) is fn is rlncsim._mc_block_failures
         assert starts == [b, 2 * b]
-        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [2, 1] and sent[-1][1] == [b]  # the caller runs 0 and 2b
+        # one usable CPU, as under `taskset -c 0`, on a machine of eight: no pool
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0})
+        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=2) == est
+        assert started == [2, 1]
+        # without an affinity mask the count is os.cpu_count(), which may be unknown
+        monkeypatch.delattr(rlncsim.os, "sched_getaffinity")
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
         assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert started == [2, 1] and shut == [True, True]
@@ -549,7 +556,7 @@ class TestEstimate:
 
         monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
-        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         with pytest.raises(MemoryError, match="block 0"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._BLOCK, seed=1, workers=4)
         assert shut == [True] and run_by_pool == []
