@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
+import locale  # noqa: F401  argparse's gettext imports it at its first text: here, not in the call
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -335,15 +337,13 @@ def _check_sizes(args) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a call that names its subcommand builds that subcommand's parser alone
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    gc.freeze()  # the call's collections skip what the imports made, and so do a forked worker's
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         _check_sizes(args)
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 on a bad option
+        return 2 if exc.code not in (0, None) else 0
     except InfeasibleRateError as exc:  # a ValueError, so ahead of that clause
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -353,6 +353,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # UsageError and the network errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 def run() -> None:

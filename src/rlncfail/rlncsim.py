@@ -4,9 +4,9 @@ Ground truth for the sink failure probability: propagate global encoding
 kernels under uniformly random local coefficients, decide failure as
 rank(decoding matrix) < w, and evaluate the probability two ways:
 
-* `estimate_failure` - Monte Carlo with a Wilson 99% interval.  Trial i
-  draws its coefficients from the counter-based stream (seed, i), so results
-  are bit-identical across runs and across worker counts.
+* `estimate_failure` - Monte Carlo with a Wilson 99% interval, its blocks
+  shared with forked workers.  Trial i draws from the counter-based stream
+  (seed, i), so results are bit-identical across runs and worker counts.
 * `exact_failure` - the exact rational failures / q^N (N = number of
   adjacent channel pairs), by a dynamic program that advances the cut
   between processed and unprocessed nodes one node at a time.
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,15 +184,14 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
     return kern
 
 
-def _mc_block_failures(start: int, job: tuple = ()) -> int:
+def _mc_block_failures(start: int, job: tuple) -> int:
     """Failure count over trials [start, min(start + _BLOCK, trials)) of the
-    job (net, w, field, t, seed, trials), by default the one this pool worker
-    was sent; a pure function of the two, which is what makes worker
-    scheduling irrelevant.  Only channels whose head reaches t can change
-    t's rank, so only theirs are kept and only their slots are drawn.
-    Trials run in sub-batches whose coefficient, kernel and temporary bytes
-    stay under _SUB_BATCH_BYTES (one trial at least)."""
-    net, w, field, t, seed, trials = job or _job
+    job (net, w, field, t, seed, trials), a pure function of the two, which is
+    what makes worker scheduling irrelevant.  Only channels whose head reaches
+    t can change t's rank, so only theirs are kept and only their slots are
+    drawn.  Trials run in sub-batches whose coefficient, kernel and temporary
+    bytes stay under _SUB_BATCH_BYTES (one trial at least)."""
+    net, w, field, t, seed, trials = job
     ti, q = net.index[t], field.q
     reach = net.reaching(ti)
     live = [j for j, h in enumerate(net.head) if reach[h]]
@@ -221,12 +221,17 @@ def _mc_block_failures(start: int, job: tuple = ()) -> int:
     return failures
 
 
-_job: tuple = ()  # a pool worker's job, sent once by its initializer
-
-
-def _set_job(*job) -> None:
-    global _job
-    _job = job
+def _worker(fd: int, starts: range, job: tuple) -> None:
+    """A forked worker: pickle its blocks' count, or its error, to fd and exit, never returning."""
+    try:
+        try:
+            result = sum(_mc_block_failures(start, job) for start in starts)
+        except BaseException as exc:
+            result = exc
+        os.write(fd, pickle.dumps(result))
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 # --- failure probability, estimated and exact -----------------------------------
@@ -270,10 +275,12 @@ def estimate_failure(
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
     pure function of the arguments: identical across repeated runs and any
-    worker count.  With k = min(workers, blocks, usable CPUs) > 1, the caller
-    runs every kth block from the first, and k - 1 pool processes, each sent
-    the arguments once, map the rest, a block start each; an error cancels the
-    pool's pending blocks.  More than MAX_TRIALS trials raise ValueError first.
+    worker count.  With k = min(workers, blocks, usable CPUs) > 1 and
+    `os.fork`, the caller runs every kth block from the first, and k - 1
+    forked workers, worker i every kth from the ith, pipe back their counts.
+    A worker's error is raised here, one that ends without a result raises
+    ChildProcessError, and however the call ends no worker is left running
+    or unreaped.  More than MAX_TRIALS trials raise ValueError first.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
@@ -281,16 +288,32 @@ def estimate_failure(
         raise ValueError(f"{t} is not a sink")
     starts, job = range(0, trials, _BLOCK), (net, w, field, t, seed, trials)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = min(workers, len(starts), cpus)
-    if k <= 1:
-        failures = sum(_mc_block_failures(start, job) for start in starts)
-    else:
-        pool = ProcessPoolExecutor(max_workers=k - 1, initializer=_set_job, initargs=job)
-        try:
-            rest = pool.map(_mc_block_failures, [s for i, s in enumerate(starts) if i % k])
-            failures = sum(_mc_block_failures(start, job) for start in starts[::k]) + sum(rest)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    k = min(workers, len(starts), cpus) if hasattr(os, "fork") else 1
+    pids, pipes = [], []
+    try:
+        for i in range(1, k):
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb"))
+            with open(wfd, "wb"):  # closed before the next fork, or no EOF comes
+                if (pid := os.fork()) == 0:
+                    _worker(wfd, starts[i::k], job)  # never returns
+            pids.append(pid)
+        failures = sum(_mc_block_failures(start, job) for start in starts[::k])
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            if not data:
+                pids.remove(pid)  # reaped here, so not killed below
+                raise ChildProcessError(f"worker {pid} sent no result, waitpid status {os.waitpid(pid, 0)[1]}")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            failures += result
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
     lo, hi = wilson_interval(failures, trials)
     return FailureEstimate(trials, failures, failures / trials, lo, hi, seed)
 

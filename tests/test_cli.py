@@ -2,8 +2,13 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -106,6 +111,8 @@ RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
 SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
 SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
              "--trials", "40000", "--seed", "1")
+SWEEP_DAG12 = ("sweep", "--gen", "random:internal=12,w=4,density=0.5,seed=5", "--fields", "3,4",
+               "--trials", "40000", "--seed", "1", "--budget", "1")
 SIM_Q2_1001 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "2",
                "--trials", "1001", "--seed", "1")
 SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
@@ -131,6 +138,10 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     (SIM_DAG12 + ("--field", "4", "--workers", "2"), "simulate-dag12-q4.txt"),
     (("sweep", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--fields", "2,3,4",
       "--trials", "2000", "--seed", "1"), "sweep-butterfly-t1.csv"),
+    # two fields' Monte Carlo in one process: workers forked twice, the
+    # estimates those of simulate-dag12-q3.txt and -q4.txt
+    (SWEEP_DAG12, "sweep-dag12-q34.csv"),
+    (SWEEP_DAG12 + ("--workers", "2"), "sweep-dag12-q34.csv"),
     # the exact columns are blank at q = 3, where the DP passes the budget
     (("sweep", "--gen", RANDOM5, "--fields", "2,3", "--budget", "524288"),
      "sweep-random5-q2q3.csv"),
@@ -448,6 +459,16 @@ class TestExact:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("q", ["3", "4"])
+    def test_dag12_estimates_are_simulates(self, q):
+        # the sweep golden's Monte Carlo columns are the simulate goldens' numbers
+        rows = csv.DictReader(io.StringIO((GOLDEN / "sweep-dag12-q34.csv").read_text(encoding="utf-8")))
+        row = next(r for r in rows if r["q"] == q)
+        report = (GOLDEN / f"simulate-dag12-q{q}.txt").read_text(encoding="utf-8")
+        assert f"p_hat: {row['estimate']}\n" in report
+        assert f"wilson99: [{row['ci_low']}, {row['ci_high']}]\n" in report
+        assert (row["trials"], row["seed"]) == ("40000", "1")
+
     def run_sweep(self, capsys, *extra):
         code, out, err = run_cli(
             capsys, "sweep", "--gen", "plait:w=2,r=1", "--fields", "2,3,4,5", *extra
@@ -755,3 +776,65 @@ class TestLongChain:
         code, out, _ = run_cli(capsys, "bounds", "--network", str(path), "--field", "2")
         assert code == 0
         assert "R_t: 1500 (exact)" in out
+
+
+# argv and the golden of its stdout; simulate forks one worker, sweep one per field
+IMPORT_FREE_CALLS = (
+    (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4"), "bounds-butterfly-t1-q4.txt"),
+    (("exact", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "9"),
+     "exact-butterfly-t1-q9.txt"),
+    (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
+    (SWEEP_DAG12 + ("--workers", "2"), "sweep-dag12-q34.csv"),
+)
+
+
+class TestProcess:
+    def test_a_call_imports_nothing(self):
+        # a fresh interpreter with stdout a pipe, so block-buffered when the
+        # workers fork: each report must come out once, and no call may import
+        script = textwrap.dedent("""
+            import json, os, sys
+            sys.path.insert(0, sys.argv[1])
+            import rlncfail.cli as cli
+            pool = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
+            os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+            fork, forks = os.fork, []
+            os.fork = lambda: forks.append(1) or fork()
+            imported = []
+            for argv in json.loads(sys.argv[2]):
+                before = set(sys.modules)
+                code = cli.main(argv)
+                imported.append([argv[0], code, sorted(set(sys.modules) - before)])
+            print(json.dumps([pool, imported, len(forks)]), file=sys.stderr)
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        calls = json.dumps([list(argv) for argv, _ in IMPORT_FREE_CALLS])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", script, src, calls],
+                              capture_output=True, text=True, timeout=300, env=env)
+        pool, imported, forks = json.loads(proc.stderr.splitlines()[-1])
+        assert pool == []
+        assert imported == [[argv[0], 0, []] for argv, _ in IMPORT_FREE_CALLS]
+        assert forks == 3
+        assert proc.stdout == "".join((GOLDEN / g).read_text(encoding="utf-8") for _, g in IMPORT_FREE_CALLS)
+
+    @pytest.mark.parametrize("argv,code,parsed", [
+        (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4"), 0, True),
+        (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4", "--workers", "0"), 2, True),
+        (("bounds", "--gen", "butterfly", "--sink", "t1", "--rate", "3", "--field", "4"), 3, True),
+        (("exact", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "4",
+          "--budget", "1"), 4, True),
+        (("bounds", "--bogus"), 2, False),  # fails in the parser, before the size checks
+    ])
+    def test_gc_frozen_inside_a_call_only(self, capsys, monkeypatch, argv, code, parsed):
+        frozen, check = [], cli._check_sizes
+
+        def recording(args):
+            frozen.append(gc.get_freeze_count())
+            check(args)
+
+        monkeypatch.setattr(cli, "_check_sizes", recording)
+        assert gc.get_freeze_count() == 0
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == 0
+        assert len(frozen) == parsed and all(n > 0 for n in frozen)

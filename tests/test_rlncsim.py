@@ -1,6 +1,7 @@
 """Kernel propagation, rank, Monte Carlo estimation, the exact frontier DP."""
 
-import pickle
+import os
+import signal
 import time
 import tracemalloc
 from fractions import Fraction
@@ -79,6 +80,27 @@ def classic_butterfly_values():
         values[(d, e)] = 1
     return values
 
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids `os.fork` returns to the caller from now on."""
+    forks, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(rlncsim.os, "fork", recording)
+    return forks
+
+
+def assert_reaped(pids) -> None:
+    """No such process: neither running nor a zombie."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 class TestSlots:
     def test_butterfly_count(self):
@@ -462,7 +484,7 @@ class TestEstimate:
         # butterfly t1 has 10 of 12 slots live, dag12 76 of 85; at a power of
         # two only those are drawn, at 3 and 9 all N, and the kernels keep
         # the live rows.  Three blocks, the last of 5 trials, at 1 to 3
-        # workers: at 3 the caller runs the first and two pool processes the rest
+        # workers: at 3 the caller runs the first and two forked workers the rest
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         field = make_field_of_order(q)
         trials = 2 * rlncsim._BLOCK + 5
@@ -494,72 +516,102 @@ class TestEstimate:
         assert estimate_failure(butterfly(), 2, make_field(2, 10), "t1", 2000, seed=1).failures == 7
 
     def test_workers_clamped_to_blocks_and_cpus(self, monkeypatch):
-        started, sent, shut = [], [], []
-
-        class FakePool:
-            def __init__(self, max_workers, initializer, initargs):
-                started.append(max_workers)
-                sent.append(initargs)
-                initializer(*initargs)
-
-            def map(self, fn, items):
-                sent.append((fn, list(items)))
-                return map(fn, sent[-1][1])
-
-            def shutdown(self, cancel_futures=False):
-                shut.append(cancel_futures)
-
-        monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(rlncsim, "_job", ())
+        forks = record_forks(monkeypatch)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
         trials = 2 * b + 1  # three blocks
-        est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6)
-        # three blocks on eight CPUs: two pool processes, which map the
-        # blocks the caller does not run itself, every third from the first
-        assert started == [2] and shut == [True]
-        # the job goes to each worker once; a work item is the function, by
-        # name, and one block start
-        initargs, (fn, starts) = sent
-        assert initargs[0] is net and initargs[1:] == (2, f2, "t1", 3, trials)
-        assert pickle.loads(pickle.dumps(fn)) is fn is rlncsim._mc_block_failures
-        assert starts == [b, 2 * b]
+        est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=1)
+        assert forks == []
+        # three blocks on eight CPUs: two forked workers
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
+        assert len(forks) == 2
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
-        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
-        assert started == [2, 1] and sent[-1][1] == [b]  # the caller runs 0 and 2b
-        # one usable CPU, as under `taskset -c 0`, on a machine of eight: no pool
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
+        assert len(forks) == 3
+        # one usable CPU, as under `taskset -c 0`, on a machine of eight: no fork
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0})
-        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=2) == est
-        assert started == [2, 1]
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=2) == est
         # without an affinity mask the count is os.cpu_count(), which may be unknown
         monkeypatch.delattr(rlncsim.os, "sched_getaffinity")
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
-        assert estimate_failure(butterfly(), 2, f2, "t1", trials, seed=3, workers=10**6) == est
-        assert started == [2, 1] and shut == [True, True]
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
+        assert len(forks) == 3
+        # which blocks each process ran, from the counts the workers pipe
+        # back: block start s counts 1 << s // b in a worker, 0 in the caller
+        parent = os.getpid()
 
-    def test_caller_error_cancels_the_pools_pending_blocks(self, monkeypatch):
-        shut, run_by_pool = [], []
+        def marking(start, job):
+            assert job[0] is net and job[1:] == (2, f2, "t1", 3, trials)
+            return 0 if os.getpid() == parent else 1 << start // b
 
-        class FakePool:
-            def __init__(self, max_workers, initializer, initargs):
-                pass
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", marking)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=3).failures == 2 + 4
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=3).failures == 2
+        assert len(forks) == 6
+        assert_reaped(forks)
 
-            def map(self, fn, items):  # lazy, as pending blocks are
-                return (run_by_pool.append(s) for s in items)
+    def test_caller_error_kills_and_reaps_the_workers(self, monkeypatch):
+        # the workers would take a minute; the caller's error ends the call
+        # at once and leaves no worker running and no zombie
+        forks, parent = record_forks(monkeypatch), os.getpid()
 
-            def shutdown(self, cancel_futures=False):
-                shut.append(cancel_futures)
-
-        def failing(start, job=()):
+        def failing(start, job):
+            if os.getpid() != parent:
+                time.sleep(60)
             raise MemoryError(f"block {start}")
 
-        monkeypatch.setattr(rlncsim, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        t0 = time.monotonic()
         with pytest.raises(MemoryError, match="block 0"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._BLOCK, seed=1, workers=4)
-        assert shut == [True] and run_by_pool == []
+        assert time.monotonic() - t0 < 30
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        forks, parent = record_forks(monkeypatch), os.getpid()
+
+        def failing(start, job):
+            if os.getpid() != parent:
+                raise ValueError(f"bad block {start}")
+            return 0
+
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ValueError, match=f"^bad block {rlncsim._BLOCK}$"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._BLOCK, seed=1, workers=2)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_killed_worker_is_an_error_not_a_count(self, monkeypatch):
+        forks, parent = record_forks(monkeypatch), os.getpid()
+
+        def dying(start, job):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return 0
+
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", dying)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(ChildProcessError, match=f"sent no result, waitpid status {signal.SIGKILL}$"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._BLOCK, seed=1, workers=2)
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_serial_without_fork(self, monkeypatch):
+        ran, block = [], rlncsim._mc_block_failures
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", lambda start, job: ran.append(start) or block(start, job))
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
+        est = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2)
+        assert ran == [0, 2 * b]  # the caller's share; a worker ran b
+        monkeypatch.delattr(rlncsim.os, "fork")
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == est
+        assert ran == [0, 2 * b, 0, b, 2 * b]
 
     def test_block_memory_bounded_by_bytes(self, monkeypatch):
         # N = 2,928 slots, 403 live channels and 26 columns at the widest:
