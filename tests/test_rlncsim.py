@@ -81,7 +81,6 @@ def classic_butterfly_values():
     return values
 
 
-
 def record_forks(monkeypatch) -> list[int]:
     """The pids `os.fork` returns to the caller from now on."""
     forks, fork = [], os.fork
@@ -101,6 +100,7 @@ def assert_reaped(pids) -> None:
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
 
 class TestSlots:
     def test_butterfly_count(self):
@@ -604,7 +604,12 @@ class TestEstimate:
 
     def test_serial_without_fork(self, monkeypatch):
         ran, block = [], rlncsim._mc_block_failures
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", lambda start, job: ran.append(start) or block(start, job))
+
+        def recording(start, job):
+            ran.append(start)  # in the caller only: a worker appends to its own copy
+            return block(start, job)
+
+        monkeypatch.setattr(rlncsim, "_mc_block_failures", recording)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
         est = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2)
