@@ -223,8 +223,7 @@ class FieldSpec:
         )
 
     def __reduce__(self):
-        # unpickle as the receiving process's cached field, so each worker
-        # builds the tables once rather than once per work block
+        # unpickle as the receiving process's cached field, which keeps its identity
         return make_field, (self.p, self.m)
 
     def __repr__(self) -> str:

@@ -4,9 +4,10 @@ Ground truth for the sink failure probability: propagate global encoding
 kernels under uniformly random local coefficients, decide failure as
 rank(decoding matrix) < w, and evaluate the probability two ways:
 
-* `estimate_failure` - Monte Carlo with a Wilson 99% interval, its blocks
-  shared with forked workers.  Trial i draws from the counter-based stream
-  (seed, i), so results are bit-identical across runs and worker counts.
+* `estimate_failure` - Monte Carlo with a Wilson 99% interval, planned once
+  per call and run in units of at most 2^14 trials shared with forked
+  workers.  Trial i draws from the counter-based stream (seed, i), so
+  results are bit-identical across runs, worker counts and unit sizes.
 * `exact_failure` - the exact rational failures / q^N (N = number of
   adjacent channel pairs), by a dynamic program that advances the cut
   between processed and unprocessed nodes one node at a time.
@@ -44,12 +45,11 @@ from .netmodel import Network
 
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-MAX_TRIALS = 1 << 32  # 2^18 blocks; the block list is built before any work starts
+MAX_TRIALS = 1 << 32  # bounds a run's length; its units are a lazy range, never a list
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 MAX_ENUMERATION_BUDGET = 1 << 22  # the CLI's cap: states kept can reach the budget, ~1.3 GB
-_BLOCK = 1 << 14  # Monte Carlo trials per work block (fixed: results must not
-                  # depend on how blocks are scheduled across workers)
-_SUB_BATCH_BYTES = 64 << 20  # a sub-batch's coefficient, kernel and temporary bytes at once
+_BLOCK = 1 << 14  # Monte Carlo trials per work unit at most; counts do not depend on it
+_SUB_BATCH_BYTES = 64 << 20  # a unit's coefficient, kernel and temporary bytes at once
 _BRANCH_BATCH = 1 << 20  # matrix entries in one batch of the exact DP's branches
 
 
@@ -184,48 +184,26 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
     return kern
 
 
-def _mc_block_failures(start: int, job: tuple) -> int:
-    """Failure count over trials [start, min(start + _BLOCK, trials)) of the
-    job (net, w, field, t, seed, trials), a pure function of the two, which is
-    what makes worker scheduling irrelevant.  Only channels whose head reaches
-    t can change t's rank, so only theirs are kept and only their slots are
-    drawn.  Trials run in sub-batches whose coefficient, kernel and temporary
-    bytes stay under _SUB_BATCH_BYTES (one trial at least)."""
-    net, w, field, t, seed, trials = job
-    ti, q = net.index[t], field.q
-    reach = net.reaching(ti)
-    live = [j for j, h in enumerate(net.head) if reach[h]]
-    sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
-    alive = np.fromiter((reach[net.head[j]] for a, outs in zip(_fan_in(net, w), net.outs)
-                         for _ in range(a) for j in outs), bool)  # a slot is live if its out-channel is
-    words = np.flatnonzero(alive)
-    end = min(start + _BLOCK, trials)
-    # per trial: the uint16 draw of the live slots, the kernels, and under 32 B an entry of
-    # field-operation temporaries (int32 copies, intp log sums) on the widest matrix, a node's
-    # in-kernels times its out-channels or t's decoding matrix, all a bit at q = 2; per draw,
-    # 24 B a slot: the N uint64 counter steps and two chunk buffers of max(2^15, N + 1) words
-    width = max(len(net.ins[ti]), *map(len, net.outs))
-    per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
-    per_trial = per_trial // (16 if q == 2 else 1) + 1
-    step = max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial)
-    failures = 0
-    for lo in range(start, end, step):
-        rows = np.arange(lo, min(lo + step, end))
-        coeffs = uniform_columns(q, seed, rows, words)  # at q = 2, eight trials a byte
-        decoding = _kernels(net, w, field, coeffs, live)[:, sink]
-        del coeffs  # the budget has no room for this draw beside the next
-        full = _full_rank(decoding, field)
-        if q == 2:
-            full = np.unpackbits(full, count=len(rows))
-        failures += len(rows) - int(np.count_nonzero(full))
-    return failures
+def _mc_block_failures(start: int, plan: tuple) -> int:
+    """Failure count over trials [start, min(start + step, trials)) of the
+    plan (net, w, field, seed, trials, step, live, sink, words) made by
+    `estimate_failure`, a pure function of the two: trial i draws stream
+    (seed, i) at the live slots' draw positions, words, however split."""
+    net, w, field, seed, trials, step, live, sink, words = plan
+    rows = np.arange(start, min(start + step, trials))
+    # at q = 2 the draw holds eight trials a byte; it is freed once the kernels are built
+    decoding = _kernels(net, w, field, uniform_columns(field.q, seed, rows, words), live)[:, sink]
+    full = _full_rank(decoding, field)
+    if field.q == 2:
+        full = np.unpackbits(full, count=len(rows))
+    return len(rows) - int(np.count_nonzero(full))
 
 
-def _worker(fd: int, starts: range, job: tuple) -> None:
-    """A forked worker: pickle its blocks' count, or its error, to fd and exit, never returning."""
+def _worker(fd: int, starts: range, plan: tuple) -> None:
+    """A forked worker: pickle its units' count, or its error, to fd and exit, never returning."""
     try:
         try:
-            result = sum(_mc_block_failures(start, job) for start in starts)
+            result = sum(_mc_block_failures(start, plan) for start in starts)
         except BaseException as exc:
             result = exc
         os.write(fd, pickle.dumps(result))
@@ -274,19 +252,38 @@ def estimate_failure(
     """Monte Carlo failure estimate with a Wilson 99% interval.
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
-    pure function of the arguments: identical across repeated runs and any
-    worker count.  With k = min(workers, blocks, usable CPUs) > 1 and
-    `os.fork`, the caller runs every kth block from the first, and k - 1
-    forked workers, worker i every kth from the ith, pipe back their counts.
-    A worker's error is raised here, one that ends without a result raises
-    ChildProcessError, and however the call ends no worker is left running
-    or unreaped.  More than MAX_TRIALS trials raise ValueError first.
+    pure function of the arguments: identical across runs, worker counts
+    and unit sizes.  The plan is made once, before any fork: the channels
+    whose head reaches t (no other can change t's rank), their slots' draw
+    positions, and units of at most _BLOCK trials whose draw, kernel and
+    temporary bytes stay under _SUB_BATCH_BYTES (one trial at least).  With
+    k = min(workers, units, usable CPUs) > 1 and `os.fork`, the caller runs
+    every kth unit from the first, and k - 1 forked workers, worker i every
+    kth from the ith, pipe back their counts.  A worker's error is raised
+    here, one that ends without a result raises ChildProcessError, and
+    however the call ends no worker is left running or unreaped.  More than
+    MAX_TRIALS trials raise ValueError first.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
-    starts, job = range(0, trials, _BLOCK), (net, w, field, t, seed, trials)
+    ti = net.index[t]
+    reach = net.reaching(ti)
+    live = [j for j, h in enumerate(net.head) if reach[h]]
+    sink = np.searchsorted(live, net.ins[ti])  # t's in-channels are live
+    alive = np.fromiter((reach[net.head[j]] for a, outs in zip(_fan_in(net, w), net.outs)
+                         for _ in range(a) for j in outs), bool)  # a slot is live if its out-channel is
+    words = np.flatnonzero(alive)
+    # per trial: the uint16 draw of the live slots, the kernels, and under 32 B an entry of
+    # field-operation temporaries (int32 copies, intp log sums) on the widest matrix, a node's
+    # in-kernels times its out-channels or t's decoding matrix, all a bit at q = 2; per draw,
+    # 24 B a slot: the N uint64 counter steps and two chunk buffers of max(2^15, N + 1) words
+    width = max(len(net.ins[ti]), *map(len, net.outs))
+    per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
+    per_trial = per_trial // (16 if field.q == 2 else 1) + 1
+    step = min(_BLOCK, max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial))
+    starts, plan = range(0, trials, step), (net, w, field, seed, trials, step, live, sink, words)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(workers, len(starts), cpus) if hasattr(os, "fork") else 1
     pids, pipes = [], []
@@ -296,9 +293,9 @@ def estimate_failure(
             pipes.append(open(rfd, "rb"))
             with open(wfd, "wb"):  # closed before the next fork, or no EOF comes
                 if (pid := os.fork()) == 0:
-                    _worker(wfd, starts[i::k], job)  # never returns
+                    _worker(wfd, starts[i::k], plan)  # never returns
             pids.append(pid)
-        failures = sum(_mc_block_failures(start, job) for start in starts[::k])
+        failures = sum(_mc_block_failures(start, plan) for start in starts[::k])
         for pid, pipe in zip(pids, pipes):
             data = pipe.read()
             if not data:

@@ -580,7 +580,7 @@ def full_draw_failures(net: Network, w: int, field: FieldSpec, t: str, trials: i
     `_BLOCK` trials: the first N words of each trial's stream, and per node
     the (in-kernel, out-channel, B) block cut from them before the
     out-channels that cannot reach t are dropped.  The reference for
-    `estimate_failure`, which draws only the live slots at a power-of-two q."""
+    `estimate_failure`, which draws only the live slots, at every q."""
     ti = net.index[t]
     reach = net.reaching(ti)
     col = {j: c for c, j in enumerate(j for j, h in enumerate(net.head) if reach[h])}

@@ -115,6 +115,8 @@ SWEEP_DAG12 = ("sweep", "--gen", "random:internal=12,w=4,density=0.5,seed=5", "-
                "--trials", "40000", "--seed", "1", "--budget", "1")
 SIM_Q2_1001 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "2",
                "--trials", "1001", "--seed", "1")
+SIM_DAG40_Q3 = ("simulate", "--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "3",
+                "--trials", "40000", "--seed", "1")
 SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
             "--trials", "40000", "--seed", "1")
 
@@ -133,6 +135,9 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
     (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
     (SIM_DAG12 + ("--field", "9", "--workers", "2"), "simulate-dag12-q9.txt"),
+    # dag40's 64 MiB budget splits 40,000 trials into five units of 8,154
+    (SIM_DAG40_Q3, "simulate-dag40-q3.txt"),
+    (SIM_DAG40_Q3 + ("--workers", "2"), "simulate-dag40-q3.txt"),
     # GF(2^2): a power of two above 2, drawn by the banded hash unpacked
     (SIM_DAG12 + ("--field", "4"), "simulate-dag12-q4.txt"),
     (SIM_DAG12 + ("--field", "4", "--workers", "2"), "simulate-dag12-q4.txt"),

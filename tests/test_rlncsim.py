@@ -481,10 +481,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 1024])
     def test_matches_the_full_draw(self, monkeypatch, q):
-        # butterfly t1 has 10 of 12 slots live, dag12 76 of 85; at a power of
-        # two only those are drawn, at 3 and 9 all N, and the kernels keep
-        # the live rows.  Three blocks, the last of 5 trials, at 1 to 3
-        # workers: at 3 the caller runs the first and two forked workers the rest
+        # butterfly t1 has 10 of 12 slots live, dag12 76 of 85; at every q
+        # only those are drawn, and the kernels keep the live rows.  Three
+        # units, the last of 5 trials, at 1 to 3 workers: at 3 the caller
+        # runs the first and two forked workers the rest
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         field = make_field_of_order(q)
         trials = 2 * rlncsim._BLOCK + 5
@@ -537,12 +537,12 @@ class TestEstimate:
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: None)
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert len(forks) == 3
-        # which blocks each process ran, from the counts the workers pipe
-        # back: block start s counts 1 << s // b in a worker, 0 in the caller
+        # which units each process ran, from the counts the workers pipe
+        # back: unit start s counts 1 << s // b in a worker, 0 in the caller
         parent = os.getpid()
 
-        def marking(start, job):
-            assert job[0] is net and job[1:] == (2, f2, "t1", 3, trials)
+        def marking(start, plan):
+            assert plan[0] is net and plan[1:5] == (2, f2, 3, trials)  # net, w, field, seed, trials
             return 0 if os.getpid() == parent else 1 << start // b
 
         monkeypatch.setattr(rlncsim, "_mc_block_failures", marking)
@@ -721,14 +721,21 @@ class TestEstimate:
     def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
         # dag12 fails often; 10,000 B less 24 B a slot for the draw is 6
         # trials of about 1,180 B at q = 3 and 4, so 1,001 trials end in a
-        # sub-batch of 5.  At q = 2 a trial takes 74 B, a bit an entry: 9
-        # sub-batches of 107 trials, each ending in a byte with padding bits,
-        # then one of 38
+        # unit of 5.  At q = 2 a trial takes 74 B, a bit an entry: 9 units
+        # of 107 trials, each ending in a byte with padding bits, then one
+        # of 38.  The units spread over the workers like 2^14-trial ones:
+        # below 2^14 trials, memory-bound units still fork
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
         monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 10_000)
-        assert estimate_failure(net, 4, field, "t", 1001, seed=2) == whole
+        for workers in (1, 2, 3):
+            before = len(forks)
+            assert estimate_failure(net, 4, field, "t", 1001, seed=2, workers=workers) == whole
+            assert len(forks) - before == workers - 1
         assert 0 < whole.failures < whole.trials
+        assert_reaped(forks)
 
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
