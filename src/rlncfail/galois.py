@@ -191,8 +191,7 @@ class FieldSpec:
     """Finite field of order q = p^m with a canonical reduction polynomial.
 
     Use `make_field` rather than constructing directly: it caches one field
-    per (p, m), and a field unpickles as that cached one, so a field's
-    identity is its object and equal orders share one set of tables.
+    per (p, m), so equal orders share one set of tables.
 
     For q > 2, products and inverses run through log/antilog tables over the
     smallest generator g of the multiplicative group, built on first use
@@ -221,10 +220,6 @@ class FieldSpec:
         self.reduction_poly: tuple[int, ...] | None = (
             _smallest_irreducible(p, m) if m > 1 else None
         )
-
-    def __reduce__(self):
-        # unpickle as the receiving process's cached field, which keeps its identity
-        return make_field, (self.p, self.m)
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -335,5 +330,4 @@ def parse_prime_power(q: int) -> tuple[int, int]:
 
 def make_field_of_order(q: int) -> FieldSpec:
     """Field of order q (must be a prime power)."""
-    p, m = parse_prime_power(q)
-    return make_field(p, m)
+    return make_field(*parse_prime_power(q))

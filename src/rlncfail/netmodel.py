@@ -193,16 +193,19 @@ class Network:
 
 # --- canonical generators ---------------------------------------------------
 
+def _chain(k: int) -> tuple[list[str], dict[str, str]]:
+    """The node names s, i1..ik, t in order, and their roles."""
+    names = ["s", *(f"i{j}" for j in range(1, k + 1)), "t"]
+    return names, dict.fromkeys(names, INTERNAL) | {"s": SOURCE, "t": SINK}
+
+
 def plait(w: int, r: int) -> Network:
     """Chain s, i1..ir, t with w parallel channels per stage ((r+1)*w total)."""
     if w < 1 or r < 0:
         raise ValueError("plait requires w >= 1 and r >= 0")
     if (r + 1) * w > MAX_GENERATED:
         raise ValueError(f"plait would have {(r + 1) * w} channels, above {MAX_GENERATED}")
-    names = ["s"] + [f"i{k}" for k in range(1, r + 1)] + ["t"]
-    nodes = {n: INTERNAL for n in names}
-    nodes["s"] = SOURCE
-    nodes["t"] = SINK
+    names, nodes = _chain(r)
     channels = [Channel(f"e{k * w + i:03d}", names[k], names[k + 1])
                 for k in range(r + 1) for i in range(w)]
     return Network(nodes, channels, rate_hint=w)
@@ -231,10 +234,7 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
     pairs = (num_internal + 2) * (num_internal + 1) // 2
     if pairs + w > MAX_GENERATED:
         raise ValueError(f"{pairs} node pairs plus rate {w} exceed {MAX_GENERATED}")
-    names = ["s"] + [f"i{k}" for k in range(1, num_internal + 1)] + ["t"]
-    nodes = {n: INTERNAL for n in names}
-    nodes["s"] = SOURCE
-    nodes["t"] = SINK
+    names, nodes = _chain(num_internal)
     # density threshold in 2^-32 units, against one 32-bit draw per pair
     thresh = int(channel_density * (1 << 32))
     draws = iter(uniform_columns(1 << 32, seed, [0], pairs)[:, 0].tolist())
@@ -247,9 +247,8 @@ def random_dag(num_internal: int, w: int, channel_density: float, seed: int) -> 
     from .flowpaths import min_cut  # deferred: flowpaths imports netmodel
 
     short = w - min_cut(net, "t")
-    for _ in range(max(0, short)):
-        channels.append(Channel(f"e{len(channels):03d}", "s", "t"))
     if short > 0:
+        channels += [Channel(f"e{len(channels) + k:03d}", "s", "t") for k in range(short)]
         net = Network(nodes, channels, rate_hint=w)
         net.min_cuts["t"] = w
     return net

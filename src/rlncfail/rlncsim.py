@@ -48,8 +48,8 @@ WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 MAX_TRIALS = 1 << 32  # bounds a run's length; its units are a lazy range, never a list
 DEFAULT_ENUMERATION_BUDGET = 1 << 20  # branches: a few seconds, and states take ~300 B each
 MAX_ENUMERATION_BUDGET = 1 << 22  # the CLI's cap: states kept can reach the budget, ~1.3 GB
-_BLOCK = 1 << 14  # Monte Carlo trials per work unit at most; counts do not depend on it
-_SUB_BATCH_BYTES = 64 << 20  # a unit's coefficient, kernel and temporary bytes at once
+_UNIT_TRIALS = 1 << 14  # Monte Carlo trials per work unit at most; counts do not depend on it
+_UNIT_BYTES = 64 << 20  # a unit's coefficient, kernel and temporary bytes at once
 _BRANCH_BATCH = 1 << 20  # matrix entries in one batch of the exact DP's branches
 
 
@@ -77,7 +77,9 @@ class CoefficientSlot:
 
 def _fan_in(net: Network, w: int) -> list[int]:
     """|In(i)| for each node i of the integer view; the source's inputs are
-    the w imaginary channels."""
+    the w imaginary channels, and a rate w below 1 raises ValueError."""
+    if w < 1:
+        raise ValueError(f"rate must be >= 1, got {w}")
     src = net.index[net.source]
     return [w if i == src else len(js) for i, js in enumerate(net.ins)]
 
@@ -184,7 +186,7 @@ def _kernels(net: Network, w: int, field: FieldSpec, coeffs: np.ndarray, live: l
     return kern
 
 
-def _mc_block_failures(start: int, plan: tuple) -> int:
+def _unit_failures(start: int, plan: tuple) -> int:
     """Failure count over trials [start, min(start + step, trials)) of the
     plan (net, w, field, seed, trials, step, live, sink, words) made by
     `estimate_failure`, a pure function of the two: trial i draws stream
@@ -203,7 +205,7 @@ def _worker(fd: int, starts: range, plan: tuple) -> None:
     """A forked worker: pickle its units' count, or its error, to fd and exit, never returning."""
     try:
         try:
-            result = sum(_mc_block_failures(start, plan) for start in starts)
+            result = sum(_unit_failures(start, plan) for start in starts)
         except BaseException as exc:
             result = exc
         os.write(fd, pickle.dumps(result))
@@ -255,17 +257,19 @@ def estimate_failure(
     pure function of the arguments: identical across runs, worker counts
     and unit sizes.  The plan is made once, before any fork: the channels
     whose head reaches t (no other can change t's rank), their slots' draw
-    positions, and units of at most _BLOCK trials whose draw, kernel and
-    temporary bytes stay under _SUB_BATCH_BYTES (one trial at least).  With
+    positions, and units of at most _UNIT_TRIALS trials whose draw, kernel
+    and temporary bytes stay under _UNIT_BYTES (one trial at least).  With
     k = min(workers, units, usable CPUs) > 1 and `os.fork`, the caller runs
     every kth unit from the first, and k - 1 forked workers, worker i every
     kth from the ith, pipe back their counts.  A worker's error is raised
     here, one that ends without a result raises ChildProcessError, and
-    however the call ends no worker is left running or unreaped.  More than
-    MAX_TRIALS trials raise ValueError first.
+    however the call ends no worker is left running or unreaped.  Trials
+    outside 1..MAX_TRIALS, or workers below 1, raise ValueError first.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     ti = net.index[t]
@@ -282,7 +286,7 @@ def estimate_failure(
     width = max(len(net.ins[ti]), *map(len, net.outs))
     per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
     per_trial = per_trial // (16 if field.q == 2 else 1) + 1
-    step = min(_BLOCK, max(1, (_SUB_BATCH_BYTES - 24 * len(alive)) // per_trial))
+    step = min(_UNIT_TRIALS, max(1, (_UNIT_BYTES - 24 * len(alive)) // per_trial))
     starts, plan = range(0, trials, step), (net, w, field, seed, trials, step, live, sink, words)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(workers, len(starts), cpus) if hasattr(os, "fork") else 1
@@ -295,7 +299,7 @@ def estimate_failure(
                 if (pid := os.fork()) == 0:
                     _worker(wfd, starts[i::k], plan)  # never returns
             pids.append(pid)
-        failures = sum(_mc_block_failures(start, plan) for start in starts[::k])
+        failures = sum(_unit_failures(start, plan) for start in starts[::k])
         for pid, pipe in zip(pids, pipes):
             data = pipe.read()
             if not data:
@@ -354,8 +358,10 @@ def exact_failure(
 
     `budget` bounds the branches summed over the nodes; it is checked before
     each node is expanded, and EnumerationBudgetError is raised above it.
-    A budget above 2^62 (branch indices are int64) raises ValueError first.
+    A budget outside 1..2^62 (branch indices are int64) raises ValueError first.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if budget > 1 << 62:
         raise ValueError(f"budget must be at most 2^62, got {budget}")
     if t not in net.sinks:

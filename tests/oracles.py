@@ -17,7 +17,7 @@ from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec, uniform_columns
 from rlncfail.netmodel import Network
 from rlncfail.rlncsim import (
-    _BLOCK,
+    _UNIT_TRIALS,
     _eliminate,
     _fan_in,
     _full_rank,
@@ -576,17 +576,17 @@ def enumerated_failures(net: Network, w: int, field: FieldSpec, t: str) -> int:
 
 
 def full_draw_failures(net: Network, w: int, field: FieldSpec, t: str, trials: int, seed: int) -> int:
-    """Monte Carlo failure count with every slot drawn, block by block of
-    `_BLOCK` trials: the first N words of each trial's stream, and per node
-    the (in-kernel, out-channel, B) block cut from them before the
+    """Monte Carlo failure count with every slot drawn, unit by unit of
+    `_UNIT_TRIALS` trials: the first N words of each trial's stream, and per
+    node the (in-kernel, out-channel, B) block cut from them before the
     out-channels that cannot reach t are dropped.  The reference for
     `estimate_failure`, which draws only the live slots, at every q."""
     ti = net.index[t]
     reach = net.reaching(ti)
     col = {j: c for c, j in enumerate(j for j, h in enumerate(net.head) if reach[h])}
     src, failures = net.index[net.source], 0
-    for start in range(0, trials, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, trials))
+    for start in range(0, trials, _UNIT_TRIALS):
+        rows = np.arange(start, min(start + _UNIT_TRIALS, trials))
         coeffs = uniform_columns(field.q, seed, rows, coefficient_count(net, w))
         kern = np.zeros((w, len(col), coeffs.shape[1]), dtype=coeffs.dtype)
         n = 0

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import pickle
 import tracemalloc
 import warnings
 
@@ -53,13 +52,6 @@ class TestMakeField:
         x, y = np.arange(a.q)[:, None], np.arange(a.q)[None, :]
         assert (a.vmul(x, y) == b.vmul(x, y)).all()
         assert (a.vadd(x, y) == b.vadd(x, y)).all()
-
-    def test_pickles_to_the_cached_field(self):
-        f = make_field(3, 10)
-        f.vmul(2, 3)  # tables built; they are not shipped
-        assert pickle.loads(pickle.dumps(f)) is f
-        assert pickle.loads(pickle.dumps(FieldSpec(2, 3))) is make_field(2, 3)
-        assert len(pickle.dumps(f)) < 200
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -487,7 +487,7 @@ class TestEstimate:
         # runs the first and two forked workers the rest
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         field = make_field_of_order(q)
-        trials = 2 * rlncsim._BLOCK + 5
+        trials = 2 * rlncsim._UNIT_TRIALS + 5
         for net, w, t in ((butterfly(), 2, "t1"), (random_dag(12, 4, 0.5, seed=5), 4, "t")):
             expect = full_draw_failures(net, w, field, t, trials, seed=q)
             for workers in (1, 2, 3):
@@ -515,14 +515,14 @@ class TestEstimate:
     def test_gf1024_failures_pinned(self):
         assert estimate_failure(butterfly(), 2, make_field(2, 10), "t1", 2000, seed=1).failures == 7
 
-    def test_workers_clamped_to_blocks_and_cpus(self, monkeypatch):
+    def test_workers_clamped_to_units_and_cpus(self, monkeypatch):
         forks = record_forks(monkeypatch)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
-        trials = 2 * b + 1  # three blocks
+        net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
+        trials = 2 * b + 1  # three units
         est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=1)
         assert forks == []
-        # three blocks on eight CPUs: two forked workers
+        # three units on eight CPUs: two forked workers
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert len(forks) == 2
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -545,7 +545,7 @@ class TestEstimate:
             assert plan[0] is net and plan[1:5] == (2, f2, 3, trials)  # net, w, field, seed, trials
             return 0 if os.getpid() == parent else 1 << start // b
 
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", marking)
+        monkeypatch.setattr(rlncsim, "_unit_failures", marking)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=3).failures == 2 + 4
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
@@ -558,16 +558,16 @@ class TestEstimate:
         # at once and leaves no worker running and no zombie
         forks, parent = record_forks(monkeypatch), os.getpid()
 
-        def failing(start, job):
+        def failing(start, plan):
             if os.getpid() != parent:
                 time.sleep(60)
-            raise MemoryError(f"block {start}")
+            raise MemoryError(f"unit {start}")
 
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
+        monkeypatch.setattr(rlncsim, "_unit_failures", failing)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         t0 = time.monotonic()
-        with pytest.raises(MemoryError, match="block 0"):
-            estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._BLOCK, seed=1, workers=4)
+        with pytest.raises(MemoryError, match="unit 0"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._UNIT_TRIALS, seed=1, workers=4)
         assert time.monotonic() - t0 < 30
         assert len(forks) == 3
         assert_reaped(forks)
@@ -575,43 +575,43 @@ class TestEstimate:
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         forks, parent = record_forks(monkeypatch), os.getpid()
 
-        def failing(start, job):
+        def failing(start, plan):
             if os.getpid() != parent:
-                raise ValueError(f"bad block {start}")
+                raise ValueError(f"bad unit {start}")
             return 0
 
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", failing)
+        monkeypatch.setattr(rlncsim, "_unit_failures", failing)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with pytest.raises(ValueError, match=f"^bad block {rlncsim._BLOCK}$"):
-            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._BLOCK, seed=1, workers=2)
+        with pytest.raises(ValueError, match=f"^bad unit {rlncsim._UNIT_TRIALS}$"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._UNIT_TRIALS, seed=1, workers=2)
         assert len(forks) == 1
         assert_reaped(forks)
 
     def test_killed_worker_is_an_error_not_a_count(self, monkeypatch):
         forks, parent = record_forks(monkeypatch), os.getpid()
 
-        def dying(start, job):
+        def dying(start, plan):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return 0
 
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", dying)
+        monkeypatch.setattr(rlncsim, "_unit_failures", dying)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with pytest.raises(ChildProcessError, match=f"sent no result, waitpid status {signal.SIGKILL}$"):
-            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._BLOCK, seed=1, workers=2)
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._UNIT_TRIALS, seed=1, workers=2)
         assert len(forks) == 1
         assert_reaped(forks)
 
     def test_serial_without_fork(self, monkeypatch):
-        ran, block = [], rlncsim._mc_block_failures
+        ran, unit = [], rlncsim._unit_failures
 
-        def recording(start, job):
+        def recording(start, plan):
             ran.append(start)  # in the caller only: a worker appends to its own copy
-            return block(start, job)
+            return unit(start, plan)
 
-        monkeypatch.setattr(rlncsim, "_mc_block_failures", recording)
+        monkeypatch.setattr(rlncsim, "_unit_failures", recording)
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        net, f2, b = butterfly(), make_field(2), rlncsim._BLOCK
+        net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
         est = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2)
         assert ran == [0, 2 * b]  # the caller's share; a worker ran b
         monkeypatch.delattr(rlncsim.os, "fork")
@@ -621,13 +621,13 @@ class TestEstimate:
     def test_block_memory_bounded_by_bytes(self, monkeypatch):
         # N = 2,928 slots, 403 live channels and 26 columns at the widest:
         # 2,000 trials in one batch would take about 25 MB at 12,408 B per
-        # trial.  With 4 MiB sub-batches the traced peak stays under 4 MiB
+        # trial.  With 4 MiB units the traced peak stays under 4 MiB
         # plus 1 MiB of slack for what the budget leaves out: the draw's
         # fixed hashing scratch, index lists and Python objects
         net, f2 = random_dag(40, 4, 0.5, seed=1), make_field(2)
         assert coefficient_count(net, 4) == 2928
         whole = estimate_failure(net, 4, f2, "t", 2000, seed=1)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 4 << 20)
         tracemalloc.start()
         try:
             part = estimate_failure(net, 4, f2, "t", 2000, seed=1)
@@ -646,7 +646,7 @@ class TestEstimate:
         net, f2 = random_dag(60, 2, 0.9, seed=1), make_field(2)
         assert coefficient_count(net, 2) == 31117
         whole = estimate_failure(net, 2, f2, "t", 300, seed=1)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 4 << 20)
         tracemalloc.start()
         try:
             part = estimate_failure(net, 2, f2, "t", 300, seed=1)
@@ -657,11 +657,11 @@ class TestEstimate:
         assert part == whole
 
     def test_block_memory_frees_each_draw_before_the_next(self, monkeypatch):
-        # at q = 3 the uint16 draw of N = 31,117 slots is most of a sub-batch;
+        # at q = 3 the uint16 draw of N = 31,117 slots is most of a unit;
         # held while the next one is drawn, the traced peak here was 15.7 MiB
         net, f3 = random_dag(60, 2, 0.9, seed=1), make_field(3)
         whole = estimate_failure(net, 2, f3, "t", 300, seed=1)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 8 << 20)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 8 << 20)
         tracemalloc.start()
         try:
             part = estimate_failure(net, 2, f3, "t", 300, seed=1)
@@ -690,7 +690,7 @@ class TestEstimate:
         # scratch took the traced peak to 4.91 MiB (3.57 MiB counted)
         net, f3 = random_dag(60, 2, 0.9, seed=1), make_field(3)
         whole = estimate_failure(net, 2, f3, "t", 300, seed=1)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 4 << 20)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 4 << 20)
         tracemalloc.start()
         try:
             part = estimate_failure(net, 2, f3, "t", 300, seed=1)
@@ -707,7 +707,7 @@ class TestEstimate:
         # the peak near 0.6 MiB; left out, the peak was 4.5 MiB
         net, f9 = random_dag(6, 10, 0.6, seed=1), make_field_of_order(9)
         whole = estimate_failure(net, 10, f9, "t", 3000, seed=1)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 1 << 20)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 1 << 20)
         tracemalloc.start()
         try:
             part = estimate_failure(net, 10, f9, "t", 3000, seed=1)
@@ -718,7 +718,7 @@ class TestEstimate:
         assert part == whole
 
     @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_sub_batches_do_not_change_counts(self, monkeypatch, q):
+    def test_unit_size_does_not_change_counts(self, monkeypatch, q):
         # dag12 fails often; 10,000 B less 24 B a slot for the draw is 6
         # trials of about 1,180 B at q = 3 and 4, so 1,001 trials end in a
         # unit of 5.  At q = 2 a trial takes 74 B, a bit an entry: 9 units
@@ -729,7 +729,7 @@ class TestEstimate:
         monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
-        monkeypatch.setattr(rlncsim, "_SUB_BATCH_BYTES", 10_000)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 10_000)
         for workers in (1, 2, 3):
             before = len(forks)
             assert estimate_failure(net, 4, field, "t", 1001, seed=2, workers=workers) == whole
@@ -772,6 +772,27 @@ class TestEstimate:
         assert rlncsim.MAX_TRIALS == 1 << 32
         with pytest.raises(ValueError, match=r"trials must be in 1\.\.4294967296, got 4294967297"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", (1 << 32) + 1, seed=1)
+
+
+@pytest.mark.parametrize("evaluate, bad, message", [
+    (estimate_failure, dict(w=0), "rate must be >= 1, got 0"),
+    (exact_failure, dict(w=0), "rate must be >= 1, got 0"),
+    (estimate_failure, dict(workers=0), "workers must be >= 1, got 0"),
+    (estimate_failure, dict(workers=-3), "workers must be >= 1, got -3"),
+    (exact_failure, dict(budget=0), "budget must be >= 1, got 0"),
+    (exact_failure, dict(budget=-5), "budget must be >= 1, got -5"),
+], ids=["estimate-rate-0", "exact-rate-0", "workers-0", "workers-negative", "budget-0", "budget-negative"])
+def test_evaluators_check_their_inputs(monkeypatch, evaluate, bad, message):
+    # a rate of 0 once counted no failure in the Monte Carlo and divided by
+    # zero in the DP; 0 workers failed in numpy, and -3 ran serially
+    forks = record_forks(monkeypatch)
+    monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    args = dict(net=butterfly(), w=2, field=make_field(2), t="t1")
+    if evaluate is estimate_failure:
+        args.update(trials=4 * rlncsim._UNIT_TRIALS, seed=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(**{**args, **bad})
+    assert forks == []
 
 
 class TestWilson:
