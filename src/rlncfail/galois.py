@@ -7,8 +7,9 @@ integer packs the residue polynomial's coefficients in base p, i.e.
 value = sum(c_i * p**i) for the residue c_0 + c_1 x + ... + c_{m-1} x^{m-1}.
 
 GF(2) multiplies by AND and adds by XOR.  Every other field multiplies and
-inverts through log/antilog tables of length O(q), built on first use from
-one table of base-p digits, and adds digit-wise (XOR in characteristic 2).
+inverts through log/antilog tables of length O(q), built on first use by
+doubling maps of multiplication on the q values (see `FieldSpec`), and adds
+digit-wise (XOR in characteristic 2).
 The array methods serve the bulk simulation and the exact evaluator.
 
 Sampling is deterministic: `uniform_columns` draws uniform elements from
@@ -194,9 +195,14 @@ class FieldSpec:
     per (p, m), so equal orders share one set of tables.
 
     For q > 2, products and inverses run through log/antilog tables over the
-    smallest generator g of the multiplicative group, built on first use
-    from the elements' digits: `exp[i] = g^i` (uint16) and `log[exp[i]] = i`
-    (intp, so sums of logs index `exp` without a cast).  `log[0]` is a
+    smallest generator g of the multiplicative group, built on first use:
+    `exp[i] = g^i` (uint16) and `log[exp[i]] = i`
+    (intp, so sums of logs index `exp` without a cast).  Multiplication by
+    an element is a map on the q values, built by linearity from its images
+    of 1, x, ..., x^(m-1) (a product mod p at m = 1); the maps of g, g^2,
+    g^4, ..., each the last composed with itself, give the powers of g in
+    blocks of doubling length.  Above m = 1, x (the value p) is tried first
+    on its own powers, as no constant generates the group.  `log[0]` is a
     sentinel that lands every product or quotient involving 0 in a zero
     tail of `exp`, so `vadd`/`vneg`/`vmul`/`vinv` need no masks.
     GF(2) needs no tables: a product is AND and 1 is its own inverse.  The
@@ -231,38 +237,64 @@ class FieldSpec:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         p, m, q, n = self.p, self.m, self.q, self.q - 1
-        # digit table: row v holds v's m base-p digits, lowest first
-        powers = p ** np.arange(m, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
-        poly = np.array(self.reduction_poly or (), dtype=np.int64)  # unused when m = 1
+        factors = _prime_factors(n)  # c generates the group iff c^(n/r) != 1 for every r
+        places = p ** np.arange(m)  # the value of 1 in each base-p digit
+        # powers of g twice over (log a + log b < 2n), then the zero tail that
+        # log[0] = 2n reaches from any offset <= 2n
+        exp = np.zeros(4 * n + 1, dtype=np.uint16)
+        exp[0] = 1
 
-        def times(g: int) -> np.ndarray:
-            # multiplication by g as an (m, m) map on digit rows: row j is g * x^j,
-            # and row j + 1 is row j shifted up one digit with x^m reduced by poly
-            rows = [digits[g]]
+        def times(images: list[int]) -> np.ndarray:
+            # multiplication by c as a map on the q values, from images[j] = c * x^j:
+            # by linearity over the digits, t[d p^j + v] = t[v] + d c x^j for v < p^j,
+            # all d at once, with d c x^j from the digits of c x^j
+            t = np.zeros(q, dtype=np.intp)
+            for j, image in enumerate(images):
+                pj, d = p**j, np.arange(1, p)[:, None]
+                t[pj : p * pj] = self.vadd(t[:pj], d * (image // places % p) % p @ places[:, None]).ravel()
+            return t
+
+        def fill(t: np.ndarray) -> None:
+            # powers of c, the element t multiplies by: exp[k:2k] = c^k * exp[:k] with t
+            # the map of c^k, squared by composition
+            k = 1
+            while k < n:
+                exp[k : 2 * k] = t[exp[:k]]
+                k *= 2
+                t = t[t] if k < n else t
+
+        def rows(c: int) -> list[int]:  # c * x^j for j < m, by the map of x
+            out = [c]
             for _ in range(m - 1):
-                rows.append((np.concatenate(([0], rows[-1])) - rows[-1][-1] * poly)[:m] % p)
-            return np.array(rows)
+                out.append(int(tx[out[-1]]))
+            return out
 
         def power(a: np.ndarray, e: int) -> np.ndarray:  # a^e, by square-and-multiply
-            out = one
+            out = np.eye(m, dtype=np.int64)
             while e:
                 if e & 1:
                     out = out @ a % p
                 a, e = a @ a % p, e >> 1
             return out
 
-        # g generates the group iff g^(n/r) != 1 for every prime r | n; take the smallest
-        one, factors = times(1), _prime_factors(n)  # the map of 1 is the identity
-        g_k = next(t for t in map(times, range(1, q))
-                   if all(power(t, n // r)[0] @ powers != 1 for r in factors))
-        # powers of g twice over (log a + log b < 2n), exp[k:2k] = g^k * exp[:k] with g_k
-        # the map of g^k, then the zero tail that log[0] = 2n reaches from any offset <= 2n
-        exp = np.zeros(4 * n + 1, dtype=np.uint16)
-        exp[0], k = 1, 1
-        while k < n:
-            exp[k : 2 * k] = digits[exp[:k]] @ g_k % p @ powers
-            g_k, k = g_k @ g_k % p, 2 * k
+        if m == 1:  # the smallest generator g, and exp[k:2k] = g^k * exp[:k] mod p
+            g = next(c for c in range(1, q) if all(pow(c, n // r, p) != 1 for r in factors))
+            k = 1
+            while k < n:  # in uint32, where numpy's // multiplies (its % divides)
+                e = np.multiply(exp[:k], pow(g, k, p), dtype=np.uint32)
+                exp[k : 2 * k] = e - e // p * p
+                k *= 2
+        else:  # x, the value p, first: no constant generates the group above m = 1
+            x_m = sum(-c % p * p**i for i, c in enumerate(self.reduction_poly[:m]))  # x^m reduced
+            tx = times([p**j for j in range(1, m)] + [x_m])
+            fill(tx)
+            if any(exp[n // r] == 1 for r in factors):
+                # x is not a generator: search on, multiplication by c an (m, m)
+                # matrix on digit rows (row j the digits of c x^j), tested by powers
+                g = next(c for c in range(p + 1, q)
+                         if all(power(np.array(rows(c))[:, None] // places % p, n // r)[0] @ places != 1
+                                for r in factors))
+                fill(times(rows(g)))
         exp[n : 2 * n] = exp[:n]
         log = np.full(q, 2 * n, dtype=np.intp)
         log[exp[:n]] = np.arange(n)

@@ -14,7 +14,7 @@ from itertools import combinations, product
 import numpy as np
 
 from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
-from rlncfail.galois import FieldSpec, uniform_columns
+from rlncfail.galois import FieldSpec, _prime_factors, uniform_columns
 from rlncfail.netmodel import Network
 from rlncfail.rlncsim import (
     _UNIT_TRIALS,
@@ -369,6 +369,49 @@ def field_pow(field: FieldSpec, a: int, e: int) -> int:
         a = int(field.vmul(a, a))
         e >>= 1
     return out
+
+
+def reference_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) as `FieldSpec._tables` built them from a table of base-p
+    digits, with multiplication by g an (m, m) matrix on digit rows and the
+    smallest generator found by matrix powers.  The reference for `_tables`."""
+    p, m, q, n = field.p, field.m, field.q, field.q - 1
+    # digit table: row v holds v's m base-p digits, lowest first
+    powers = p ** np.arange(m, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
+    poly = np.array(field.reduction_poly or (), dtype=np.int64)  # unused when m = 1
+
+    def times(g: int) -> np.ndarray:
+        # multiplication by g as an (m, m) map on digit rows: row j is g * x^j,
+        # and row j + 1 is row j shifted up one digit with x^m reduced by poly
+        rows = [digits[g]]
+        for _ in range(m - 1):
+            rows.append((np.concatenate(([0], rows[-1])) - rows[-1][-1] * poly)[:m] % p)
+        return np.array(rows)
+
+    def power(a: np.ndarray, e: int) -> np.ndarray:  # a^e, by square-and-multiply
+        out = one
+        while e:
+            if e & 1:
+                out = out @ a % p
+            a, e = a @ a % p, e >> 1
+        return out
+
+    # g generates the group iff g^(n/r) != 1 for every prime r | n; take the smallest
+    one, factors = times(1), _prime_factors(n)  # the map of 1 is the identity
+    g_k = next(t for t in map(times, range(1, q))
+               if all(power(t, n // r)[0] @ powers != 1 for r in factors))
+    # powers of g twice over (log a + log b < 2n), exp[k:2k] = g^k * exp[:k] with g_k
+    # the map of g^k, then the zero tail that log[0] = 2n reaches from any offset <= 2n
+    exp = np.zeros(4 * n + 1, dtype=np.uint16)
+    exp[0], k = 1, 1
+    while k < n:
+        exp[k : 2 * k] = digits[exp[:k]] @ g_k % p @ powers
+        g_k, k = g_k @ g_k % p, 2 * k
+    exp[n : 2 * n] = exp[:n]
+    log = np.full(q, 2 * n, dtype=np.intp)
+    log[exp[:n]] = np.arange(n)
+    return exp, log
 
 
 _MASK64 = (1 << 64) - 1

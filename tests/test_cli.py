@@ -119,6 +119,8 @@ SIM_DAG40_Q3 = ("simulate", "--gen", "random:internal=40,w=6,density=0.3,seed=1"
                 "--trials", "40000", "--seed", "1")
 SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
             "--trials", "40000", "--seed", "1")
+SIM_BUTTERFLY_2000 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2",
+                      "--trials", "2000", "--seed", "1")
 
 
 # w = 10 puts the source's imaginary inputs d1..d10 where their string and
@@ -157,6 +159,12 @@ SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--
     # GF(5^4): an odd prime with m > 2
     (SIM_Q625, "simulate-butterfly-t1-q625.txt"),
     (SIM_Q625 + ("--workers", "2"), "simulate-butterfly-t1-q625.txt"),
+    # GF(2^8) and GF(2^16), whose smallest generators are not x: the tables'
+    # generator search goes on past x
+    (SIM_BUTTERFLY_2000 + ("--field", "256"), "simulate-butterfly-t1-q256.txt"),
+    (SIM_BUTTERFLY_2000 + ("--field", "256", "--workers", "2"), "simulate-butterfly-t1-q256.txt"),
+    (SIM_BUTTERFLY_2000 + ("--field", "65536"), "simulate-butterfly-t1-q65536.txt"),
+    (SIM_BUTTERFLY_2000 + ("--field", "65536", "--workers", "2"), "simulate-butterfly-t1-q65536.txt"),
     # GF(2) eight trials a byte, 1,001 of them: the last byte has seven padding bits
     (SIM_Q2_1001, "simulate-butterfly-t1-q2-1001.txt"),
     (SIM_Q2_1001 + ("--workers", "2"), "simulate-butterfly-t1-q2-1001.txt"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rlncfail.galois as galois
-from oracles import NaiveField, RandomStream, field_pow, uniform_int
+from oracles import NaiveField, RandomStream, field_pow, reference_tables, uniform_int
 from rlncfail.galois import (
     FieldSpec,
     make_field,
@@ -161,6 +161,50 @@ class TestAgainstNaiveOracle:
             assert log[0] == 2 * n and not exp[2 * n :].any(), f
             g = int(exp[1])
             assert [naive.mul(x, g) for x in exp[:n].tolist()] == exp[1 : n + 1].tolist(), f
+
+    def test_tables_equal_the_digit_matrix_construction(self):
+        # past 1024: a prime (65521), one field where x generates (32768), and
+        # fields whose generator search goes on past x, as it does in 79 of
+        # the 93 extension fields up to 2^16
+        orders = [parse_prime_power(q) for q in range(2, 1025) if len(galois._prime_factors(q)) == 1]
+        assert len(orders) == 198
+        for q in (2401, 4096, 6561, 15625, 16807, 32768, 59049, 63001, 65521, 65536):
+            orders.append(parse_prime_power(q))
+        for p, m in orders:
+            f = FieldSpec(p, m)
+            (exp, log), (ref_exp, ref_log) = f._tables, reference_tables(f)
+            assert exp.dtype == ref_exp.dtype and (exp == ref_exp).all(), (p, m)
+            assert log.dtype == ref_log.dtype and (log == ref_log).all(), (p, m)
+
+    def test_generator_is_the_smallest_of_order_q_minus_1(self):
+        # independent of the table construction: each value's order is found by
+        # schoolbook multiplication alone
+        for q in range(2, 257):
+            if len(galois._prime_factors(q)) != 1:
+                continue
+            f = make_field_of_order(q)
+            naive = NaiveField(f)
+
+            def order(c):
+                x, e = c, 1
+                while x != 1:
+                    x, e = naive.mul(x, c), e + 1
+                return e
+
+            assert int(f._tables[0][1]) == next(c for c in range(1, q) if order(c) == q - 1), f
+
+    def test_gf65536_tables_build_in_little_memory(self):
+        # the maps of x, g and their compositions are q intp each, a few
+        # alive at once beside exp and log (2.0 MiB traced); a q x m int64
+        # digit table and its products took the peak to 16.5 MiB
+        f = FieldSpec(2, 16)
+        tracemalloc.start()
+        try:
+            f._tables
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 27, 256, 729, 1024, 59049, 65521, 65536])
     def test_ops_match_schoolbook_arithmetic(self, q):

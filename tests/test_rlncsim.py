@@ -618,7 +618,7 @@ class TestEstimate:
         assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == est
         assert ran == [0, 2 * b, 0, b, 2 * b]
 
-    def test_block_memory_bounded_by_bytes(self, monkeypatch):
+    def test_unit_memory_bounded_by_bytes(self, monkeypatch):
         # N = 2,928 slots, 403 live channels and 26 columns at the widest:
         # 2,000 trials in one batch would take about 25 MB at 12,408 B per
         # trial.  With 4 MiB units the traced peak stays under 4 MiB
@@ -637,7 +637,7 @@ class TestEstimate:
         assert peak < (4 << 20) + (1 << 20)
         assert part == whole
 
-    def test_gf2_block_memory_counts_the_packing_mask(self, monkeypatch):
+    def test_gf2_unit_memory_counts_the_packing_mask(self, monkeypatch):
         # at q = 2 the draw is hashed straight into packed bytes, through a
         # chunk-sized bool mask in the draw's own scratch, so a trial holds
         # one bit a coefficient, kernel entry and temporary.  Here N = 31,117
@@ -656,7 +656,7 @@ class TestEstimate:
         assert peak < 4 << 20
         assert part == whole
 
-    def test_block_memory_frees_each_draw_before_the_next(self, monkeypatch):
+    def test_unit_memory_frees_each_draw_before_the_next(self, monkeypatch):
         # at q = 3 the uint16 draw of N = 31,117 slots is most of a unit;
         # held while the next one is drawn, the traced peak here was 15.7 MiB
         net, f3 = random_dag(60, 2, 0.9, seed=1), make_field(3)
@@ -671,7 +671,7 @@ class TestEstimate:
         assert peak < (8 << 20) + (1 << 20)
         assert part == whole
 
-    def test_odd_q_block_draws_only_live_slots(self):
+    def test_odd_q_unit_draws_only_live_slots(self):
         # at q = 3 the draw holds the live slots' rows alone, as at q = 4, at
         # 2 B a live slot a trial; drawing all N rows and keeping the live
         # ones after took the traced peak at the default budget to 35.9 MiB
@@ -684,7 +684,7 @@ class TestEstimate:
             tracemalloc.stop()
         assert peak < 24 << 20
 
-    def test_block_memory_counts_the_draws_column_scratch(self, monkeypatch):
+    def test_unit_memory_counts_the_draws_column_scratch(self, monkeypatch):
         # at q = 3 a draw of N = 31,117 slots hashes through three uint64
         # arrays of N words, 0.75 MB; left out of the budget, the draw's
         # scratch took the traced peak to 4.91 MiB (3.57 MiB counted)
@@ -700,7 +700,7 @@ class TestEstimate:
         assert peak < (4 << 20) + (1 << 18)
         assert part == whole
 
-    def test_block_memory_counts_field_temporaries(self, monkeypatch):
+    def test_unit_memory_counts_field_temporaries(self, monkeypatch):
         # w = 10 over GF(9) on N = 140 slots: the draw and kernels take 540 B
         # a trial, the field operations' int32 and intp temporaries on up to
         # 10 x 13 matrices several times that.  Counted, a 1 MiB budget keeps
