@@ -197,14 +197,14 @@ class FieldSpec:
     For q > 2, products and inverses run through log/antilog tables over the
     smallest generator g of the multiplicative group, built on first use:
     `exp[i] = g^i` (uint16) and `log[exp[i]] = i`
-    (intp, so sums of logs index `exp` without a cast).  Multiplication by
-    an element is a map on the q values, built by linearity from its images
-    of 1, x, ..., x^(m-1) (a product mod p at m = 1); the maps of g, g^2,
-    g^4, ..., each the last composed with itself, give the powers of g in
-    blocks of doubling length.  Above m = 1, x (the value p) is tried first
-    on its own powers, as no constant generates the group.  `log[0]` is a
-    sentinel that lands every product or quotient involving 0 in a zero
-    tail of `exp`, so `vadd`/`vneg`/`vmul`/`vinv` need no masks.
+    (intp, so sums of logs index `exp` without a cast).  g is found by
+    powers of its (m, m) matrix on digit rows (by `pow` at m = 1), from x,
+    the value p, above m = 1, where no constant generates the group.
+    Multiplication by g is then a map on the q values, built by linearity
+    over the digits; the maps of g, g^2, g^4, ..., each the last composed
+    with itself, give the powers of g in blocks of doubling length.
+    `log[0]` is a sentinel that lands every product or quotient involving 0
+    in a zero tail of `exp`, so `vadd`/`vneg`/`vmul`/`vinv` need no masks.
     GF(2) needs no tables: a product is AND and 1 is its own inverse.  The
     methods take ints or integer arrays of canonical values and broadcast
     like numpy; `vmul`, `vinv` and a prime field's `vadd` keep uint16 arrays uint16.
@@ -237,37 +237,16 @@ class FieldSpec:
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         p, m, q, n = self.p, self.m, self.q, self.q - 1
-        factors = _prime_factors(n)  # c generates the group iff c^(n/r) != 1 for every r
         places = p ** np.arange(m)  # the value of 1 in each base-p digit
-        # powers of g twice over (log a + log b < 2n), then the zero tail that
-        # log[0] = 2n reaches from any offset <= 2n
-        exp = np.zeros(4 * n + 1, dtype=np.uint16)
-        exp[0] = 1
+        poly = np.array(self.reduction_poly or (), dtype=np.int64)  # unused when m = 1
 
-        def times(images: list[int]) -> np.ndarray:
-            # multiplication by c as a map on the q values, from images[j] = c * x^j:
-            # by linearity over the digits, t[d p^j + v] = t[v] + d c x^j for v < p^j,
-            # all d at once, with d c x^j from the digits of c x^j
-            t = np.zeros(q, dtype=np.intp)
-            for j, image in enumerate(images):
-                pj, d = p**j, np.arange(1, p)[:, None]
-                t[pj : p * pj] = self.vadd(t[:pj], d * (image // places % p) % p @ places[:, None]).ravel()
-            return t
-
-        def fill(t: np.ndarray) -> None:
-            # powers of c, the element t multiplies by: exp[k:2k] = c^k * exp[:k] with t
-            # the map of c^k, squared by composition
-            k = 1
-            while k < n:
-                exp[k : 2 * k] = t[exp[:k]]
-                k *= 2
-                t = t[t] if k < n else t
-
-        def rows(c: int) -> list[int]:  # c * x^j for j < m, by the map of x
-            out = [c]
+        def rows(c: int) -> np.ndarray:
+            # multiplication by c as an (m, m) matrix on digit rows: row j holds the digits
+            # of c x^j, and row j + 1 is row j shifted up one digit with x^m reduced by poly
+            out = [c // places % p]
             for _ in range(m - 1):
-                out.append(int(tx[out[-1]]))
-            return out
+                out.append((np.concatenate(([0], out[-1])) - out[-1][-1] * poly)[:m] % p)
+            return np.array(out)
 
         def power(a: np.ndarray, e: int) -> np.ndarray:  # a^e, by square-and-multiply
             out = np.eye(m, dtype=np.int64)
@@ -277,24 +256,29 @@ class FieldSpec:
                 a, e = a @ a % p, e >> 1
             return out
 
-        if m == 1:  # the smallest generator g, and exp[k:2k] = g^k * exp[:k] mod p
-            g = next(c for c in range(1, q) if all(pow(c, n // r, p) != 1 for r in factors))
-            k = 1
-            while k < n:  # in uint32, where numpy's // multiplies (its % divides)
-                e = np.multiply(exp[:k], pow(g, k, p), dtype=np.uint32)
-                exp[k : 2 * k] = e - e // p * p
+        # the smallest generator g, as the rows of its matrix: c generates the group iff
+        # c^(n/r) != 1 for every prime r | n, tested by pow at m = 1; above it no constant
+        # does, so the search starts at x, the value p
+        factors = _prime_factors(n)
+        g = (rows(next(c for c in range(1, q) if all(pow(c, n // r, p) != 1 for r in factors))) if m == 1 else
+             next(a for a in map(rows, range(p, q)) if all(power(a, n // r)[0] @ places != 1 for r in factors)))
+        # multiplication by g as a map on the q values, by linearity over the digits:
+        # t[c p^j + v] = t[v] + c g x^j for v < p^j, in blocks of doubling c
+        t = np.zeros(q, dtype=np.intp)
+        for j, row in enumerate(g):  # row: the digits of g x^j
+            k, top = p**j, p ** (j + 1)
+            while k < top:
+                t[k : min(2 * k, top)] = self.vadd(t[: min(k, top - k)], k // p**j * row % p @ places)
                 k *= 2
-        else:  # x, the value p, first: no constant generates the group above m = 1
-            x_m = sum(-c % p * p**i for i, c in enumerate(self.reduction_poly[:m]))  # x^m reduced
-            tx = times([p**j for j in range(1, m)] + [x_m])
-            fill(tx)
-            if any(exp[n // r] == 1 for r in factors):
-                # x is not a generator: search on, multiplication by c an (m, m)
-                # matrix on digit rows (row j the digits of c x^j), tested by powers
-                g = next(c for c in range(p + 1, q)
-                         if all(power(np.array(rows(c))[:, None] // places % p, n // r)[0] @ places != 1
-                                for r in factors))
-                fill(times(rows(g)))
+        # powers of g twice over (log a + log b < 2n), exp[k:2k] = g^k * exp[:k] with t
+        # the map of g^k, squared by composition; then the zero tail that log[0] = 2n
+        # reaches from any offset <= 2n
+        exp = np.zeros(4 * n + 1, dtype=np.uint16)
+        exp[0], k = 1, 1
+        while k < n:
+            exp[k : 2 * k] = t[exp[:k]]
+            k *= 2
+            t = t[t] if k < n else t
         exp[n : 2 * n] = exp[:n]
         log = np.full(q, 2 * n, dtype=np.intp)
         log[exp[:n]] = np.arange(n)

@@ -194,9 +194,9 @@ class TestAgainstNaiveOracle:
             assert int(f._tables[0][1]) == next(c for c in range(1, q) if order(c) == q - 1), f
 
     def test_gf65536_tables_build_in_little_memory(self):
-        # the maps of x, g and their compositions are q intp each, a few
-        # alive at once beside exp and log (2.0 MiB traced); a q x m int64
-        # digit table and its products took the peak to 16.5 MiB
+        # the map of g and its compositions are q intp each, two alive at
+        # once beside exp and log (2.1 MiB traced); a q x m int64 digit
+        # table and its products took the peak to 16.5 MiB
         f = FieldSpec(2, 16)
         tracemalloc.start()
         try:
