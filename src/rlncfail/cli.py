@@ -323,16 +323,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def _check_sizes(args) -> None:
     """Bound the sizes a user sets before any network is loaded."""
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     budget = getattr(args, "budget", 1)
-    if budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {budget}")
+    rlncsim.check_sizes(getattr(args, "trials", None), getattr(args, "workers", 1), budget)
     if budget > rlncsim.MAX_ENUMERATION_BUDGET:
         raise UsageError(f"--budget must be at most {rlncsim.MAX_ENUMERATION_BUDGET}, got {budget}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and not 1 <= trials <= rlncsim.MAX_TRIALS:
-        raise UsageError(f"trials must be in 1..{rlncsim.MAX_TRIALS}, got {trials}")
 
 
 def main(argv=None) -> int:

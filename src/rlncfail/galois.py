@@ -296,9 +296,10 @@ class FieldSpec:
             s = np.subtract(a, d)  # a ufunc call wraps silently, on numpy scalars too
             return np.add(s, (a < d) * s.dtype.type(p))
         out = np.add(a, b, dtype=np.int32)
-        for j in range(self.m):  # drop the carry out of each digit
-            pw = p**j
-            out -= (a // pw % p + b // pw % p >= p) * (pw * p)
+        for j in range(1, self.m + 1):  # drop each digit's carry; digit a - a // p * p: % is slow
+            a_hi, b_hi = a // p, b // p
+            out -= (a - a_hi * p + b - b_hi * p >= p) * p**j
+            a, b = a_hi, b_hi
         return out
 
     def vneg(self, a):

@@ -242,6 +242,15 @@ class FailureEstimate:
     seed: int
 
 
+def check_sizes(trials: int | None = None, workers: int = 1, budget: int = 1) -> None:
+    """Raise ValueError for workers or budget below 1, or trials outside 1..MAX_TRIALS."""
+    for name, n in (("workers", workers), ("budget", budget)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+    if trials is not None and not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+
+
 def estimate_failure(
     net: Network,
     w: int,
@@ -263,13 +272,10 @@ def estimate_failure(
     every kth unit from the first, and k - 1 forked workers, worker i every
     kth from the ith, pipe back their counts.  A worker's error is raised
     here, one that ends without a result raises ChildProcessError, and
-    however the call ends no worker is left running or unreaped.  Trials
-    outside 1..MAX_TRIALS, or workers below 1, raise ValueError first.
+    however the call ends no worker is left running or unreaped.  Sizes
+    `check_sizes` refuses raise ValueError first.
     """
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_sizes(trials, workers)
     if t not in net.sinks:
         raise ValueError(f"{t} is not a sink")
     ti = net.index[t]
@@ -360,8 +366,7 @@ def exact_failure(
     each node is expanded, and EnumerationBudgetError is raised above it.
     A budget outside 1..2^62 (branch indices are int64) raises ValueError first.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    check_sizes(budget=budget)
     if budget > 1 << 62:
         raise ValueError(f"budget must be at most 2^62, got {budget}")
     if t not in net.sinks:

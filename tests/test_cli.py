@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import goldens
 from oracles import butterfly_failure_law
 from rlncfail import bounds, cli, flowpaths, netmodel
 from rlncfail.cli import SWEEP_COLUMNS, build_parser, main, parse_gen_spec
@@ -103,79 +105,31 @@ class TestGenSpec:
             assert out == "" and err.startswith("error: "), spec
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-DAG20 = "random:internal=20,w=5,density=0.4,seed=2"
+GOLDEN = goldens.ROOT / "tests" / "golden"
 DAG25 = "random:internal=25,w=6,density=0.3,seed=2"
-DAG6_W10 = "random:internal=6,w=10,density=0.6,seed=1"
 RANDOM5 = "random:internal=5,w=2,density=0.5,seed=3"
-SIM_DAG6_W10 = ("simulate", "--gen", DAG6_W10, "--field", "2", "--trials", "20000", "--seed", "3")
-SIM_DAG12 = ("simulate", "--gen", "random:internal=12,w=4,density=0.5,seed=5",
-             "--trials", "40000", "--seed", "1")
-SWEEP_DAG12 = ("sweep", "--gen", "random:internal=12,w=4,density=0.5,seed=5", "--fields", "3,4",
-               "--trials", "40000", "--seed", "1", "--budget", "1")
-SIM_Q2_1001 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "2",
-               "--trials", "1001", "--seed", "1")
-SIM_DAG40_Q3 = ("simulate", "--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "3",
-                "--trials", "40000", "--seed", "1")
-SIM_Q625 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "625",
-            "--trials", "40000", "--seed", "1")
-SIM_BUTTERFLY_2000 = ("simulate", "--gen", "butterfly", "--sink", "t1", "--rate", "2",
-                      "--trials", "2000", "--seed", "1")
 
 
-# w = 10 puts the source's imaginary inputs d1..d10 where their string and
-# natural orders differ; simulate must not depend on the worker count
-@pytest.mark.parametrize("argv,golden", [
-    (("exact", "--gen", "plait:w=3,r=2", "--field", "3"), "exact-plait-w3-r2-q3.txt"),
-    (("exact", "--gen", "plait:w=3,r=2", "--field", "3", "--format", "json"),
-     "exact-plait-w3-r2-q3.json"),
-    (SIM_DAG6_W10, "simulate-dag6-w10-q2.txt"),
-    (SIM_DAG6_W10 + ("--workers", "2"), "simulate-dag6-w10-q2.txt"),
-    # an odd prime and an extension field over three blocks: the engine's
-    # vadd/vneg path, pinned at 1 and 2 workers
-    (SIM_DAG12 + ("--field", "3"), "simulate-dag12-q3.txt"),
-    (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
-    (SIM_DAG12 + ("--field", "9"), "simulate-dag12-q9.txt"),
-    (SIM_DAG12 + ("--field", "9", "--workers", "2"), "simulate-dag12-q9.txt"),
-    # dag40's 64 MiB budget splits 40,000 trials into five units of 8,154
-    (SIM_DAG40_Q3, "simulate-dag40-q3.txt"),
-    (SIM_DAG40_Q3 + ("--workers", "2"), "simulate-dag40-q3.txt"),
-    # GF(2^2): a power of two above 2, drawn by the banded hash unpacked
-    (SIM_DAG12 + ("--field", "4"), "simulate-dag12-q4.txt"),
-    (SIM_DAG12 + ("--field", "4", "--workers", "2"), "simulate-dag12-q4.txt"),
-    (("sweep", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--fields", "2,3,4",
-      "--trials", "2000", "--seed", "1"), "sweep-butterfly-t1.csv"),
-    # two fields' Monte Carlo in one process: workers forked twice, the
-    # estimates those of simulate-dag12-q3.txt and -q4.txt
-    (SWEEP_DAG12, "sweep-dag12-q34.csv"),
-    (SWEEP_DAG12 + ("--workers", "2"), "sweep-dag12-q34.csv"),
-    # the exact columns are blank at q = 3, where the DP passes the budget
-    (("sweep", "--gen", RANDOM5, "--fields", "2,3", "--budget", "524288"),
-     "sweep-random5-q2q3.csv"),
-    # one path analysis serves all three fields; the budget leaves exact blank
-    (("sweep", "--gen", DAG25, "--fields", "2,3,5", "--budget", "1"), "sweep-dag25-q235.csv"),
-    (("simulate", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--trials", "1000",
-      "--seed", "3", "--format", "json"), "simulate-butterfly-t1-q2.json"),
-    # GF(5^4): an odd prime with m > 2
-    (SIM_Q625, "simulate-butterfly-t1-q625.txt"),
-    (SIM_Q625 + ("--workers", "2"), "simulate-butterfly-t1-q625.txt"),
-    # GF(2^8) and GF(2^16), whose smallest generators are not x: the tables'
-    # generator search goes on past x
-    (SIM_BUTTERFLY_2000 + ("--field", "256"), "simulate-butterfly-t1-q256.txt"),
-    (SIM_BUTTERFLY_2000 + ("--field", "256", "--workers", "2"), "simulate-butterfly-t1-q256.txt"),
-    (SIM_BUTTERFLY_2000 + ("--field", "65536"), "simulate-butterfly-t1-q65536.txt"),
-    (SIM_BUTTERFLY_2000 + ("--field", "65536", "--workers", "2"), "simulate-butterfly-t1-q65536.txt"),
-    # GF(2) eight trials a byte, 1,001 of them: the last byte has seven padding bits
-    (SIM_Q2_1001, "simulate-butterfly-t1-q2-1001.txt"),
-    (SIM_Q2_1001 + ("--workers", "2"), "simulate-butterfly-t1-q2-1001.txt"),
-    # GF(3^2): the DP over an odd-characteristic extension field
-    (("exact", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "9"),
-     "exact-butterfly-t1-q9.txt"),
-])
-def test_golden_stdout(capsys, argv, golden):
+@pytest.mark.parametrize("argv,golden", goldens.RUNS, ids=[f"{g}-w{argv[-1]}" for argv, g in goldens.RUNS])
+def test_golden_stdout(capsys, monkeypatch, argv, golden):
+    monkeypatch.chdir(goldens.ROOT)  # the table's paths are from the repo root
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+    assert out == (goldens.ROOT / golden).read_text(encoding="utf-8")
+
+
+def test_every_golden_file_has_a_row():
+    files = {p.relative_to(goldens.ROOT).as_posix()
+             for d in ("tests/golden", "perfbench/expected") for p in (goldens.ROOT / d).iterdir()}
+    assert files == {golden for _, golden, _ in goldens.ROWS}
+
+
+def test_goldens_script_prints_one_shell_line_per_run():
+    # CI splits each line on blanks and passes the argv unquoted to the shell
+    lines = subprocess.run([sys.executable, "tests/goldens.py"], cwd=goldens.ROOT, capture_output=True,
+                           text=True, check=True, timeout=60).stdout.splitlines()
+    assert [line.split() for line in lines] == [[golden, *argv] for argv, golden in goldens.RUNS]
+    assert all(shlex.quote(word) == word for line in lines for word in line.split())
 
 
 class TestSizeChecks:
@@ -187,7 +141,7 @@ class TestSizeChecks:
         ):
             code, out, err = run_cli(capsys, *argv, "--workers", workers)
             assert code == 2 and out == "", argv
-            assert err == f"error: --workers must be >= 1, got {workers}\n", argv
+            assert err == f"error: workers must be >= 1, got {workers}\n", argv
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exit_2_before_loading(self, capsys, monkeypatch, budget):
@@ -201,7 +155,7 @@ class TestSizeChecks:
             code, out, err = run_cli(capsys, *cmd, "--gen", "butterfly", "--sink", "t1",
                                      "--budget", budget)
             assert code == 2 and out == "", cmd
-            assert err == f"error: --budget must be >= 1, got {budget}\n", cmd
+            assert err == f"error: budget must be >= 1, got {budget}\n", cmd
 
     def test_budget_above_cap_exit_2_before_loading(self, capsys, monkeypatch):
         import rlncfail.cli as cli
@@ -240,38 +194,6 @@ class TestSizeChecks:
 
 
 class TestBounds:
-    @pytest.mark.parametrize("argv,golden", [
-        (("--gen", "butterfly", "--sink", "t1", "--field", "4"), "bounds-butterfly-t1-q4.txt"),
-        (("--gen", "butterfly", "--sink", "t1", "--field", "4", "--format", "json"),
-         "bounds-butterfly-t1-q4.json"),
-        (("--gen", DAG20, "--field", "2"), "bounds-dag20-q2.txt"),
-        (("--gen", DAG20, "--field", "2", "--format", "json"), "bounds-dag20-q2.json"),
-        # a search that runs no max-flow
-        (("--gen", "random:internal=40,w=6,density=0.3,seed=1", "--field", "2"),
-         "bounds-dag40-q2.txt"),
-        # the search's feasibility checks run 57 warm-started max-flows here
-        (("--gen", "random:internal=25,w=6,density=0.3,seed=2", "--field", "2"),
-         "bounds-dag25-q2.txt"),
-        # R_t below the heuristic's count, proved in 10 steps
-        (("--gen", "random:internal=20,w=8,density=0.6,seed=1", "--field", "2"),
-         "bounds-dag20w8-q2.txt"),
-        # every internal node lies on every path: exact at that floor, no step
-        (("--gen", "plait:w=3,r=15", "--field", "2"), "bounds-plait-w3-r15-q2.txt"),
-    ])
-    def test_golden_stdout(self, capsys, argv, golden):
-        code, out, _ = run_cli(capsys, "bounds", *argv)
-        assert code == 0
-        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
-
-    def test_search_out_of_steps_flags_heuristic(self, capsys, monkeypatch):
-        # the direct channel leaves no node on every path, so no floor ends
-        # the search, and it runs out of its 10^6 steps
-        monkeypatch.chdir(GOLDEN.parents[1])  # the report names the path as given
-        code, out, _ = run_cli(capsys, "bounds", "--network",
-                               "tests/networks/plait-w3-r15-direct.net", "--field", "2")
-        assert code == 0
-        assert out == (GOLDEN / "bounds-plait-w3-r15-direct-q2.txt").read_text(encoding="utf-8")
-
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_rt_mode_in_text_json_and_csv(self, capsys, monkeypatch, mode):
         # every report prints the flag of BoundReport.rt_mode
@@ -791,14 +713,11 @@ class TestLongChain:
         assert "R_t: 1500 (exact)" in out
 
 
-# argv and the golden of its stdout; simulate forks one worker, sweep one per field
-IMPORT_FREE_CALLS = (
-    (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4"), "bounds-butterfly-t1-q4.txt"),
-    (("exact", "--gen", "butterfly", "--sink", "t1", "--rate", "2", "--field", "9"),
-     "exact-butterfly-t1-q9.txt"),
-    (SIM_DAG12 + ("--field", "3", "--workers", "2"), "simulate-dag12-q3.txt"),
-    (SWEEP_DAG12 + ("--workers", "2"), "sweep-dag12-q34.csv"),
-)
+# one call per command, from the golden table; simulate forks one worker, sweep one per field
+IMPORT_FREE_CALLS = [(argv, golden) for argv, golden in goldens.RUNS if (golden, argv[-1]) in {
+    ("tests/golden/bounds-butterfly-t1-q4.txt", "1"), ("tests/golden/exact-butterfly-t1-q9.txt", "1"),
+    ("tests/golden/simulate-dag12-q3.txt", "2"), ("tests/golden/sweep-dag12-q34.csv", "2"),
+}]
 
 
 class TestProcess:
@@ -829,7 +748,7 @@ class TestProcess:
         assert pool == []
         assert imported == [[argv[0], 0, []] for argv, _ in IMPORT_FREE_CALLS]
         assert forks == 3
-        assert proc.stdout == "".join((GOLDEN / g).read_text(encoding="utf-8") for _, g in IMPORT_FREE_CALLS)
+        assert proc.stdout == "".join((goldens.ROOT / g).read_text(encoding="utf-8") for _, g in IMPORT_FREE_CALLS)
 
     @pytest.mark.parametrize("argv,code,parsed", [
         (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4"), 0, True),

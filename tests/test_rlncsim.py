@@ -385,7 +385,7 @@ class TestRank:
                 assert [[row[j] for row in rows] for j in leads] == np.eye(len(rows)).tolist()
 
 
-class TestDecodingMatrix:
+class TestKernelColumns:
     def test_shapes(self):
         f2 = make_field(2)
         net = butterfly()
@@ -409,7 +409,7 @@ class TestDecodingMatrix:
             exact_failure(butterfly(), 2, make_field(2), "b1")
 
 
-class TestSimulateOnce:
+class TestPerTrialRanks:
     """One coding round per coefficient row: uniform draws from a trial's
     stream, propagated kernels, and the rank at each sink."""
 
@@ -452,7 +452,7 @@ class TestEstimate:
         est = estimate_failure(net, 2, f2, "t", 300, seed=5)
         assert est.failures == naive_mc_failures(net, 2, f2, "t", 300, seed=5)
 
-    def test_scalar_engine_matches_vector(self):
+    def test_butterfly_matches_per_trial_simulation(self):
         f2 = make_field(2)
         net = butterfly()
         fast = estimate_failure(net, 2, f2, "t1", 500, seed=9)
@@ -869,13 +869,13 @@ class TestExact:
             exact_failure(butterfly(), 2, make_field(2), "t1", budget=19)
         assert exact_failure(butterfly(), 2, make_field(2), "t1", budget=38).failures == 4000
 
-    def test_scalar_engine_matches_vector(self):
+    def test_gf3_matches_enumeration(self):
         f3 = make_field(3)
         net = plait(2, 1)
         fast = exact_failure(net, 2, f3, "t")
         assert fast.failures == naive_enumerated_failures(net, 2, f3, "t")
 
-    def test_large_extension_field_scalar_path(self):
+    def test_gf512_single_channel_is_exact(self):
         # q = 512, an extension field above 256, must still be exact
         f512 = make_field(2, 9)
         res = exact_failure(plait(1, 0), 1, f512, "t")
