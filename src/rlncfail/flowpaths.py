@@ -29,12 +29,13 @@ another path, the unused channels must still carry the paths missing: the
 heuristic's paths that avoid every used channel prove it when there are
 enough of them, else a max-flow grows from them.
 
-The algorithms run on the network's integer view (see `netmodel.Network`)
-and turn channel indices back into ids only for the public `PathSet`.  All
-functions are pure with respect to their immutable inputs (`min_cut` keeps
-its value on the network, which changes no result), and every tie is
-broken by smallest channel index, which is smallest channel id, so repeated
-runs give identical output.
+The algorithms run on the network's integer view (see `netmodel.Network`),
+the max-flow's DFS on the residual arcs compiled there, and turn channel
+indices back into ids only for the public `PathSet`.  All functions are
+pure with respect to their immutable inputs (`min_cut` keeps its value and
+flow on the network, and the disjoint paths at rate C_t split that flow,
+which changes no result), and every tie is broken by smallest channel
+index, which is smallest channel id, so repeated runs give identical output.
 """
 
 from __future__ import annotations
@@ -103,12 +104,12 @@ def _max_flow(
 
     Returns (value, flow channel indices).  The flow grows from `start`,
     disjoint paths to t avoiding the removed channels (any valid flow reaches
-    the same value), trying forward and reverse channels in channel order.
+    the same value), trying each node's residual arcs `net.arcs` in order.
     """
     s = net.index[net.source]
     if t == s:
         raise ValueError("sink equals source")
-    head, tail = net.head, net.tail
+    arcs = net.arcs
     used = {j for p in start for j in p}
     value = len(start)
     while limit is None or value < limit:
@@ -119,11 +120,9 @@ def _max_flow(
             node = stack.pop()
             if node == t:
                 break
-            moves = [(j, head[j]) for j in net.outs[node] if j not in used and j not in removed]
-            moves += [(j, tail[j]) for j in net.ins[node] if j in used]
-            # stack is LIFO: push in reverse so the smallest channel pops first
-            for j, nxt in sorted(moves, reverse=True):
-                if nxt not in pred:
+            # stack is LIFO: arcs go by descending channel, so the smallest pops first
+            for j, nxt, forward in arcs[node]:
+                if nxt not in pred and (j not in used and j not in removed if forward else j in used):
                     pred[nxt] = (node, j)
                     stack.append(nxt)
         else:
@@ -138,11 +137,11 @@ def _max_flow(
 def min_cut(net: Network, t: str) -> int:
     """Min-cut capacity between the source and t (0 when unreachable).
 
-    One unlimited max-flow per sink: the value is kept in `net.min_cuts`,
-    which the network's immutability keeps valid.
+    One unlimited max-flow per sink, kept in `net.min_cuts` (its value) and
+    `net.min_flows` (its flow), which the network's immutability keeps valid.
     """
     if t not in net.min_cuts:
-        net.min_cuts[t] = _max_flow(net, net.index[t])[0]
+        net.min_cuts[t], net.min_flows[t] = _max_flow(net, net.index[t])
     return net.min_cuts[t]
 
 
@@ -173,13 +172,16 @@ def _path_set(net: Network, t: str, w: int, paths: tuple[tuple[int, ...], ...]) 
 def disjoint_paths(net: Network, t: str, w: int) -> PathSet:
     """w channel-disjoint paths from the source to t; deterministic.
 
-    Raises InfeasibleRateError (carrying the achieved max-flow) when fewer
-    than w disjoint paths exist.
+    A flow limited to w, decomposed: at w = C_t the kept min-cut flow, whose
+    unlimited run made the same w augmentations.  Raises InfeasibleRateError
+    (carrying the achieved max-flow) when fewer than w disjoint paths exist.
     """
     if w < 1:
         raise ValueError(f"rate must be >= 1, got {w}")
     ti = net.index[t]
-    value, flow = _max_flow(net, ti, limit=w)
+    value, flow = net.min_cuts.get(t), net.min_flows.get(t)
+    if value != w or flow is None:
+        value, flow = _max_flow(net, ti, limit=w)
     if value < w:
         raise InfeasibleRateError(w, min_cut(net, t), t)
     return _path_set(net, t, w, _decompose(net, ti, flow, w))
@@ -193,12 +195,12 @@ def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]
     an upper bound on the true minimum (shared nodes are charged once per
     traversal)."""
     s, ti = net.index[net.source], net.index[t]
-    internal = {net.index[v] for v in net.internal_nodes}
     inf = 1 << 60
     used: set[int] = set()
-    # relax channels by tail in topological order (stable, so ties go to the
-    # smallest channel): one pass settles every forward channel
-    relax = sorted(range(len(net.channels)), key=net.tail.__getitem__)
+    # (channel, tail, head, cost) by tail in topological order (stable, so
+    # ties go to the smallest channel): one pass settles every forward channel
+    relax = [(j, net.tail[j], net.head[j], int(net.order[net.head[j]] in net.internal_nodes))
+             for j in sorted(range(len(net.channels)), key=net.tail.__getitem__)]
     for k in range(w):
         # Bellman-Ford on the residual graph; deterministic relaxation order.
         dist = [inf] * len(net.order)
@@ -206,9 +208,7 @@ def _min_cost_paths(net: Network, t: str, w: int) -> tuple[tuple[int, ...], ...]
         pred: dict[int, tuple[int, int]] = {}
         for _ in range(len(net.order)):
             changed = False
-            for j in relax:
-                a, b = net.tail[j], net.head[j]
-                cost = 1 if b in internal else 0
+            for j, a, b, cost in relax:
                 if j in used:  # the residual channel runs backwards
                     a, b, cost = b, a, -cost
                 if dist[a] < inf and dist[a] + cost < dist[b]:

@@ -69,9 +69,10 @@ class Network:
     `order[i]` and channel j is `channels[j]`, so index order is topological
     order for nodes and id order for channels.  `index` maps a node id to
     its index, `tail[j]`/`head[j]` are channel j's end nodes, and
-    `outs[i]`/`ins[i]` are node i's out- and in-channels, ascending.
-    `min_cuts` maps a sink id to its min-cut once `flowpaths.min_cut` has
-    computed it, so every caller shares one max-flow per sink.
+    `outs[i]`/`ins[i]` are node i's out- and in-channels, ascending, and
+    `arcs[i]` its residual arcs (channel, other end, forward), descending.
+    `min_cuts`/`min_flows` map a sink id to the min-cut and max-flow that
+    `flowpaths.min_cut` computed, so every caller shares one per sink.
     """
 
     nodes: dict[str, str]
@@ -101,7 +102,12 @@ class Network:
         self.head = tuple(self.index[c.head] for c in self.channels)
         self.outs = tuple(tuple(self._by_id[c.id] for c in self._outs[n]) for n in order)
         self.ins = tuple(tuple(self._by_id[c.id] for c in self._ins[n]) for n in order)
+        self.arcs = tuple([] for _ in order)  # filled by descending channel
+        for j in reversed(range(len(self.channels))):
+            self.arcs[self.tail[j]].append((j, self.head[j], True))
+            self.arcs[self.head[j]].append((j, self.tail[j], False))
         self.min_cuts: dict[str, int] = {}
+        self.min_flows: dict[str, set[int]] = {}
 
     def channel(self, cid: str) -> Channel:
         return self.channels[self._by_id[cid]]

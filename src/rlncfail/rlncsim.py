@@ -263,17 +263,18 @@ def estimate_failure(
     """Monte Carlo failure estimate with a Wilson 99% interval.
 
     Trial i is seeded by the stateless pair (seed, i), so the result is a
-    pure function of the arguments: identical across runs, worker counts
-    and unit sizes.  The plan is made once, before any fork: the channels
-    whose head reaches t (no other can change t's rank), their slots' draw
+    pure function of the arguments: identical across runs, worker counts and
+    unit sizes.  The plan is made once, before any fork: the channels whose
+    head reaches t (no other can change t's rank), their slots' draw
     positions, and units of at most _UNIT_TRIALS trials whose draw, kernel
-    and temporary bytes stay under _UNIT_BYTES (one trial at least).  With
-    k = min(workers, units, usable CPUs) > 1 and `os.fork`, the caller runs
-    every kth unit from the first, and k - 1 forked workers, worker i every
-    kth from the ith, pipe back their counts.  A worker's error is raised
-    here, one that ends without a result raises ChildProcessError, and
-    however the call ends no worker is left running or unreaped.  Sizes
-    `check_sizes` refuses raise ValueError first.
+    and temporary bytes stay under _UNIT_BYTES (ValueError, before any draw
+    or fork, if one trial's do not).  With k = min(workers, units, usable
+    CPUs) > 1 and `os.fork`, the caller runs every kth unit from the first,
+    and k - 1 forked workers, worker i every kth from the ith, pipe back
+    their counts.  A worker's error is raised here, one that ends without a
+    result raises ChildProcessError, and however the call ends no worker is
+    left running or unreaped.  Sizes `check_sizes` refuses raise ValueError
+    first.
     """
     check_sizes(trials, workers)
     if t not in net.sinks:
@@ -292,7 +293,10 @@ def estimate_failure(
     width = max(len(net.ins[ti]), *map(len, net.outs))
     per_trial = 2 * len(words) + 2 * w * len(live) + 32 * w * width
     per_trial = per_trial // (16 if field.q == 2 else 1) + 1
-    step = min(_UNIT_TRIALS, max(1, (_UNIT_BYTES - 24 * len(alive)) // per_trial))
+    if _UNIT_BYTES - 24 * len(alive) < per_trial:
+        raise ValueError(f"N = {len(alive)} coefficient slots: 24 B a slot and {per_trial} B "
+                         f"for one trial exceed the unit's {_UNIT_BYTES} B")
+    step = min(_UNIT_TRIALS, (_UNIT_BYTES - 24 * len(alive)) // per_trial)
     starts, plan = range(0, trials, step), (net, w, field, seed, trials, step, live, sink, words)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     k = min(workers, len(starts), cpus) if hasattr(os, "fork") else 1

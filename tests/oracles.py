@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rlncfail.flowpaths import PathSet, _max_flow, _min_cost_paths, _path_set
+from rlncfail.flowpaths import PathSet, _min_cost_paths, _path_set
 from rlncfail.galois import FieldSpec, _prime_factors, uniform_columns
 from rlncfail.netmodel import Network
 from rlncfail.rlncsim import (
@@ -148,6 +148,54 @@ def subset_min_internal(net: Network, t: str, w: int) -> int:
     raise ValueError(f"no {w} channel-disjoint paths to {t}")
 
 
+def reference_max_flow(
+    net: Network,
+    t: int,
+    limit: int | None = None,
+    removed: set[int] | frozenset[int] = frozenset(),
+    start: list[tuple[int, ...]] | tuple[()] = (),
+) -> tuple[int, set[int]]:
+    """Unit-capacity max-flow from the source to node t via augmenting paths,
+    in the network without the removed channels, on the integer view.
+
+    `flowpaths._max_flow` as it was before each node's residual arcs were
+    compiled on the network: this one sorts a node's moves at every DFS
+    step, so the compiled routine must return the same flows.
+
+    Returns (value, flow channel indices).  The flow grows from `start`,
+    disjoint paths to t avoiding the removed channels (any valid flow reaches
+    the same value), trying forward and reverse channels in channel order.
+    """
+    s = net.index[net.source]
+    if t == s:
+        raise ValueError("sink equals source")
+    head, tail = net.head, net.tail
+    used = {j for p in start for j in p}
+    value = len(start)
+    while limit is None or value < limit:
+        # iterative DFS for one augmenting path in the residual graph
+        pred = {s: (s, -1)}  # node -> (previous node, channel); also the visited set
+        stack = [s]
+        while stack:
+            node = stack.pop()
+            if node == t:
+                break
+            moves = [(j, head[j]) for j in net.outs[node] if j not in used and j not in removed]
+            moves += [(j, tail[j]) for j in net.ins[node] if j in used]
+            # stack is LIFO: push in reverse so the smallest channel pops first
+            for j, nxt in sorted(moves, reverse=True):
+                if nxt not in pred:
+                    pred[nxt] = (node, j)
+                    stack.append(nxt)
+        else:
+            break
+        while node != s:  # forward channels join the flow, reverse ones leave it
+            node, j = pred[node]
+            used ^= {j}
+        value += 1
+    return value, used
+
+
 class _SearchBudget(Exception):
     pass
 
@@ -207,7 +255,7 @@ def recursive_min_internal_paths(
         if len(nodes) >= best["r"]:
             return
         # feasibility: the untouched graph must still carry the missing flow
-        value, _ = _max_flow(net, ti, limit=w - len(done), removed=used)
+        value, _ = reference_max_flow(net, ti, limit=w - len(done), removed=used)
         if value < w - len(done):
             return
         extend(nodes, [], s, first)
@@ -488,6 +536,21 @@ def corpus_network(seed: int, w: int, density: float):
     from rlncfail.netmodel import random_dag
 
     return random_dag(seed % 7, w, density, seed=seed)
+
+
+def small_multigraph(rng) -> Network:
+    """A small multigraph drawn from the `random.Random` rng: parallel
+    channels, a second sink u behind t, and a node next to both s and t."""
+    from rlncfail.netmodel import Channel
+
+    k = rng.randint(1, 5)
+    names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
+    pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
+    v = rng.randint(1, k)
+    chosen = [(0, v), (v, k + 1)] + rng.choices(pairs, k=rng.randint(2, 11))
+    nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
+    return Network(nodes, [Channel(f"e{j:02d}", names[a], names[b])
+                           for j, (a, b) in enumerate(chosen)])
 
 
 class NaiveField:

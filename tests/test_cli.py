@@ -170,6 +170,16 @@ class TestSizeChecks:
             assert code == 2 and out == "", cmd
             assert err == "error: --budget must be at most 4194304, got 4194305\n", cmd
 
+    def test_monte_carlo_trial_above_unit_bytes_exit_2(self, capsys, monkeypatch):
+        from rlncfail import rlncsim
+
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 100)
+        code, out, err = run_cli(capsys, "simulate", "--gen", "butterfly", "--sink", "t1",
+                                 "--field", "2", "--trials", "10", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: N = 12 coefficient slots: ")
+        assert err.endswith(" B for one trial exceed the unit's 100 B\n")
+
     def test_budget_at_cap_accepted(self, capsys):
         for cmd in (("exact", "--field", "2"), ("sweep", "--fields", "2")):
             code, out, err = run_cli(capsys, *cmd, "--gen", "butterfly", "--sink", "t1",
@@ -520,13 +530,23 @@ def max_flow_limits(monkeypatch) -> list:
 
 class TestMaxFlowCount:
     def test_bounds_dag30(self, capsys, monkeypatch):
-        # random_dag's min-cut serves _setup and full_report too; then the
-        # disjoint paths' flow up to w, and the R_t search needs none
+        # random_dag's min-cut serves _setup and full_report too; at
+        # w = C_t = 6 the disjoint paths decompose its kept flow, which a
+        # flow limited to w would repeat, and the R_t search needs none
         limits = max_flow_limits(monkeypatch)
         code, _, _ = run_cli(capsys, "bounds", "--gen", "random:internal=30,w=6,density=0.3,seed=2",
                              "--field", "2")
         assert code == 0
-        assert limits == [None, 6]
+        assert limits == [None]
+
+    def test_bounds_dag30_rate_below_min_cut(self, capsys, monkeypatch):
+        # at w = 5 < C_t the kept flow has one path too many, so the
+        # disjoint paths still run their own flow limited to w
+        limits = max_flow_limits(monkeypatch)
+        code, _, _ = run_cli(capsys, "bounds", "--gen", "random:internal=30,w=6,density=0.3,seed=2",
+                             "--rate", "5", "--field", "2")
+        assert code == 0
+        assert limits == [None, 5]
 
     def test_sweep_one_min_cut_for_all_fields(self, capsys, monkeypatch):
         limits = max_flow_limits(monkeypatch)

@@ -21,6 +21,8 @@ from oracles import (
     linear_extensions,
     reaches,
     recursive_min_internal_paths,
+    reference_max_flow,
+    small_multigraph,
     subset_min_internal,
 )
 from rlncfail import flowpaths
@@ -165,6 +167,57 @@ class TestWarmStart:
                     split = flowpaths._decompose(net, ti, flow, warm)
                     assert len(split) == warm
                     assert sorted(j for p in split for j in p) == sorted(flow)
+
+
+class TestCompiledMaxFlow:
+    # the reference sorts each visited node's residual moves at every DFS
+    # step; the compiled arcs must visit them in the same order, so every
+    # flow is the same channel set, warm-started or not
+    def test_flows_match_reference(self):
+        cases = [(corpus_network(seed, w, d), ("t",)) for seed, w, q, d in corpus_params()]
+        cases += [(small_multigraph(random.Random(seed)), ("t", "u")) for seed in range(200)]
+        cases += [(butterfly(), ("t1", "t2")), (random_dag(30, 6, 0.3, seed=2), ("t",))]
+        for k, (net, sinks) in enumerate(cases):
+            rng = random.Random(k)
+            for t in sinks:
+                ti = net.index[t]
+                c_t = reference_max_flow(net, ti)[0]
+                heur = flowpaths._min_cost_paths(net, t, c_t) if c_t else ()
+                channels = range(len(net.channels))
+                for removed in [set()] + [{j for j in channels if rng.random() < 0.2} for _ in range(3)]:
+                    fits = [p for p in heur if removed.isdisjoint(p)]
+                    for limit in [None, *range(1, c_t + 1)]:
+                        for start in ((), fits[:limit]):
+                            args = (net, ti, limit, removed, start)
+                            assert flowpaths._max_flow(*args) == reference_max_flow(*args), (
+                                k, t, removed, limit, start)
+
+    def test_disjoint_paths_decompose_kept_flow(self, monkeypatch):
+        # at w = C_t the min-cut's flow is the flow limited to w (the
+        # unlimited run's last DFS finds nothing), so no second flow runs;
+        # rebuilt, a topped-up network keeps its flow too
+        limits = []
+        max_flow = flowpaths._max_flow
+
+        def counted(*args, **kwargs):
+            limits.append(kwargs.get("limit"))
+            return max_flow(*args, **kwargs)
+
+        monkeypatch.setattr(flowpaths, "_max_flow", counted)
+        checked = 0
+        for seed, w, q, density in corpus_params():
+            net = corpus_network(seed, w, density)
+            net = Network(net.nodes, net.channels)
+            limits.clear()
+            if min_cut(net, "t") != w:
+                continue
+            ti = net.index["t"]
+            flow = reference_max_flow(net, ti, limit=w)[1]
+            expected = flowpaths._path_set(net, "t", w, flowpaths._decompose(net, ti, flow, w))
+            assert disjoint_paths(net, "t", w) == expected, seed
+            assert limits == [None], seed
+            checked += 1
+        assert checked == 153  # of the 200
 
 
 class TestNewEnds:
@@ -358,18 +411,9 @@ class TestMinInternalPaths:
         assert subset_min_internal(net, "t", 2) == 2
 
     def test_r_matches_subset_oracle(self):
-        # seeded small multigraphs: parallel channels, a second sink u behind
-        # t, and a node next to both s and t in each
         for seed in range(500):
             rng = random.Random(seed)
-            k = rng.randint(1, 5)
-            names = ["s"] + [f"i{a}" for a in range(1, k + 1)] + ["t", "u"]
-            pairs = [(a, b) for a in range(k + 1) for b in range(a + 1, k + 3)]
-            v = rng.randint(1, k)
-            chosen = [(0, v), (v, k + 1)] + rng.choices(pairs, k=rng.randint(2, 11))
-            nodes = {n: "internal" for n in names} | {"s": "source", "t": "sink", "u": "sink"}
-            net = Network(nodes, [Channel(f"e{j:02d}", names[a], names[b])
-                                  for j, (a, b) in enumerate(chosen)])
+            net = small_multigraph(rng)
             w = rng.randint(1, min_cut(net, "t"))
             res = min_internal_paths(net, "t", w)
             assert res.exact and res.paths.r == subset_min_internal(net, "t", w), seed

@@ -737,6 +737,31 @@ class TestEstimate:
         assert 0 < whole.failures < whole.trials
         assert_reaped(forks)
 
+    def test_trial_above_unit_bytes_refused_before_draw_or_fork(self, monkeypatch):
+        # the draw's 24 B a slot and one trial's bytes must fit in a unit;
+        # when they do not, ValueError names N, the trial's bytes and the
+        # unit, and nothing is drawn or forked
+        def never(*args, **kwargs):
+            raise AssertionError("drew or forked after the plan")
+
+        net, f3 = butterfly(), make_field(3)
+        n = coefficient_count(net, 2)
+        monkeypatch.setattr(rlncsim, "uniform_columns", never)
+        monkeypatch.setattr(rlncsim.os, "fork", never)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 24 * n)
+        with pytest.raises(ValueError, match=rf"^N = {n} coefficient slots: 24 B a slot and "
+                                             rf"(\d+) B for one trial exceed the unit's {24 * n} B$") as err:
+            estimate_failure(net, 2, f3, "t1", 1000, seed=1, workers=2)
+        per_trial = int(err.value.args[0].split(" and ")[1].split()[0])
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 24 * n + per_trial - 1)
+        with pytest.raises(ValueError, match=f"{per_trial} B for one trial"):
+            estimate_failure(net, 2, f3, "t1", 1000, seed=1, workers=2)
+        # exactly one trial's room: units of one trial, the same count
+        monkeypatch.undo()
+        whole = estimate_failure(net, 2, f3, "t1", 200, seed=1)
+        monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 24 * n + per_trial)
+        assert estimate_failure(net, 2, f3, "t1", 200, seed=1) == whole
+
     def test_deterministic_across_runs_and_workers(self):
         f2 = make_field(2)
         net = plait(2, 1)
