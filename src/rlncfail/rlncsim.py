@@ -36,6 +36,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -54,10 +55,12 @@ _BRANCH_BATCH = 1 << 20  # matrix entries in one batch of the exact DP's branche
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The exact evaluator's branches exceed its budget."""
+    """The exact evaluator's branches exceed its budget; a count of more
+    than 30 digits prints to three significant ones."""
 
     def __init__(self, node: str, branches: int, budget: int):
-        super().__init__(f"exact evaluation needs {branches} branches up to node {node}, "
+        count = branches if branches < 10**30 else f"about {Decimal(branches):.2e}"
+        super().__init__(f"exact evaluation needs {count} branches up to node {node}, "
                          f"above the budget {budget}")
         self.branches = branches
         self.budget = budget
@@ -201,10 +204,14 @@ def _unit_failures(start: int, plan: tuple) -> int:
     return len(rows) - int(np.count_nonzero(full))
 
 
-def _worker(fd: int, starts: range, plan: tuple) -> None:
-    """A forked worker: pickle its units' count, or its error, to fd and exit, never returning."""
+def _worker(fd: int, starts: range, plan: tuple, cpu: int | None, mask: list[int]) -> None:
+    """A forked worker: start on CPU cpu unless it is None, then run on the whole
+    mask, and pickle its units' count, or its error, to fd and exit, never returning."""
     try:
         try:
+            if cpu is not None:
+                os.sched_setaffinity(0, [cpu])  # moves it off the caller's CPU now
+                os.sched_setaffinity(0, mask)  # free to move again, as the caller is
             result = sum(_unit_failures(start, plan) for start in starts)
         except BaseException as exc:
             result = exc
@@ -271,10 +278,14 @@ def estimate_failure(
     or fork, if one trial's do not).  With k = min(workers, units, usable
     CPUs) > 1 and `os.fork`, the caller runs every kth unit from the first,
     and k - 1 forked workers, worker i every kth from the ith, pipe back
-    their counts.  A worker's error is raised here, one that ends without a
-    result raises ChildProcessError, and however the call ends no worker is
-    left running or unreaped.  Sizes `check_sizes` refuses raise ValueError
-    first.
+    their counts.  With `os.sched_setaffinity`, the caller stays on the
+    first CPU of its sorted mask while it forks and worker i starts on the
+    ith, and then each takes the whole mask back: a fresh worker otherwise
+    stayed on the caller's CPU.  A worker's error, placement included, is
+    raised here, one that ends without a result raises ChildProcessError,
+    and however the call ends no worker is left running or unreaped, and
+    the caller's mask is the one it had.  Sizes `check_sizes` refuses raise
+    ValueError first.
     """
     check_sizes(trials, workers)
     if t not in net.sinks:
@@ -298,17 +309,24 @@ def estimate_failure(
                          f"for one trial exceed the unit's {_UNIT_BYTES} B")
     step = min(_UNIT_TRIALS, (_UNIT_BYTES - 24 * len(alive)) // per_trial)
     starts, plan = range(0, trials, step), (net, w, field, seed, trials, step, live, sink, words)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = min(workers, len(starts), cpus) if hasattr(os, "fork") else 1
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    k = min(workers, len(starts), len(mask) or os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    place = k > 1 and bool(mask) and hasattr(os, "sched_setaffinity")
     pids, pipes = [], []
     try:
-        for i in range(1, k):
-            rfd, wfd = os.pipe()
-            pipes.append(open(rfd, "rb"))
-            with open(wfd, "wb"):  # closed before the next fork, or no EOF comes
-                if (pid := os.fork()) == 0:
-                    _worker(wfd, starts[i::k], plan)  # never returns
-            pids.append(pid)
+        try:  # pinned while it forks, the caller keeps its CPU and each worker starts on another
+            if place:
+                os.sched_setaffinity(0, mask[:1])
+            for i in range(1, k):
+                rfd, wfd = os.pipe()
+                pipes.append(open(rfd, "rb"))
+                with open(wfd, "wb"):  # closed before the next fork, or no EOF comes
+                    if (pid := os.fork()) == 0:
+                        _worker(wfd, starts[i::k], plan, mask[i] if place else None, mask)
+                pids.append(pid)
+        finally:
+            if place:
+                os.sched_setaffinity(0, mask)
         failures = sum(_unit_failures(start, plan) for start in starts[::k])
         for pid, pipe in zip(pids, pipes):
             data = pipe.read()

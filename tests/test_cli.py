@@ -394,6 +394,10 @@ class TestExact:
         assert code == 4
         assert f"needs {65536**4} branches up to node s" in err
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
+        # plait(4, 1)'s source branches 65536^16 = 2^256 ways: 78 digits, printed to three
+        code, out, err = run_cli(capsys, "exact", "--gen", "plait:w=4,r=1", "--field", "65536")
+        assert code == 4 and out == ""
+        assert err == f"error: exact evaluation needs about 1.16e+77 branches up to node s, above the budget {1 << 20}\n"
 
     def test_workers_accepted_and_ignored(self, capsys):
         base = ("exact", "--gen", "butterfly", "--sink", "t1", "--field", "4")
@@ -749,7 +753,8 @@ class TestProcess:
             sys.path.insert(0, sys.argv[1])
             import rlncfail.cli as cli
             pool = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
-            os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host
+            os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any host,
+            os.sched_setaffinity = lambda pid, mask: None  # placed on no CPU it may lack
             fork, forks = os.fork, []
             os.fork = lambda: forks.append(1) or fork()
             imported = []

@@ -95,6 +95,17 @@ def record_forks(monkeypatch) -> list[int]:
     return forks
 
 
+def fake_affinity(monkeypatch, cpus) -> list[list[int]]:
+    """Make `os.sched_getaffinity` report the CPUs cpus, which need not exist
+    here, and record the masks the caller then gives `os.sched_setaffinity`
+    (a worker records into its own copy), setting none of them."""
+    placed = []
+    monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(rlncsim.os, "sched_setaffinity", lambda pid, mask: placed.append(list(mask)),
+                        raising=False)
+    return placed
+
+
 def assert_reaped(pids) -> None:
     """No such process: neither running nor a zombie."""
     for pid in pids:
@@ -485,7 +496,7 @@ class TestEstimate:
         # only those are drawn, and the kernels keep the live rows.  Three
         # units, the last of 5 trials, at 1 to 3 workers: at 3 the caller
         # runs the first and two forked workers the rest
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fake_affinity(monkeypatch, {0, 1, 2})
         field = make_field_of_order(q)
         trials = 2 * rlncsim._UNIT_TRIALS + 5
         for net, w, t in ((butterfly(), 2, "t1"), (random_dag(12, 4, 0.5, seed=5), 4, "t")):
@@ -517,7 +528,7 @@ class TestEstimate:
 
     def test_workers_clamped_to_units_and_cpus(self, monkeypatch):
         forks = record_forks(monkeypatch)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        fake_affinity(monkeypatch, range(8))
         net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
         trials = 2 * b + 1  # three units
         est = estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=1)
@@ -525,12 +536,12 @@ class TestEstimate:
         # three units on eight CPUs: two forked workers
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert len(forks) == 2
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
+        fake_affinity(monkeypatch, {0, 1})
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=10**6) == est
         assert len(forks) == 3
         # one usable CPU, as under `taskset -c 0`, on a machine of eight: no fork
         monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0})
+        fake_affinity(monkeypatch, {0})
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=2) == est
         # without an affinity mask the count is os.cpu_count(), which may be unknown
         monkeypatch.delattr(rlncsim.os, "sched_getaffinity")
@@ -546,9 +557,9 @@ class TestEstimate:
             return 0 if os.getpid() == parent else 1 << start // b
 
         monkeypatch.setattr(rlncsim, "_unit_failures", marking)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        fake_affinity(monkeypatch, range(8))
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=3).failures == 2 + 4
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1})
+        fake_affinity(monkeypatch, {0, 1})
         assert estimate_failure(net, 2, f2, "t1", trials, seed=3, workers=3).failures == 2
         assert len(forks) == 6
         assert_reaped(forks)
@@ -564,11 +575,12 @@ class TestEstimate:
             raise MemoryError(f"unit {start}")
 
         monkeypatch.setattr(rlncsim, "_unit_failures", failing)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        placed = fake_affinity(monkeypatch, {5, 7, 9, 11})
         t0 = time.monotonic()
         with pytest.raises(MemoryError, match="unit 0"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", 4 * rlncsim._UNIT_TRIALS, seed=1, workers=4)
         assert time.monotonic() - t0 < 30
+        assert placed == [[5], [5, 7, 9, 11]]  # pinned while it forked, not after
         assert len(forks) == 3
         assert_reaped(forks)
 
@@ -581,9 +593,10 @@ class TestEstimate:
             return 0
 
         monkeypatch.setattr(rlncsim, "_unit_failures", failing)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        placed = fake_affinity(monkeypatch, {5, 7})
         with pytest.raises(ValueError, match=f"^bad unit {rlncsim._UNIT_TRIALS}$"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._UNIT_TRIALS, seed=1, workers=2)
+        assert placed == [[5], [5, 7]]
         assert len(forks) == 1
         assert_reaped(forks)
 
@@ -596,7 +609,7 @@ class TestEstimate:
             return 0
 
         monkeypatch.setattr(rlncsim, "_unit_failures", dying)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fake_affinity(monkeypatch, {0, 1})
         with pytest.raises(ChildProcessError, match=f"sent no result, waitpid status {signal.SIGKILL}$"):
             estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._UNIT_TRIALS, seed=1, workers=2)
         assert len(forks) == 1
@@ -610,13 +623,110 @@ class TestEstimate:
             return unit(start, plan)
 
         monkeypatch.setattr(rlncsim, "_unit_failures", recording)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fake_affinity(monkeypatch, {0, 1})
         net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
         est = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2)
         assert ran == [0, 2 * b]  # the caller's share; a worker ran b
         monkeypatch.delattr(rlncsim.os, "fork")
         assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == est
         assert ran == [0, 2 * b, 0, b, 2 * b]
+
+    def test_caller_and_workers_start_on_their_own_cpus(self, monkeypatch):
+        # the caller pins itself to the mask's first CPU while it forks and
+        # then takes the whole mask back; worker i starts on the ith CPU and
+        # then takes the whole mask too.  Counts are unchanged
+        net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
+        serial = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3)
+        forks = record_forks(monkeypatch)
+        placed = fake_affinity(monkeypatch, {7, 5})
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == serial
+        assert placed == [[5], [5, 7]]
+        # a worker's own copy of the record: the caller's pin before the
+        # fork, then its own two masks.  Its unit counts 1 << its first CPU
+        parent = os.getpid()
+
+        def marking(start, plan):
+            if os.getpid() == parent:
+                return 0
+            pin, (cpu,), whole = placed
+            assert pin == [1] and whole == [1, 4, 6]
+            return 1 << cpu
+
+        monkeypatch.setattr(rlncsim, "_unit_failures", marking)
+        placed = fake_affinity(monkeypatch, {6, 1, 4})
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=3).failures == (1 << 4) + (1 << 6)
+        assert placed == [[1], [1, 4, 6]]
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+    def test_fork_error_leaves_the_caller_unpinned(self, monkeypatch):
+        # the second fork fails while the caller is pinned: it takes the
+        # whole mask back, and the first worker is killed and reaped
+        forks, fork = [], os.fork
+
+        def failing():
+            if forks:
+                raise BlockingIOError("no second fork")
+            forks.append(pid := fork())
+            return pid
+
+        monkeypatch.setattr(rlncsim.os, "fork", failing)
+        placed = fake_affinity(monkeypatch, {5, 7, 9})
+        with pytest.raises(BlockingIOError, match="^no second fork$"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 3 * rlncsim._UNIT_TRIALS, seed=1, workers=3)
+        assert placed == [[5], [5, 7, 9]]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_worker_placement_error_reaches_the_caller(self, monkeypatch):
+        forks, parent = record_forks(monkeypatch), os.getpid()
+        placed = fake_affinity(monkeypatch, {5, 7})
+        record = rlncsim.os.sched_setaffinity
+
+        def refusing(pid, mask):
+            if os.getpid() != parent:
+                raise OSError(22, f"no CPU {sorted(mask)}")
+            record(pid, mask)
+
+        monkeypatch.setattr(rlncsim.os, "sched_setaffinity", refusing)
+        with pytest.raises(OSError, match=r"^\[Errno 22\] no CPU \[7\]$"):
+            estimate_failure(butterfly(), 2, make_field(2), "t1", 2 * rlncsim._UNIT_TRIALS, seed=1, workers=2)
+        assert placed == [[5], [5, 7]]
+        assert len(forks) == 1
+        assert_reaped(forks)
+
+    def test_no_placement_without_workers_or_affinity(self, monkeypatch):
+        net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
+        serial = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3)
+        forks = record_forks(monkeypatch)
+        placed = fake_affinity(monkeypatch, {5, 7})
+        # k = 1: one worker asked for, or one unit
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=1) == serial
+        one = estimate_failure(net, 2, f2, "t1", b, seed=3)
+        assert estimate_failure(net, 2, f2, "t1", b, seed=3, workers=2) == one
+        assert placed == [] and forks == []
+        # no mask to place on: the worker count comes from os.cpu_count()
+        monkeypatch.delattr(rlncsim.os, "sched_getaffinity")
+        monkeypatch.setattr(rlncsim.os, "cpu_count", lambda: 2)
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == serial
+        assert placed == [] and len(forks) == 1
+        # a mask, but no way to set one
+        fake_affinity(monkeypatch, {5, 7})
+        monkeypatch.delattr(rlncsim.os, "sched_setaffinity")
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == serial
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+                        or not hasattr(os, "sched_setaffinity"), reason="needs 2 usable CPUs")
+    def test_real_placement_restores_the_callers_mask(self, monkeypatch):
+        net, f2, b = butterfly(), make_field(2), rlncsim._UNIT_TRIALS
+        serial = estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3)
+        forks, mask = record_forks(monkeypatch), os.sched_getaffinity(0)
+        assert estimate_failure(net, 2, f2, "t1", 2 * b + 1, seed=3, workers=2) == serial
+        assert os.sched_getaffinity(0) == mask
+        assert len(forks) == 1
+        assert_reaped(forks)
 
     def test_unit_memory_bounded_by_bytes(self, monkeypatch):
         # N = 2,928 slots, 403 live channels and 26 columns at the widest:
@@ -726,7 +836,7 @@ class TestEstimate:
         # of 38.  The units spread over the workers like 2^14-trial ones:
         # below 2^14 trials, memory-bound units still fork
         forks = record_forks(monkeypatch)
-        monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        fake_affinity(monkeypatch, {0, 1, 2})
         net, field = random_dag(12, 4, 0.5, seed=5), make_field_of_order(q)
         whole = estimate_failure(net, 4, field, "t", 1001, seed=2)
         monkeypatch.setattr(rlncsim, "_UNIT_BYTES", 10_000)
@@ -811,7 +921,7 @@ def test_evaluators_check_their_inputs(monkeypatch, evaluate, bad, message):
     # a rate of 0 once counted no failure in the Monte Carlo and divided by
     # zero in the DP; 0 workers failed in numpy, and -3 ran serially
     forks = record_forks(monkeypatch)
-    monkeypatch.setattr(rlncsim.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    fake_affinity(monkeypatch, {0, 1, 2})
     args = dict(net=butterfly(), w=2, field=make_field(2), t="t1")
     if evaluate is estimate_failure:
         args.update(trials=4 * rlncsim._UNIT_TRIALS, seed=1)
@@ -872,6 +982,21 @@ class TestExact:
             f"exact evaluation needs {16**16} branches up to node s, "
             f"above the budget {DEFAULT_ENUMERATION_BUDGET}"
         )
+
+    def test_budget_message_rounds_counts_above_30_digits(self, monkeypatch):
+        # at q = 65536 the same source branches 2^256 ways, a 78-digit count
+        # that the message prints to three digits and the attribute keeps whole
+        monkeypatch.setattr(rlncsim, "_eliminate", None)  # expanding a node would raise
+        with pytest.raises(EnumerationBudgetError) as err:
+            exact_failure(plait(4, 1), 4, make_field(2, 16), "t")
+        assert err.value.branches == 65536**16 == 2**256
+        assert str(err.value) == (
+            "exact evaluation needs about 1.16e+77 branches up to node s, "
+            f"above the budget {DEFAULT_ENUMERATION_BUDGET}"
+        )
+        # 30 digits print whole, 31 do not
+        assert "needs 999999999999999999999999999999 branches" in str(EnumerationBudgetError("v", 10**30 - 1, 1))
+        assert "needs about 1.00e+30 branches" in str(EnumerationBudgetError("v", 10**30, 1))
 
     def test_budget_above_2_62_raises_before_any_work(self, monkeypatch):
         # the DP's branch indices are int64
