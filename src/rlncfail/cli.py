@@ -2,10 +2,14 @@
 
 Subcommands: `gen` writes network files, `bounds` prints the bound report,
 `simulate` runs the Monte Carlo estimator, `exact` runs the exact frontier
-dynamic program, and `sweep` emits one CSV row per field order.
+dynamic program, and `sweep` emits one CSV row per field order.  A call
+that leads with a leaf (a report command or `gen KIND`) is parsed by that
+leaf's parser alone, and any other call, or one with tokens left over, by
+the full parser: the same values, help and errors either way.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 usage/config error, 3 infeasible rate, 4 exact-evaluation budget exceeded.
+1 stdout closed before the report was written, 2 usage/config error,
+3 infeasible rate, 4 exact-evaluation budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import gc
 import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it at its first text: here, not in the call
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -267,58 +272,66 @@ _OPTIONS = {
 # every subcommand accepts --workers; only simulate and sweep start worker processes
 _COMMON = ("--network", "--gen", "--sink", "--rate", "--workers")
 
-# name, help, handler, options beyond _COMMON, --format choices (first is the default)
-_SUBCOMMANDS = (
-    ("bounds", "compute the bound report", _cmd_bounds,
-     ("--field",), ("text", "json")),
-    ("simulate", "Monte Carlo failure estimate", _cmd_simulate,
-     ("--field", "--trials", "--seed"), ("text", "json")),
-    ("exact", "exact failure probability by a frontier dynamic program", _cmd_exact,
-     ("--field", "--budget"), ("text", "json")),
-    ("sweep", "bounds/exact/estimate across field orders (CSV)", _cmd_sweep,
-     ("--fields", "--trials", "--seed", "--budget"), ("csv",)),
-)
+# name -> help, handler, options beyond _COMMON, --format choices (first is the default)
+_SUBCOMMANDS = {
+    "bounds": ("compute the bound report", _cmd_bounds, ("--field",), ("text", "json")),
+    "simulate": ("Monte Carlo failure estimate", _cmd_simulate,
+                 ("--field", "--trials", "--seed"), ("text", "json")),
+    "exact": ("exact failure probability by a frontier dynamic program", _cmd_exact,
+              ("--field", "--budget"), ("text", "json")),
+    "sweep": ("bounds/exact/estimate across field orders (CSV)", _cmd_sweep,
+              ("--fields", "--trials", "--seed", "--budget"), ("csv",)),
+}
 
 
-# every subcommand name, in the order the full parser lists them
-_COMMANDS = ("gen", *(row[0] for row in _SUBCOMMANDS))
+def _leaf(add_parser, name: str) -> argparse.ArgumentParser:
+    """The parser of one leaf, a report command or a `gen` kind: made by
+    `add_parser(name, help=...)`, then given that leaf's options."""
+    if name in _SUBCOMMANDS:
+        help_text, func, options, formats = _SUBCOMMANDS[name]
+        parser = add_parser(name, help=help_text)
+        for opt in _COMMON + options:
+            parser.add_argument(opt, **_OPTIONS[opt])
+        parser.add_argument("--format", choices=formats, default=formats[0])
+    else:
+        _, help_text, params = _GENERATORS[name]
+        parser = add_parser(name, help=help_text)
+        for k, conv in params:
+            parser.add_argument(f"--{k}", type=conv, required=True)
+        parser.add_argument("--out", help="write the network file here instead of stdout")
+        func = _cmd_gen
+    parser.set_defaults(func=func)
+    return parser
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `rlncfail` parser.  Given a subcommand name (one of `_COMMANDS`),
-    it builds that subcommand's parser alone under the top-level one, whose
-    usage line still lists every subcommand; `main` does so when the call
-    names its subcommand, and builds no parser it does not use.  Either
-    parser reads such a call to the same values and writes the same help and
-    errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full `rlncfail` parser.  `_parse` builds it only for a call no leaf
+    reads alone: no command, `-h` first, an unknown name, bare `gen`, or tokens
+    the leaf leaves over, which this parser reports under its own usage line."""
     parser = argparse.ArgumentParser(
         prog="rlncfail",
         description="Failure probability of random linear network coding at a sink node",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
-    )
-
-    if command in (None, "gen"):
-        gen = sub.add_parser("gen", help="generate a network file")
-        gen_sub = gen.add_subparsers(dest="kind", required=True)
-        for kind, (_, help_text, params) in _GENERATORS.items():
-            sp = gen_sub.add_parser(kind, help=help_text)
-            for k, conv in params:
-                sp.add_argument(f"--{k}", type=conv, required=True)
-            sp.add_argument("--out", help="write the network file here instead of stdout")
-            sp.set_defaults(func=_cmd_gen)
-
-    for name, help_text, func, options, formats in _SUBCOMMANDS:
-        if command not in (None, name):
-            continue
-        sp = sub.add_parser(name, help=help_text)
-        for opt in _COMMON + options:
-            sp.add_argument(opt, **_OPTIONS[opt])
-        sp.add_argument("--format", choices=formats, default=formats[0])
-        sp.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    gen = sub.add_parser("gen", help="generate a network file").add_subparsers(dest="kind", required=True)
+    for kind in _GENERATORS:
+        _leaf(gen.add_parser, kind)
+    for name in _SUBCOMMANDS:
+        _leaf(sub.add_parser, name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, but a call that leads with a leaf is
+    read by the parser the full one would hand the rest to, built alone."""
+    lead = argv[:2] if argv[:1] == ["gen"] else argv[:1]  # the leaf's words
+    if lead and lead[-1] in (_GENERATORS if len(lead) == 2 else _SUBCOMMANDS):
+        prog = " ".join(["rlncfail", *lead])
+        leaf = _leaf(lambda name, **_: argparse.ArgumentParser(prog=prog), lead[-1])
+        args, rest = leaf.parse_known_args(argv[len(lead):])
+        if not rest:
+            return argparse.Namespace(**dict(zip(("command", "kind"), lead)), **vars(args))
+    return build_parser().parse_args(argv)
 
 
 def _check_sizes(args) -> None:
@@ -333,11 +346,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     gc.freeze()  # the call's collections skip what the imports made, and so do a forked worker's
     try:
-        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+        args = _parse(argv)
         _check_sizes(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except SystemExit as exc:  # argparse's: 0 after --help, 2 on a bad option
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:  # an OSError, but the reader's doing, not a usage error
+        return 1
     except InfeasibleRateError as exc:  # a ValueError, so ahead of that clause
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -352,7 +369,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 1:  # the unwritten report would fail again when Python flushes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import gc
@@ -584,10 +585,10 @@ class TestMaxFlowCount:
         assert limits == one_bounds
 
 
-def parse_outcome(capsys, parser, argv):
+def parse_outcome(capsys, parse, argv):
     """(exit code, stdout, stderr, parsed values) of one parse."""
     try:
-        values, code = vars(parser.parse_args(argv)), None
+        values, code = vars(parse(argv)), None
     except SystemExit as exc:
         values, code = None, exc.code
     captured = capsys.readouterr()
@@ -625,23 +626,33 @@ PARSE_CASES = list(dict.fromkeys([  # in order, each case once
     *parse_cases("gen", ("butterfly", "--out", "n.txt"), "--out", ("--out",)),
     ("gen",), ("gen", "frob"), ("gen", "plait", "--help"), ("gen", "butterfly", "--help"),
     ("gen", "random", "--help"), ("gen", "plait", "--w", "2"),
+    # option spellings: `=`, an abbreviation, a repeat, `--` before, between and after the
+    # options, a negative value, a value that looks like an option, `-h` late, a leftover
+    ("bounds", "--gen", "butterfly", "--sink", "t1", "--field=2"),
+    ("bounds", "--gen", "butterfly", "--sink", "t1", "--fie", "2"),
+    ("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--field", "3"),
+    ("bounds", "--", "--gen", "butterfly", "--sink", "t1", "--field", "2"),
+    ("bounds", "--gen", "butterfly", "--", "--sink", "t1", "--field", "2"),
+    ("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--"),
+    ("exact", "--gen", "butterfly", "--rate", "-1", "--field", "2"),
+    ("bounds", "--gen", "-x", "--field", "2"),
+    ("simulate", "--gen", "butterfly", "--trials", "5", "-h"),
+    ("gen", "plait", "--w", "2", "-h"),
+    ("bounds", "--gen", "butterfly", "--field", "2", "extra"),
+    ("gen", "plait", "--w=2", "--r", "3", "extra"),
+    ("gen", "random", "--int", "5", "--w", "2", "--density", "-0.4", "--seed", "7"),
 ]))
 
 
 class TestParser:
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
     def test_subcommand_parser_reads_like_the_full_one(self, capsys, argv):
-        # help, usage errors (the top-level usage line too), exit codes and values
-        full = parse_outcome(capsys, build_parser(), argv)
-        alone = parse_outcome(capsys, build_parser(argv[0]), argv)
+        # help, usage errors (the top-level usage line too), exit codes and values,
+        # `command`, `kind` and `func` among them
+        full = parse_outcome(capsys, build_parser().parse_args, argv)
+        alone = parse_outcome(capsys, cli._parse, argv)
         assert alone == full
         assert full[1] or full[2] or full[3]  # the case printed or parsed something
-
-    def test_subcommand_parser_builds_no_other(self, capsys):
-        parser = build_parser("bounds")
-        with pytest.raises(SystemExit):
-            parser.parse_args(["exact", "--gen", "butterfly", "--field", "2"])
-        assert "invalid choice: 'exact' (choose from 'bounds')" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,command,code", [
         ((), None, 2),
@@ -650,22 +661,32 @@ class TestParser:
         (("frobnicate",), None, 2),
         (("--", "bounds"), None, 2),
         (("bounds", "--help"), "bounds", 0),
-        (("sweep", "--fields", "x"), "sweep", 2),
+        (("sweep", "--fields", "x"), "sweep", 2),  # its error comes after parsing
         (("gen", "plait", "--w", "1", "--r", "1"), "gen", 0),
+        (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "2"), "bounds", 0),
+        (("simulate", "--gen", "butterfly", "--sink", "t1", "--field", "2", "--trials", "10",
+          "--seed", "1"), "simulate", 0),
+        (("exact", "--gen", "butterfly", "--sink", "t1", "--field", "2"), "exact", 0),
+        (("sweep", "--gen", "butterfly", "--sink", "t1", "--fields", "2"), "sweep", 0),
+        (("gen", "butterfly"), "gen", 0),
+        (("gen", "random", "--internal", "3", "--w", "2", "--density", "0.5", "--seed", "1"), "gen", 0),
     ])
     def test_main_builds_the_named_subcommand_alone(self, capsys, monkeypatch, argv, command, code):
-        built = []
-        full = cli.build_parser
+        # a leaf's call builds its one parser; any other call, the full parser's 9
+        built, init = [], argparse.ArgumentParser.__init__
 
-        def recorded(command=None):
-            built.append(command)
-            return full(command)
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_parser", recorded)
-        assert main(list(argv)) == code
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         monkeypatch.setattr("sys.argv", ["rlncfail", *argv])
-        assert main() == code
-        assert built == [command, command]
+        for args in (list(argv), None):
+            built.clear()
+            assert main(args) == code
+            assert len(built) == (1 if command else 9), built
+        if command:
+            assert built == [" ".join(["rlncfail", *argv[:2 if command == "gen" else 1]])]
 
 
 class TestUsage:
@@ -774,6 +795,28 @@ class TestProcess:
         assert imported == [[argv[0], 0, []] for argv, _ in IMPORT_FREE_CALLS]
         assert forks == 3
         assert proc.stdout == "".join((goldens.ROOT / g).read_text(encoding="utf-8") for _, g in IMPORT_FREE_CALLS)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_in_silence(self, unbuffered):
+        # a block-buffered stdout fails at the flush, an unbuffered one at the first write;
+        # neither is a usage error, and nothing is left to fail again at exit
+        calls = [
+            ("bounds", *goldens.BUTTERFLY_T1, "--field", "4"),
+            ("simulate", *goldens.DAG12, "--field", "3", "--trials", "2000", "--seed", "1", "--workers", "2"),
+            ("sweep", *goldens.BUTTERFLY_T1, "--fields", "2,3,4", "--trials", "100", "--seed", "1"),
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update({"PYTHONPATH": src} | ({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+        for argv in calls:
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run([sys.executable, "-c", "from rlncfail.cli import run; run()", *argv],
+                                      stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (1, ""), argv
 
     @pytest.mark.parametrize("argv,code,parsed", [
         (("bounds", "--gen", "butterfly", "--sink", "t1", "--field", "4"), 0, True),
